@@ -1,9 +1,9 @@
 // E13/E14 — Vectorized kernels, fused decode+filter, runtime filters,
 // and typed hash join/aggregation.
 //
-// Four measurements over real engine paths:
-//   1. Predicate kernels: CompiledPredicate::Select vs the scalar
-//      EvaluateExpr path on an in-memory batch, swept over selectivity.
+// Five measurements over real engine paths:
+//   1. Predicate kernels: CompiledPredicate::Select vs the row-at-a-time
+//      reference evaluator on an in-memory batch, swept over selectivity.
 //   2. Fused decode+filter: a selective filter scan executed with
 //      fused_decode on vs off (same bill, fewer rows materialized).
 //   3. Runtime filters: a clustered fact ⋈ small dim join with filters
@@ -12,11 +12,15 @@
 //   4. Typed hash tables (E14): hash aggregation and equi-join with
 //      vectorized_hash on vs off, swept over key cardinality and probe
 //      selectivity — identical rows and bills, typed path faster.
+//   5. Expression evaluation: EvaluateExpr's column kernels vs the
+//      row-at-a-time reference on TPC-H aggregate arguments (q5 revenue,
+//      q12 priority CASE, q14 promo CASE with LIKE) — identical columns.
 //
 // The full run prints the tables and writes BENCH_kernels.json
 // (machine-readable, checked in). `--kernels-smoke` runs the CI gate:
 // every correctness/audit invariant above plus "kernels are not slower
-// than scalar on a selective filter". `--hash-smoke` gates the typed
+// than scalar on a selective filter" and "EvaluateExpr beats the
+// reference on every aggregate argument". `--hash-smoke` gates the typed
 // hash path: identical results/bills across the sweep and a noise-robust
 // speedup floor on the high-cardinality group-by and selective join.
 #include <algorithm>
@@ -33,6 +37,7 @@
 #include "format/writer.h"
 #include "sql/parser.h"
 #include "storage/memory_store.h"
+#include "testing/reference_eval.h"
 
 using namespace pixels;
 
@@ -78,7 +83,7 @@ RowBatchPtr MakeKernelBatch(size_t rows) {
 }
 
 SelectionVector ScalarSelect(const Expr& pred, const RowBatch& batch) {
-  auto col = EvaluateExpr(pred, batch);
+  auto col = ReferenceEvaluate(pred, batch);
   SelectionVector sel;
   if (!col.ok()) return sel;
   for (size_t i = 0; i < (*col)->size(); ++i) {
@@ -119,6 +124,93 @@ std::vector<SweepPoint> RunKernelSweep(size_t rows, int reps) {
                       scalar_sel == kernel_sel});
   }
   return points;
+}
+
+// ---- 5. expression evaluation on aggregate arguments ----
+
+// The columns TPC-H q5/q12/q14 aggregate over after their joins.
+RowBatchPtr MakeAggArgBatch(size_t rows) {
+  Random rng(17);
+  auto batch = std::make_shared<RowBatch>();
+  auto price = MakeVector(TypeId::kDouble);
+  auto disc = MakeVector(TypeId::kDouble);
+  auto prio = MakeVector(TypeId::kString);
+  auto type = MakeVector(TypeId::kString);
+  const char* prios[] = {"1-URGENT", "2-HIGH", "3-MEDIUM", "4-NOT SPECIFIED",
+                         "5-LOW"};
+  const char* types[] = {"PROMO BRUSHED TIN", "STANDARD POLISHED BRASS",
+                         "ECONOMY ANODIZED STEEL", "PROMO PLATED COPPER",
+                         "LARGE BURNISHED NICKEL"};
+  for (size_t i = 0; i < rows; ++i) {
+    price->AppendDouble(rng.UniformDouble(900.0, 105000.0));
+    disc->AppendDouble(rng.UniformDouble(0.0, 0.1));
+    prio->AppendString(prios[rng.Uniform(0, 4)]);
+    type->AppendString(types[rng.Uniform(0, 4)]);
+  }
+  batch->AddColumn("l.l_extendedprice", price);
+  batch->AddColumn("l.l_discount", disc);
+  batch->AddColumn("o.o_orderpriority", prio);
+  batch->AddColumn("p.p_type", type);
+  return batch;
+}
+
+struct ExprPoint {
+  const char* label;
+  double reference_ms;
+  double kernel_ms;
+  double speedup;
+  bool identical;
+};
+
+bool SameColumn(const ColumnVector& a, const ColumnVector& b) {
+  if (a.type() != b.type() || a.size() != b.size()) return false;
+  for (size_t i = 0; i < a.size(); ++i) {
+    if (a.IsNull(i) != b.IsNull(i)) return false;
+    if (!a.IsNull(i) && a.GetValue(i).Compare(b.GetValue(i)) != 0) {
+      return false;
+    }
+  }
+  return true;
+}
+
+std::vector<ExprPoint> RunExprSweep(size_t rows, int reps) {
+  const std::pair<const char*, const char*> shapes[] = {
+      {"q5_revenue", "l.l_extendedprice * (1 - l.l_discount)"},
+      {"q12_high_case",
+       "CASE WHEN o.o_orderpriority = '1-URGENT' OR o.o_orderpriority = "
+       "'2-HIGH' THEN 1 ELSE 0 END"},
+      {"q14_promo_case",
+       "CASE WHEN p.p_type LIKE 'PROMO%' THEN l.l_extendedprice * (1 - "
+       "l.l_discount) ELSE 0 END"}};
+  auto batch = MakeAggArgBatch(rows);
+  std::vector<ExprPoint> points;
+  for (const auto& [label, text] : shapes) {
+    auto expr = ParseExpression(text);
+    if (!expr.ok()) continue;
+    ColumnVectorPtr ref, got;
+    const double ref_ms = TimeMs(reps, [&] {
+      auto r = ReferenceEvaluate(**expr, *batch);
+      if (r.ok()) ref = *r;
+    });
+    const double kernel_ms = TimeMs(reps, [&] {
+      auto r = EvaluateExpr(**expr, *batch);
+      if (r.ok()) got = *r;
+    });
+    points.push_back({label, ref_ms, kernel_ms,
+                      kernel_ms > 0 ? ref_ms / kernel_ms : 0,
+                      ref != nullptr && got != nullptr &&
+                          SameColumn(*ref, *got)});
+  }
+  return points;
+}
+
+void PrintExprSweep(const std::vector<ExprPoint>& points) {
+  std::printf("%16s %14s %12s %9s %6s\n", "argument", "reference_ms",
+              "kernel_ms", "speedup", "same");
+  for (const auto& p : points) {
+    std::printf("%16s %14.3f %12.3f %8.1fx %6s\n", p.label, p.reference_ms,
+                p.kernel_ms, p.speedup, p.identical ? "yes" : "NO");
+  }
 }
 
 // ---- 2 & 3. engine-level scans and joins ----
@@ -409,7 +501,8 @@ RfResult RunRfComparison(Catalog* catalog, int reps) {
 void WriteJson(const char* path, size_t kernel_rows,
                const std::vector<SweepPoint>& sweep, int fact_rows,
                const std::vector<FusedPoint>& fused, const RfResult& rf,
-               int hash_rows, const std::vector<HashPoint>& hash) {
+               int hash_rows, const std::vector<HashPoint>& hash,
+               const std::vector<ExprPoint>& exprs) {
   FILE* f = std::fopen(path, "w");
   if (f == nullptr) {
     std::fprintf(stderr, "cannot write %s\n", path);
@@ -475,6 +568,18 @@ void WriteJson(const char* path, size_t kernel_rows,
                  p.bytes_equal ? "true" : "false",
                  i + 1 < hash.size() ? "," : "");
   }
+  std::fprintf(f, "  ],\n");
+  std::fprintf(f, "  \"agg_argument_eval\": [\n");
+  for (size_t i = 0; i < exprs.size(); ++i) {
+    const auto& p = exprs[i];
+    std::fprintf(f,
+                 "    {\"argument\": \"%s\", \"reference_ms\": %.3f, "
+                 "\"kernel_ms\": %.3f, \"speedup\": %.2f, "
+                 "\"identical\": %s}%s\n",
+                 p.label, p.reference_ms, p.kernel_ms, p.speedup,
+                 p.identical ? "true" : "false",
+                 i + 1 < exprs.size() ? "," : "");
+  }
   std::fprintf(f, "  ]\n}\n");
   std::fclose(f);
   std::printf("wrote %s\n", path);
@@ -502,6 +607,16 @@ int RunSmoke() {
               selective.selectivity * 100);
   if (selective.kernel_ms > selective.scalar_ms) {
     return Fail("kernel path slower than scalar on selective filter");
+  }
+
+  auto exprs = RunExprSweep(kRows, 3);
+  if (exprs.size() != 3) return Fail("aggregate-argument sweep did not run");
+  PrintExprSweep(exprs);
+  for (const auto& p : exprs) {
+    if (!p.identical) return Fail("EvaluateExpr differs from the reference");
+    if (p.kernel_ms >= p.reference_ms) {
+      return Fail("EvaluateExpr not faster than the row-at-a-time reference");
+    }
   }
 
   const int kFactRows = 1 << 17;
@@ -635,13 +750,20 @@ int RunFull(const char* out_path) {
   auto hash = RunHashSweep(hash_catalog.get(), kHashRows, 2);
   PrintHashSweep(hash);
 
+  std::printf("\n-- aggregate-argument evaluation (%zu-row batch, best of 5) "
+              "--\n",
+              kKernelRows);
+  auto exprs = RunExprSweep(kKernelRows, 5);
+  PrintExprSweep(exprs);
+
   WriteJson(out_path, kKernelRows, sweep, kFactRows, fused, rf, kHashRows,
-            hash);
+            hash, exprs);
 
   bool ok = rf.identical && rf.audit_exact && rf.bytes_on < rf.bytes_off;
   for (const auto& p : sweep) ok = ok && p.identical;
   for (const auto& p : fused) ok = ok && p.identical && p.bytes_equal;
   for (const auto& p : hash) ok = ok && p.identical && p.bytes_equal;
+  for (const auto& p : exprs) ok = ok && p.identical;
   std::printf("%s\n", ok ? "PASS" : "FAIL");
   return ok ? 0 : 1;
 }

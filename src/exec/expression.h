@@ -10,11 +10,22 @@
 namespace pixels {
 
 /// Evaluates `expr` against every row of `batch`, returning a vector of
-/// the same length. Column references resolve by qualified name with the
-/// batch's relaxed matching rules.
+/// the same length: the one batch evaluator every operator uses. Column
+/// references resolve by qualified name with the batch's relaxed
+/// matching rules; a bare reference returns the column itself.
+///
+/// Column refs, literals (as scalar operands), arithmetic, comparisons,
+/// Kleene AND/OR/NOT, BETWEEN, IN, IS [NOT] NULL, searched CASE and
+/// `string LIKE 'literal'` run as typed loops over whole columns;
+/// subtrees with no column fold to one scalar. Any other shape (scalar
+/// functions over columns, `||`, LIKE on a non-string) and any kernel
+/// error reruns the whole expression through EvaluateExprRow, so values,
+/// nulls, error statuses and the output type are always exactly those of
+/// BuildVectorFromValues over the per-row results.
 Result<ColumnVectorPtr> EvaluateExpr(const Expr& expr, const RowBatch& batch);
 
-/// Evaluates `expr` for a single row.
+/// Evaluates `expr` for a single row. The semantics reference: AND/OR and
+/// CASE skip subexpressions per row, and errors surface per row.
 Result<Value> EvaluateExprRow(const Expr& expr, const RowBatch& batch,
                               size_t row);
 

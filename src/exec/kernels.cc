@@ -7,14 +7,6 @@ namespace pixels {
 
 namespace {
 
-enum class PayloadClass { kInt, kDouble, kString };
-
-PayloadClass ClassOf(TypeId t) {
-  if (t == TypeId::kDouble) return PayloadClass::kDouble;
-  if (t == TypeId::kString) return PayloadClass::kString;
-  return PayloadClass::kInt;
-}
-
 bool IsLit(const Expr& e) { return e.kind == Expr::Kind::kLiteral; }
 bool IsCol(const Expr& e) { return e.kind == Expr::Kind::kColumnRef; }
 
@@ -148,7 +140,7 @@ Status CompiledPredicate::EvalStep(const Step& s, const RowBatch& batch,
   switch (s.kind) {
     case Step::Kind::kCompare: {
       const TypedPredicate p = TypedPredicate::Make(col.type(), s.op, s.lit);
-      switch (ClassOf(col.type())) {
+      switch (PayloadClassOf(col.type())) {
         case PayloadClass::kInt: {
           const int64_t* v = col.ints_data();
           drive([&](uint32_t i) { return ok[i] && p.MatchInt(v[i]); });
@@ -171,7 +163,7 @@ Status CompiledPredicate::EvalStep(const Step& s, const RowBatch& batch,
       const TypedPredicate ge = TypedPredicate::Make(col.type(), CmpOp::kGe, s.lo);
       const TypedPredicate le = TypedPredicate::Make(col.type(), CmpOp::kLe, s.hi);
       const bool neg = s.negated;
-      switch (ClassOf(col.type())) {
+      switch (PayloadClassOf(col.type())) {
         case PayloadClass::kInt: {
           const int64_t* v = col.ints_data();
           drive([&](uint32_t i) {
@@ -211,7 +203,7 @@ Status CompiledPredicate::EvalStep(const Step& s, const RowBatch& batch,
         }
         return false;
       };
-      switch (ClassOf(col.type())) {
+      switch (PayloadClassOf(col.type())) {
         case PayloadClass::kInt: {
           const int64_t* v = col.ints_data();
           drive([&](uint32_t i) {
@@ -249,7 +241,7 @@ Status CompiledPredicate::EvalStep(const Step& s, const RowBatch& batch,
     }
     case Step::Kind::kTruthy: {
       const bool neg = s.negated;
-      switch (ClassOf(col.type())) {
+      switch (PayloadClassOf(col.type())) {
         case PayloadClass::kInt: {
           const int64_t* v = col.ints_data();
           drive([&](uint32_t i) { return ok[i] && ((v[i] != 0) != neg); });
@@ -302,242 +294,10 @@ Result<SelectionVector> CompiledPredicate::Select(
   return sel;
 }
 
-namespace {
-
-ColumnVectorPtr BroadcastLiteral(const Value& v, size_t n) {
-  TypeId t = TypeId::kInt64;
-  if (v.kind == Value::Kind::kString) {
-    t = TypeId::kString;
-  } else if (v.kind == Value::Kind::kDouble) {
-    t = TypeId::kDouble;
-  }
-  auto col = MakeVector(t);
-  col->Reserve(n);
-  for (size_t i = 0; i < n; ++i) {
-    (void)col->AppendValue(v);  // cannot fail: type chosen from the kind
-  }
-  return col;
-}
-
-/// Returns nullptr (not an error) when the subtree is outside the
-/// vectorizable shapes; real errors propagate.
-Result<ColumnVectorPtr> TryVectorize(const Expr& e, const RowBatch& batch) {
-  switch (e.kind) {
-    case Expr::Kind::kLiteral:
-      return BroadcastLiteral(e.literal, batch.num_rows());
-    case Expr::Kind::kColumnRef: {
-      int idx = batch.FindColumn(e.QualifiedName());
-      if (idx < 0) {
-        return Status::InvalidArgument("column not found at execution: " +
-                                       e.QualifiedName());
-      }
-      return batch.column(static_cast<size_t>(idx));
-    }
-    case Expr::Kind::kUnary: {
-      if (e.op != "-") return ColumnVectorPtr();
-      PIXELS_ASSIGN_OR_RETURN(ColumnVectorPtr a, TryVectorize(*e.args[0], batch));
-      if (a == nullptr || ClassOf(a->type()) == PayloadClass::kString) {
-        return ColumnVectorPtr();
-      }
-      const size_t n = a->size();
-      const uint8_t* ok = a->valid_data();
-      if (a->type() == TypeId::kDouble) {
-        auto out = MakeVector(TypeId::kDouble);
-        out->Reserve(n);
-        const double* v = a->doubles_data();
-        for (size_t i = 0; i < n; ++i) {
-          if (ok[i]) {
-            out->AppendDouble(-v[i]);
-          } else {
-            out->AppendNull();
-          }
-        }
-        return out;
-      }
-      auto out = MakeVector(TypeId::kInt64);
-      out->Reserve(n);
-      const int64_t* v = a->ints_data();
-      for (size_t i = 0; i < n; ++i) {
-        if (ok[i]) {
-          out->AppendInt(-v[i]);
-        } else {
-          out->AppendNull();
-        }
-      }
-      return out;
-    }
-    case Expr::Kind::kBinary:
-      break;  // handled below
-    default:
-      return ColumnVectorPtr();
-  }
-
-  const std::string& op = e.op;
-  const bool is_cmp = ParseCmpOp(op).has_value();
-  const bool is_arith =
-      op == "+" || op == "-" || op == "*" || op == "/" || op == "%";
-  if (!is_cmp && !is_arith) return ColumnVectorPtr();
-
-  PIXELS_ASSIGN_OR_RETURN(ColumnVectorPtr a, TryVectorize(*e.args[0], batch));
-  if (a == nullptr) return ColumnVectorPtr();
-  PIXELS_ASSIGN_OR_RETURN(ColumnVectorPtr b, TryVectorize(*e.args[1], batch));
-  if (b == nullptr) return ColumnVectorPtr();
-
-  const size_t n = a->size();
-  const uint8_t* aok = a->valid_data();
-  const uint8_t* bok = b->valid_data();
-  const PayloadClass ac = ClassOf(a->type());
-  const PayloadClass bc = ClassOf(b->type());
-
-  if (is_cmp) {
-    const CmpOp cop = *ParseCmpOp(op);
-    auto out = MakeVector(TypeId::kInt64);  // Bool values build int64 vectors
-    out->Reserve(n);
-    auto emit = [&](size_t i, bool match) {
-      if (aok[i] && bok[i]) {
-        out->AppendInt(match ? 1 : 0);
-      } else {
-        out->AppendNull();
-      }
-    };
-    const bool a_str = ac == PayloadClass::kString;
-    const bool b_str = bc == PayloadClass::kString;
-    if (a_str != b_str) {
-      // Value::Compare orders numerics before strings for every value.
-      const bool match = ApplyCmp(cop, a_str ? 1 : -1);
-      for (size_t i = 0; i < n; ++i) emit(i, match);
-    } else if (a_str) {
-      const std::string* av = a->strings_data();
-      const std::string* bv = b->strings_data();
-      for (size_t i = 0; i < n; ++i) {
-        const int c = av[i].compare(bv[i]);
-        emit(i, ApplyCmp(cop, c < 0 ? -1 : (c > 0 ? 1 : 0)));
-      }
-    } else if (ac == PayloadClass::kDouble || bc == PayloadClass::kDouble) {
-      for (size_t i = 0; i < n; ++i) {
-        const double x = ac == PayloadClass::kDouble
-                             ? a->doubles_data()[i]
-                             : static_cast<double>(a->ints_data()[i]);
-        const double y = bc == PayloadClass::kDouble
-                             ? b->doubles_data()[i]
-                             : static_cast<double>(b->ints_data()[i]);
-        emit(i, ApplyCmp(cop, x < y ? -1 : (x > y ? 1 : 0)));
-      }
-    } else {
-      const int64_t* av = a->ints_data();
-      const int64_t* bv = b->ints_data();
-      for (size_t i = 0; i < n; ++i) {
-        emit(i, ApplyCmp(cop, av[i] < bv[i] ? -1 : (av[i] > bv[i] ? 1 : 0)));
-      }
-    }
-    return out;
-  }
-
-  // Arithmetic. String operands take the scalar evaluator's odd
-  // zero-payload path — fall back so behavior stays identical.
-  if (ac == PayloadClass::kString || bc == PayloadClass::kString) {
-    return ColumnVectorPtr();
-  }
-  if (op == "%") {
-    // Scalar path: AsInt both sides, null on zero divisor.
-    auto out = MakeVector(TypeId::kInt64);
-    out->Reserve(n);
-    for (size_t i = 0; i < n; ++i) {
-      if (!aok[i] || !bok[i]) {
-        out->AppendNull();
-        continue;
-      }
-      const int64_t x = ac == PayloadClass::kDouble
-                            ? static_cast<int64_t>(a->doubles_data()[i])
-                            : a->ints_data()[i];
-      const int64_t y = bc == PayloadClass::kDouble
-                            ? static_cast<int64_t>(b->doubles_data()[i])
-                            : b->ints_data()[i];
-      if (y == 0) {
-        out->AppendNull();
-      } else {
-        out->AppendInt(x % y);
-      }
-    }
-    return out;
-  }
-  const bool dbl = ac == PayloadClass::kDouble || bc == PayloadClass::kDouble;
-  if (dbl) {
-    auto out = MakeVector(TypeId::kDouble);
-    out->Reserve(n);
-    for (size_t i = 0; i < n; ++i) {
-      if (!aok[i] || !bok[i]) {
-        out->AppendNull();
-        continue;
-      }
-      const double x = ac == PayloadClass::kDouble
-                           ? a->doubles_data()[i]
-                           : static_cast<double>(a->ints_data()[i]);
-      const double y = bc == PayloadClass::kDouble
-                           ? b->doubles_data()[i]
-                           : static_cast<double>(b->ints_data()[i]);
-      if (op == "+") {
-        out->AppendDouble(x + y);
-      } else if (op == "-") {
-        out->AppendDouble(x - y);
-      } else if (op == "*") {
-        out->AppendDouble(x * y);
-      } else if (y == 0) {
-        out->AppendNull();
-      } else {
-        out->AppendDouble(x / y);
-      }
-    }
-    return out;
-  }
-  auto out = MakeVector(TypeId::kInt64);
-  out->Reserve(n);
-  const int64_t* av = a->ints_data();
-  const int64_t* bv = b->ints_data();
-  for (size_t i = 0; i < n; ++i) {
-    if (!aok[i] || !bok[i]) {
-      out->AppendNull();
-      continue;
-    }
-    if (op == "+") {
-      out->AppendInt(av[i] + bv[i]);
-    } else if (op == "-") {
-      out->AppendInt(av[i] - bv[i]);
-    } else if (op == "*") {
-      out->AppendInt(av[i] * bv[i]);
-    } else if (bv[i] == 0) {
-      out->AppendNull();
-    } else {
-      out->AppendInt(av[i] / bv[i]);
-    }
-  }
-  return out;
-}
-
-}  // namespace
-
-Result<ColumnVectorPtr> EvaluateExprVectorized(const Expr& expr,
-                                               const RowBatch& batch) {
-  // Direct column references share the scalar fast path (returns the
-  // column vector itself, preserving its exact type).
-  if (expr.kind == Expr::Kind::kColumnRef) return EvaluateExpr(expr, batch);
-  PIXELS_ASSIGN_OR_RETURN(ColumnVectorPtr v, TryVectorize(expr, batch));
-  if (v == nullptr) return EvaluateExpr(expr, batch);
-  // Mirror BuildVectorFromValues' typing: a result with no non-null
-  // values (including the empty batch) is typed kInt64.
-  if (v->NullCount() == v->size() && v->type() != TypeId::kInt64) {
-    auto nulls = MakeVector(TypeId::kInt64);
-    nulls->Reserve(v->size());
-    for (size_t i = 0; i < v->size(); ++i) nulls->AppendNull();
-    return ColumnVectorPtr(std::move(nulls));
-  }
-  return v;
-}
-
 std::vector<uint64_t> RfHashColumn(const ColumnVector& col) {
   const size_t n = col.size();
   std::vector<uint64_t> out(n, 0);
-  switch (ClassOf(col.type())) {
+  switch (PayloadClassOf(col.type())) {
     case PayloadClass::kInt: {
       const int64_t* v = col.ints_data();
       if (col.type() == TypeId::kBool) {

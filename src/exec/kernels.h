@@ -1,10 +1,12 @@
-// Vectorized kernels: flat, auto-vectorizable loops over the typed
-// payload arrays of ColumnVector, producing reusable selection vectors —
-// no per-row Value boxing on the hot path. A predicate is "compiled" once
-// per operator (CompiledPredicate) by lowering its conjunct AST into a
-// kernel program; conjuncts outside the kernel shapes stay in a residual
-// expression evaluated row-wise on the survivors only, so EvaluateExpr
-// remains the general/fallback evaluator with identical semantics.
+// Selection and hashing kernels: flat, auto-vectorizable loops over the
+// typed payload arrays of ColumnVector, producing reusable selection
+// vectors and key hashes with no per-row Value boxing. A predicate is
+// "compiled" once per operator (CompiledPredicate) by lowering its
+// conjunct AST into a kernel program; conjuncts outside the kernel shapes
+// stay in a residual expression evaluated row-wise on the survivors only.
+// Expression values (projections, join/agg/sort/partition keys, agg
+// arguments) come from the single evaluator, EvaluateExpr in
+// exec/expression.h, which runs its own column kernels.
 #pragma once
 
 #include <string>
@@ -65,14 +67,6 @@ class CompiledPredicate {
   bool never_matches_ = false;
   ExprPtr residual_;  // null when fully compiled
 };
-
-/// Vectorized expression evaluation for projections: column refs, literal
-/// broadcasts, unary minus, binary arithmetic and comparisons run as flat
-/// typed loops; any unsupported subtree falls back to EvaluateExpr for
-/// the whole expression. Results (values, nulls, and output vector type)
-/// are identical to EvaluateExpr.
-Result<ColumnVectorPtr> EvaluateExprVectorized(const Expr& expr,
-                                               const RowBatch& batch);
 
 /// Hashes every non-null row of a key column with the kind-tagged
 /// runtime-filter hash (flat per-type loops). Null rows get hash 0 and

@@ -306,7 +306,7 @@ Result<SelBatch> ProjectOperator::NextSel() {
   auto out = std::make_shared<RowBatch>();
   for (size_t i = 0; i < exprs_.size(); ++i) {
     PIXELS_ASSIGN_OR_RETURN(ColumnVectorPtr col,
-                            EvaluateExprVectorized(*exprs_[i], *input));
+                            EvaluateExpr(*exprs_[i], *input));
     out->AddColumn(names_[i], std::move(col));
   }
   return SelBatch{std::move(out), std::move(sel)};

@@ -122,6 +122,24 @@ void ColumnVector::Clear() {
   strings_.clear();
 }
 
+void ColumnVector::Resize(size_t n) {
+  valid_.resize(n, 0);
+  if (type_ == TypeId::kDouble) {
+    doubles_.resize(n);
+  } else if (type_ == TypeId::kString) {
+    strings_.resize(n);
+  } else {
+    ints_.resize(n);
+  }
+  RecountNulls();
+}
+
+void ColumnVector::RecountNulls() {
+  size_t nulls = 0;
+  for (uint8_t ok : valid_) nulls += (ok == 0);
+  null_count_ = nulls;
+}
+
 std::shared_ptr<ColumnVector> ColumnVector::Gather(
     const std::vector<uint32_t>& sel) const {
   auto out = std::make_shared<ColumnVector>(type_);

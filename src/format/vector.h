@@ -12,6 +12,15 @@
 
 namespace pixels {
 
+/// Which payload array of a ColumnVector holds a type's values.
+enum class PayloadClass : uint8_t { kInt, kDouble, kString };
+
+inline PayloadClass PayloadClassOf(TypeId t) {
+  if (t == TypeId::kDouble) return PayloadClass::kDouble;
+  if (t == TypeId::kString) return PayloadClass::kString;
+  return PayloadClass::kInt;
+}
+
 /// A column of values of a single type with a validity (non-null) mask.
 /// Integer-like types (bool, int32, int64, date, timestamp) share the
 /// int64 payload; doubles and strings have their own payloads.
@@ -52,6 +61,12 @@ class ColumnVector {
   void Reserve(size_t n);
   void Clear();
 
+  /// Grows or shrinks to `n` rows; added rows are nulls with zeroed
+  /// payload. Kernels size their output once with this, write rows by
+  /// index through the mutable_* pointers, then call RecountNulls().
+  void Resize(size_t n);
+  void RecountNulls();
+
   /// Returns a new vector containing rows `sel` in order. Bulk-copies the
   /// payload arrays (one type dispatch per call, not per row).
   std::shared_ptr<ColumnVector> Gather(const std::vector<uint32_t>& sel) const;
@@ -63,6 +78,10 @@ class ColumnVector {
   const int64_t* ints_data() const { return ints_.data(); }
   const double* doubles_data() const { return doubles_.data(); }
   const std::string* strings_data() const { return strings_.data(); }
+  uint8_t* mutable_valid_data() { return valid_.data(); }
+  int64_t* mutable_ints_data() { return ints_.data(); }
+  double* mutable_doubles_data() { return doubles_.data(); }
+  std::string* mutable_strings_data() { return strings_.data(); }
 
  private:
   TypeId type_;

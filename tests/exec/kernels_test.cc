@@ -1,7 +1,8 @@
-// Kernel-vs-scalar equivalence: CompiledPredicate::Select and
-// EvaluateExprVectorized must agree with the row-wise EvaluateExpr
-// evaluator on randomized batches for every lowered shape, and fall back
-// (not fail) on shapes outside the kernel set.
+// Kernel-vs-reference equivalence: CompiledPredicate::Select and the
+// column-kernel EvaluateExpr must agree with the row-at-a-time reference
+// (testing/reference_eval.h) on randomized, empty and all-null batches
+// for every shape, falling back (not failing) outside the kernel set and
+// returning the reference's status where it fails.
 #include "exec/kernels.h"
 
 #include <gtest/gtest.h>
@@ -9,6 +10,7 @@
 #include "common/random.h"
 #include "exec/expression.h"
 #include "sql/parser.h"
+#include "testing/reference_eval.h"
 
 namespace pixels {
 namespace {
@@ -37,10 +39,25 @@ RowBatchPtr RandomBatch(uint64_t seed, int rows) {
   return batch;
 }
 
+// RandomBatch's columns with every row null.
+RowBatchPtr NullBatch(int rows) {
+  auto batch = std::make_shared<RowBatch>();
+  const std::pair<const char*, TypeId> cols[] = {{"t.a", TypeId::kInt64},
+                                                 {"t.b", TypeId::kDouble},
+                                                 {"t.s", TypeId::kString},
+                                                 {"t.flag", TypeId::kBool}};
+  for (const auto& [name, type] : cols) {
+    auto v = MakeVector(type);
+    for (int i = 0; i < rows; ++i) v->AppendNull();
+    batch->AddColumn(name, v);
+  }
+  return batch;
+}
+
 // FilterOperator's scalar semantics: a row passes when the predicate
 // evaluates to non-null true.
 SelectionVector ScalarSelect(const Expr& pred, const RowBatch& batch) {
-  auto col = EvaluateExpr(pred, batch);
+  auto col = ReferenceEvaluate(pred, batch);
   EXPECT_TRUE(col.ok()) << col.status().ToString();
   SelectionVector sel;
   for (size_t i = 0; i < (*col)->size(); ++i) {
@@ -124,7 +141,7 @@ TEST(CompiledPredicateTest, UnknownColumnFailsLikeScalar) {
   EXPECT_FALSE(compiled.Select(*batch).ok());
 }
 
-// ---- vectorized projection evaluation ----
+// ---- column-kernel expression evaluation ----
 
 class VectorizedExprTest : public ::testing::TestWithParam<const char*> {};
 
@@ -132,20 +149,32 @@ TEST_P(VectorizedExprTest, MatchesScalarEvaluator) {
   const std::string text = GetParam();
   auto expr = Parse(text);
   ASSERT_NE(expr, nullptr);
-  for (uint64_t seed : {2u, 11u}) {
-    auto batch = RandomBatch(seed, 389);
-    auto scalar = EvaluateExpr(*expr, *batch);
-    auto vec = EvaluateExprVectorized(*expr, *batch);
-    ASSERT_TRUE(scalar.ok()) << text;
-    ASSERT_TRUE(vec.ok()) << text << ": " << vec.status().ToString();
-    ASSERT_EQ((*scalar)->size(), (*vec)->size()) << text;
-    EXPECT_EQ((*scalar)->type(), (*vec)->type()) << text;
-    for (size_t i = 0; i < (*scalar)->size(); ++i) {
-      ASSERT_EQ((*scalar)->IsNull(i), (*vec)->IsNull(i))
-          << text << " row " << i;
-      if (!(*scalar)->IsNull(i)) {
-        EXPECT_EQ((*scalar)->GetValue(i).Compare((*vec)->GetValue(i)), 0)
-            << text << " row " << i;
+  // Random batches, small ones where the output type hangs on which rows
+  // take which CASE branch, an empty one and an all-null one.
+  const RowBatchPtr batches[] = {RandomBatch(2, 389), RandomBatch(11, 389),
+                                 RandomBatch(3, 4),   RandomBatch(8, 2),
+                                 RandomBatch(5, 0),   NullBatch(17)};
+  for (const auto& batch : batches) {
+    const size_t rows = batch->num_rows();
+    auto ref = ReferenceEvaluate(*expr, *batch);
+    auto got = EvaluateExpr(*expr, *batch);
+    ASSERT_EQ(ref.ok(), got.ok())
+        << text << " rows=" << rows << ": reference "
+        << ref.status().ToString() << ", got " << got.status().ToString();
+    if (!ref.ok()) {
+      EXPECT_EQ(ref.status().ToString(), got.status().ToString()) << text;
+      continue;
+    }
+    ASSERT_EQ((*ref)->size(), (*got)->size()) << text;
+    EXPECT_EQ((*ref)->type(), (*got)->type()) << text << " rows=" << rows;
+    EXPECT_EQ((*ref)->NullCount(), (*got)->NullCount()) << text;
+    for (size_t i = 0; i < (*ref)->size(); ++i) {
+      ASSERT_EQ((*ref)->IsNull(i), (*got)->IsNull(i)) << text << " row " << i;
+      if (!(*ref)->IsNull(i)) {
+        const Value want = (*ref)->GetValue(i), have = (*got)->GetValue(i);
+        EXPECT_EQ(want.Compare(have), 0)
+            << text << " row " << i << ": " << want.ToString() << " vs "
+            << have.ToString();
       }
     }
   }
@@ -153,11 +182,50 @@ TEST_P(VectorizedExprTest, MatchesScalarEvaluator) {
 
 INSTANTIATE_TEST_SUITE_P(
     Shapes, VectorizedExprTest,
-    ::testing::Values("a", "t.b", "7", "'lit'", "a + 1", "a - b", "a * 2",
-                      "b / 2.0", "-a", "-b", "a + b * 2 - 1", "a > b",
-                      "a = 3", "b <> 0.5", "s = 'apple'",
-                      // Falls back to the scalar path, still identical.
-                      "a % 3"));
+    ::testing::Values(
+        "a", "t.b", "7", "'lit'", "a + 1", "a - b", "a * 2", "b / 2.0", "-a",
+        "-b", "a + b * 2 - 1", "a > b", "a = 3", "b <> 0.5", "s = 'apple'",
+        "a % 3",
+        // Literal operands on either side; / and % by zero are NULL.
+        "10 - a", "0 / a", "2.5 * a", "1 - b", "b * (1 - b)", "-(a + 1)",
+        "a / 0", "b / 0", "a % 0", "a % b", "b % 2", "a / b",
+        // Comparisons across kinds and with NULL.
+        "1 < a", "'banana' <= s", "s > 5", "a = 'x'", "a = NULL",
+        "NULL + a", "a <> b", "flag + 1", "flag = 1",
+        // Kleene logic over nulls.
+        "a > 0 AND b > 0", "a > 0 OR b > 0", "NOT (a > 0)", "NOT flag",
+        "flag AND a IS NULL", "flag OR NULL", "flag AND NULL", "NOT s",
+        "a AND b", "s OR flag",
+        // BETWEEN / IN / IS NULL, including column bounds and items.
+        "a BETWEEN -5 AND 5", "a NOT BETWEEN b AND 5", "b BETWEEN a AND NULL",
+        "s BETWEEN 'b' AND 'd'", "a IN (1, 2, 3)", "a NOT IN (1, NULL, 3)",
+        "s IN ('apple', 5)", "b IN (0.5, a)", "a IS NULL", "s IS NOT NULL",
+        "a + b IS NULL",
+        // CASE with and without ELSE; the output type follows the rows.
+        "CASE WHEN a > 0 THEN 1 ELSE 0 END", "CASE WHEN a > 0 THEN b END",
+        "CASE WHEN a > 100 THEN b ELSE 0 END",
+        "CASE WHEN a > 18 THEN b ELSE 0 END",
+        "CASE WHEN a > 0 THEN b ELSE a END",
+        "(CASE WHEN a > 0 THEN b ELSE a END) / 2",
+        "CASE WHEN s = 'apple' THEN 'x' WHEN s = 'banana' THEN s END",
+        "CASE WHEN flag THEN s ELSE 1 END",
+        "CASE WHEN a > 100 THEN 'x' ELSE 1 END",
+        "CASE WHEN a > 0 THEN CASE WHEN b > 0 THEN 1.5 END ELSE 2 END",
+        "CASE WHEN a IS NULL THEN -1 WHEN a > 0 THEN a * 2 ELSE a END",
+        "CASE WHEN NULL THEN 1 ELSE a END", "CASE WHEN a > 0 THEN NULL END",
+        "CASE WHEN 1 = 1 THEN b END",
+        "CASE WHEN a > 0 OR s = 'date' THEN 1 ELSE 0 END",
+        // LIKE with % and _ patterns.
+        "s LIKE 'a%'", "s LIKE '%e'", "s LIKE '%an%'", "s LIKE 'apple'",
+        "s LIKE '_a%'", "s LIKE '%'", "s LIKE '%%'", "s NOT LIKE 'b%'",
+        "s LIKE NULL", "CASE WHEN s LIKE 'b%' THEN b ELSE 0 END",
+        // Errors and fallbacks: the reference's status, row for row.
+        "a LIKE 'x%'", "CASE WHEN a > 0 THEN length(a) ELSE 0 END",
+        "CASE WHEN a > 100 THEN length(a) ELSE 0 END",
+        "a > 100 AND a LIKE 'x%'", "CASE WHEN a > 100 THEN zz ELSE 1 END",
+        "zz + 1", "abs(a) + 1", "length(s) * 2", "s || 'x'", "-s",
+        // Constants.
+        "1 + 2", "NULL", "'x' || 'y'", "TRUE"));
 
 // ---- bloom selection kernels ----
 

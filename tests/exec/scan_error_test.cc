@@ -4,7 +4,9 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <chrono>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "common/thread_pool.h"
@@ -75,11 +77,22 @@ class ScanErrorTest : public ::testing::Test {
 TEST_F(ScanErrorTest, ParallelForSurfacesFirstErrorAndSkipsRest) {
   ThreadPool pool(4);
   std::atomic<int> executed{0};
+  // Every other body waits until body 3 is about to fail, and the later
+  // ones then take a millisecond each, so no runner can drain the range
+  // while the one holding chunk 3 is descheduled. The first four chunks go
+  // to four distinct runners (each blocks on its chunk), so chunk 3 is
+  // always claimed and the wait always ends.
+  std::atomic<bool> failing{false};
   Status st = pool.ParallelFor(
       0, 100, 1,
       [&](size_t i) -> Status {
         executed.fetch_add(1);
-        if (i == 3) return Status::IOError("chunk " + std::to_string(i));
+        if (i == 3) {
+          failing.store(true);
+          return Status::IOError("chunk " + std::to_string(i));
+        }
+        while (!failing.load()) std::this_thread::yield();
+        if (i > 3) std::this_thread::sleep_for(std::chrono::milliseconds(1));
         return Status::OK();
       },
       4);

@@ -5,6 +5,9 @@
 // multi-key), null patterns (null groups, null join keys, null agg
 // arguments), key cardinality (2 .. every-row-distinct), duplicate build
 // keys, residual conditions, LEFT JOIN padding, and COUNT(DISTINCT).
+// Aggregate arguments (arithmetic, CASE, LIKE in CASE, and CASE arguments
+// whose type flips between batches) must also equal folding the
+// row-at-a-time reference column of every scanned batch.
 //
 // These tests also run under TSan in CI (gtest filter VectorizedHash*):
 // the parallel runs exercise the batch-parallel hash prep + partition-
@@ -12,6 +15,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <map>
 #include <string>
 #include <vector>
 
@@ -19,7 +23,9 @@
 #include "format/writer.h"
 #include "plan/binder.h"
 #include "plan/optimizer.h"
+#include "sql/parser.h"
 #include "storage/memory_store.h"
+#include "testing/reference_eval.h"
 #include "turbo/cf_worker.h"
 
 namespace pixels {
@@ -108,9 +114,63 @@ class VectorizedHashTest : public ::testing::Test {
     EXPECT_EQ(bytes[0], bytes[3]) << sql;
   }
 
+  /// grpk -> {sum, avg, min, max} of `arg`: the reference column of every
+  /// scanned batch, folded row by row as AggState::Update folds values.
+  std::map<int64_t, std::vector<Value>> ReferenceAggregate(
+      const std::string& arg) {
+    struct Acc {
+      int64_t count = 0, sum_i = 0;
+      double sum_d = 0;
+      bool any_double = false;
+      Value min, max;
+    };
+    std::map<int64_t, Acc> accs;
+    auto expr = ParseExpression(arg);
+    EXPECT_TRUE(expr.ok()) << arg;
+    TablePtr all = Run("SELECT * FROM t", true, 1, nullptr);
+    if (!expr.ok() || all == nullptr) return {};
+    for (const auto& batch : all->batches()) {
+      auto col = ReferenceEvaluate(**expr, *batch);
+      EXPECT_TRUE(col.ok()) << arg << ": " << col.status().ToString();
+      if (!col.ok()) return {};
+      const ColumnVector& keys = *batch->column(batch->FindColumn("grpk"));
+      for (size_t r = 0; r < batch->num_rows(); ++r) {
+        const Value v = (*col)->GetValue(r);
+        if (v.is_null()) continue;
+        Acc& acc = accs[keys.GetInt(r)];
+        ++acc.count;
+        if (v.kind == Value::Kind::kDouble) {
+          acc.any_double = true;
+          acc.sum_d += v.d;
+        } else {
+          acc.sum_i += v.i;
+          acc.sum_d += static_cast<double>(v.i);
+        }
+        if (acc.count == 1 || v.Compare(acc.min) < 0) acc.min = v;
+        if (acc.count == 1 || v.Compare(acc.max) > 0) acc.max = v;
+      }
+    }
+    std::map<int64_t, std::vector<Value>> out;
+    for (const auto& [key, acc] : accs) {
+      out[key] = {acc.any_double ? Value::Double(acc.sum_d)
+                                 : Value::Int(acc.sum_i),
+                  Value::Double(acc.sum_d / static_cast<double>(acc.count)),
+                  acc.min, acc.max};
+    }
+    return out;
+  }
+
   std::shared_ptr<MemoryStore> storage_;
   std::shared_ptr<Catalog> catalog_;
 };
+
+/// Exact equality: same numeric family (or both strings), equal value.
+bool SameValue(const Value& a, const Value& b) {
+  if (a.is_null() || b.is_null()) return a.is_null() == b.is_null();
+  const bool a_dbl = a.kind == Value::Kind::kDouble;
+  if (a_dbl != (b.kind == Value::Kind::kDouble)) return false;
+  return a_dbl ? a.d == b.d : a.Compare(b) == 0;
+}
 
 TEST_F(VectorizedHashTest, LowCardinalityIntGroupBy) {
   ExpectAllPathsAgree(
@@ -199,6 +259,61 @@ TEST_F(VectorizedHashTest, JoinThenAggregatePipelines) {
       "SELECT a.grp2, b.kstr, sum(a.vint) AS s, count(*) AS n "
       "FROM t a JOIN t b ON a.id = b.id WHERE a.vdbl < 6.0 "
       "GROUP BY a.grp2, b.kstr");
+}
+
+TEST_F(VectorizedHashTest, AggregateArgumentsMatchReferenceColumns) {
+  const char* args[] = {
+      // Arithmetic, with NULL operands and division by zero.
+      "vint * (1 - vdbl)", "vint - nint", "vint / grp2", "ndbl * 2",
+      // CASE with and without ELSE, and LIKE inside CASE.
+      "CASE WHEN vint > 20 THEN vdbl ELSE 0 END",
+      "CASE WHEN nstr = 't1' OR nstr = 't2' THEN 1 ELSE 0 END",
+      "CASE WHEN nint > 5 THEN ndbl END",
+      "CASE WHEN kstr LIKE 's1%' THEN vdbl * 2 ELSE 0 END",
+      "CASE WHEN nstr LIKE 't_' THEN nint ELSE vdbl END",
+      // Int in early batches, double in later ones (and the reverse):
+      // the typed states change numeric family mid-stream.
+      "CASE WHEN id < 1000 THEN vint ELSE vdbl END",
+      "CASE WHEN id >= 2600 THEN vint ELSE vdbl END"};
+  for (const char* arg : args) {
+    const auto expected = ReferenceAggregate(arg);
+    ASSERT_FALSE(expected.empty()) << arg;
+    const std::string a(arg);
+    const std::string sql = "SELECT grpk, sum(" + a + ") AS s, avg(" + a +
+                            ") AS a, min(" + a + ") AS lo, max(" + a +
+                            ") AS hi FROM t GROUP BY grpk";
+    for (int par : {1, 4}) {
+      TablePtr got = Run(sql, true, par, nullptr);
+      ASSERT_NE(got, nullptr) << sql;
+      size_t groups = 0;
+      for (const auto& b : got->batches()) {
+        groups += b->num_rows();
+        // Output columns are typed over the whole batch, like any
+        // BuildVectorFromValues result.
+        for (size_t c = 0; c < 4; ++c) {
+          std::vector<Value> want;
+          for (size_t r = 0; r < b->num_rows(); ++r) {
+            auto it = expected.find(b->column(0)->GetInt(r));
+            ASSERT_NE(it, expected.end()) << arg;
+            want.push_back(it->second[c]);
+          }
+          auto want_col = BuildVectorFromValues(want);
+          ASSERT_TRUE(want_col.ok()) << arg;
+          const ColumnVector& got_col = *b->column(c + 1);
+          EXPECT_EQ(got_col.type(), (*want_col)->type())
+              << arg << " par=" << par << " col=" << c;
+          for (size_t r = 0; r < b->num_rows(); ++r) {
+            const Value g = got_col.GetValue(r);
+            const Value w = (*want_col)->GetValue(r);
+            EXPECT_TRUE(SameValue(g, w))
+                << arg << " par=" << par << " row=" << r << " col=" << c
+                << ": got " << g.ToString() << ", want " << w.ToString();
+          }
+        }
+      }
+      EXPECT_EQ(groups, expected.size()) << arg << " par=" << par;
+    }
+  }
 }
 
 TEST_F(VectorizedHashTest, LoadFactorKnobDoesNotChangeResults) {

@@ -2,6 +2,9 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdint>
+#include <iterator>
+
 #include "exec/executor.h"
 #include "storage/memory_store.h"
 
@@ -101,6 +104,78 @@ TEST_F(TpchTest, AllCannedQueriesExecute) {
     auto t = Run(q.sql);
     ASSERT_NE(t, nullptr) << q.name;
     EXPECT_GT(q.weight, 0) << q.name;
+  }
+}
+
+// FNV-1a over every cell's type, null flag and exact payload bits.
+uint64_t TableDigest(const Table& t) {
+  uint64_t h = 0xcbf29ce484222325ULL;
+  auto mix = [&](const void* p, size_t n) {
+    const auto* b = static_cast<const unsigned char*>(p);
+    for (size_t i = 0; i < n; ++i) {
+      h ^= b[i];
+      h *= 0x100000001b3ULL;
+    }
+  };
+  for (const auto& b : t.batches()) {
+    for (size_t r = 0; r < b->num_rows(); ++r) {
+      for (size_t c = 0; c < b->num_columns(); ++c) {
+        const ColumnVector& col = *b->column(c);
+        const uint8_t tag[2] = {static_cast<uint8_t>(col.type()),
+                                static_cast<uint8_t>(col.IsNull(r))};
+        mix(tag, 2);
+        if (col.IsNull(r)) continue;
+        if (col.type() == TypeId::kDouble) {
+          const double d = col.GetDouble(r);
+          mix(&d, sizeof d);
+        } else if (col.type() == TypeId::kString) {
+          mix(col.GetString(r).data(), col.GetString(r).size());
+        } else {
+          const int64_t v = col.GetInt(r);
+          mix(&v, sizeof v);
+        }
+      }
+    }
+  }
+  return h;
+}
+
+TEST_F(TpchTest, QuerySetResultDigestsArePinned) {
+  // Serial results and bills of every query, pinned bit for bit from the
+  // row-at-a-time expression evaluator; the column kernels and the typed
+  // and scalar hash paths must all reproduce them.
+  struct Pinned {
+    const char* name;
+    uint64_t digest;
+    uint64_t bytes_scanned;
+  };
+  const Pinned pinned[] = {
+      {"q1_pricing_summary", 0xcddf4287c6098c6aULL, 184546},
+      {"q3_shipping_priority", 0xa336cdbd34655715ULL, 93447},
+      {"q5_local_supplier", 0x3e1db6763af407a6ULL, 117600},
+      {"q6_forecast_revenue", 0x28d499af8803fb04ULL, 142504},
+      {"q12_shipmode_priority", 0x8478322bfc6d21bbULL, 34077},
+      {"q14_promo_effect", 0x5530675858f8d818ULL, 72097},
+      {"q_supplier_balance", 0xa0f60269d3a0e17eULL, 360},
+      {"probe_count_orders", 0xc3bc3e3d1e5e29d4ULL, 1690},
+      {"probe_top_customers", 0x7af43ec7771bb056ULL, 1441},
+  };
+  const auto& queries = TpchQuerySet();
+  ASSERT_EQ(queries.size(), std::size(pinned));
+  for (size_t i = 0; i < queries.size(); ++i) {
+    ASSERT_EQ(queries[i].name, pinned[i].name);
+    for (bool typed : {true, false}) {
+      ExecContext ctx;
+      ctx.catalog = catalog_.get();
+      ctx.parallelism = 1;
+      ctx.vectorized_hash = typed;
+      auto r = ExecuteQuery(queries[i].sql, "tpch", &ctx);
+      ASSERT_TRUE(r.ok()) << pinned[i].name << ": " << r.status().ToString();
+      EXPECT_EQ(TableDigest(**r), pinned[i].digest)
+          << pinned[i].name << " typed=" << typed;
+      EXPECT_EQ(ctx.bytes_scanned.load(), pinned[i].bytes_scanned)
+          << pinned[i].name << " typed=" << typed;
+    }
   }
 }
 
