@@ -207,9 +207,17 @@ INSTANTIATE_TEST_SUITE_P(Seeds, FormatRoundTripTest, ::testing::Range(0, 12));
 // ---- partial/merge aggregation across worker counts ----
 
 struct PartialAggCase {
+  const char* label;
   const char* sql;
   int workers;
 };
+
+// gtest_discover_tests names each case after its printed parameter. Without
+// this, gtest prints the struct's raw bytes, which hold the address of `sql`
+// and so differ from run to run.
+void PrintTo(const PartialAggCase& c, std::ostream* os) {
+  *os << c.label << "_w" << c.workers;
+}
 
 class PartialAggPropertyTest
     : public ::testing::TestWithParam<PartialAggCase> {};
@@ -245,27 +253,33 @@ TEST_P(PartialAggPropertyTest, PushdownEqualsDirect) {
 INSTANTIATE_TEST_SUITE_P(
     Sweep, PartialAggPropertyTest,
     ::testing::Values(
-        PartialAggCase{"SELECT sum(l_quantity) FROM lineitem", 1},
-        PartialAggCase{"SELECT sum(l_quantity) FROM lineitem", 3},
-        PartialAggCase{"SELECT sum(l_quantity) FROM lineitem", 6},
-        PartialAggCase{"SELECT count(*) FROM lineitem", 4},
-        PartialAggCase{"SELECT min(l_shipdate), max(l_shipdate) FROM lineitem",
-                       5},
+        PartialAggCase{"sum", "SELECT sum(l_quantity) FROM lineitem", 1},
+        PartialAggCase{"sum", "SELECT sum(l_quantity) FROM lineitem", 3},
+        PartialAggCase{"sum", "SELECT sum(l_quantity) FROM lineitem", 6},
+        PartialAggCase{"count_star", "SELECT count(*) FROM lineitem", 4},
         PartialAggCase{
+            "minmax_shipdate",
+            "SELECT min(l_shipdate), max(l_shipdate) FROM lineitem", 5},
+        PartialAggCase{
+            "avg_by_returnflag",
             "SELECT l_returnflag, avg(l_discount) FROM lineitem GROUP BY "
             "l_returnflag",
             2},
         PartialAggCase{
+            "avg_by_returnflag",
             "SELECT l_returnflag, avg(l_discount) FROM lineitem GROUP BY "
             "l_returnflag",
             6},
         PartialAggCase{
+            "multi_agg_by_shipmode",
             "SELECT l_shipmode, sum(l_extendedprice), count(*), "
             "min(l_quantity), max(l_quantity), avg(l_tax) FROM lineitem "
             "WHERE l_quantity > 10 GROUP BY l_shipmode",
             4},
-        PartialAggCase{"SELECT count(DISTINCT l_shipmode) FROM lineitem", 3},
+        PartialAggCase{"count_distinct",
+                       "SELECT count(DISTINCT l_shipmode) FROM lineitem", 3},
         PartialAggCase{
+            "count_by_linestatus",
             "SELECT l_linestatus, count(*) FROM lineitem WHERE l_shipdate < "
             "DATE '1995-01-01' GROUP BY l_linestatus",
             5}));
