@@ -2,9 +2,8 @@
 //
 // The full run opens 1M+ client sessions, then drives 100k+ queries of
 // mixed service levels through the query server under bursty arrivals
-// (periodic Immediate spikes on a Poisson base), three times:
+// (periodic Immediate spikes on a Poisson base), twice:
 //
-//   sync      — the seed path (async_dispatch=false), default admission,
 //   async     — the actor path (MPSC mailbox + pump), default admission,
 //   admission — the actor path with cost-based CF placement and
 //               burst-triggered best-effort deferral/preemption on.
@@ -13,13 +12,16 @@
 // server's queue_wait_ms histograms), dispatcher traffic, preemption and
 // recall counts, and batched-status-poll throughput. Checked invariants:
 //
-//   * sync and async produce BYTE-IDENTICAL bills, scanned bytes, and
-//     final states for every query (the tentpole's standing invariant),
+//   * the default-admission run reproduces BIT FOR BIT the bills, scanned
+//     bytes, final states, total bill and per-level waits that the
+//     synchronous direct-call dispatcher (since removed) recorded for the
+//     same schedule (pinned below; the full run's values are the "sync"
+//     row of the earlier BENCH_admission.json),
 //   * every submission settles exactly once (finished + cancelled ==
 //     submitted; nothing stranded),
 //   * Immediate queries never wait in the server queue (p99 == 0),
-//   * the sync path exchanges zero dispatcher messages; the async path
-//     exchanges >= 2 per query (submit + completion),
+//   * the actor path exchanges >= 2 messages per query (submit +
+//     completion),
 //   * with preemption on, Immediate bursts actually recall queued
 //     best-effort work (full run only; the smoke run just reports).
 //
@@ -27,6 +29,7 @@
 // in). `--admission-smoke` runs a scaled-down configuration exercising
 // the same invariants as the CI Release gate.
 #include <algorithm>
+#include <bit>
 #include <chrono>
 #include <cstdio>
 #include <cstring>
@@ -103,7 +106,7 @@ struct RunOut {
 /// The drain must be generous: the seed's best-effort gate (concurrency
 /// below the 0.75 low watermark) releases holds one at a time, so a
 /// deep best-effort backlog empties serially after traffic stops.
-RunOut RunOne(const Schedule& sched, bool async, size_t n_sessions,
+RunOut RunOne(const Schedule& sched, size_t n_sessions,
               const AdmissionParams& admission, int max_vms,
               SimTime drain) {
   const auto wall_start = std::chrono::steady_clock::now();
@@ -116,7 +119,6 @@ RunOut RunOne(const Schedule& sched, bool async, size_t n_sessions,
   cparams.vm.max_vms = max_vms;
   Coordinator coordinator(&clock, &rng, cparams);
   QueryServerParams sparams;
-  sparams.async_dispatch = async;
   sparams.session_shards = 64;
   sparams.admission = admission;
   QueryServer server(&clock, &coordinator, sparams);
@@ -198,9 +200,51 @@ RunOut RunOne(const Schedule& sched, bool async, size_t n_sessions,
   return out;
 }
 
-bool Identical(const RunOut& a, const RunOut& b) {
-  return a.bills == b.bills && a.bytes == b.bytes &&
-         a.finished == b.finished && a.total_billed == b.total_billed;
+/// Outcomes the synchronous dispatcher produced for one schedule.
+struct SyncPin {
+  size_t queries;
+  double total_billed;
+  uint64_t digest;  // Digest() of its bills, bytes and final states
+  LevelStats level[3];
+};
+
+// MakeSchedule(17, 4.0, 30.0, 20 min), 50k sessions, 48 VMs.
+constexpr SyncPin kSmokePin = {
+    8300, 0x1.2ecfa6c7e06a4p+4, 0x21dabcbd4bf1a8edULL,
+    {{2511, 0, 0}, {3336, 300000, 300000},
+     {2453, 5707217, 0x1.2cbf00b851eb8p+23}}};
+// MakeSchedule(17, 12.0, 60.0, 2 h), 1.05M sessions, 48 VMs.
+constexpr SyncPin kFullPin = {
+    129145, 0x1.228f006a6ec29p+8, 0x1ab963164936d1a9ULL,
+    {{38679, 0, 0}, {51935, 300000, 300000},
+     {38531, 80045815, 0x1.20e638d999999p+27}}};
+
+/// FNV-1a over the bit patterns of every per-query outcome.
+uint64_t Digest(const RunOut& r) {
+  uint64_t h = 1469598103934665603ULL;
+  auto mix = [&h](uint64_t v) {
+    for (int b = 0; b < 8; ++b) {
+      h ^= (v >> (8 * b)) & 0xffu;
+      h *= 1099511628211ULL;
+    }
+  };
+  for (size_t i = 0; i < r.bills.size(); ++i) {
+    mix(std::bit_cast<uint64_t>(r.bills[i]));
+    mix(r.bytes[i]);
+    mix(r.finished[i]);
+  }
+  return h;
+}
+
+bool MatchesPin(const RunOut& r, const SyncPin& pin) {
+  bool ok = r.bills.size() == pin.queries &&
+            r.total_billed == pin.total_billed && Digest(r) == pin.digest;
+  for (int l = 0; l < 3; ++l) {
+    ok = ok && r.level[l].count == pin.level[l].count &&
+         r.level[l].p50_ms == pin.level[l].p50_ms &&
+         r.level[l].p99_ms == pin.level[l].p99_ms;
+  }
+  return ok;
 }
 
 void PrintRun(const char* name, const RunOut& r) {
@@ -225,24 +269,22 @@ void PrintRun(const char* name, const RunOut& r) {
               r.preemptions, r.recalls);
 }
 
-/// Shared invariants for one (sync, async) pair plus an admission run.
-bool CheckInvariants(const Schedule& sched, const RunOut& sync,
-                     const RunOut& async_run, const RunOut& admission,
+/// Shared invariants for one default-admission run plus an admission run.
+bool CheckInvariants(const Schedule& sched, const RunOut& async_run,
+                     const RunOut& admission, const SyncPin& pin,
                      bool require_preemptions) {
   const size_t n = sched.arrivals.size();
   bool ok = true;
-  ok &= Check(Identical(sync, async_run),
-              "sync and async paths byte-identical (bills, bytes, states)");
-  ok &= Check(sync.settled == n && async_run.settled == n &&
-                  admission.settled == n,
+  ok &= Check(MatchesPin(async_run, pin),
+              "actor path matches the pinned sync-path bills, bytes, states "
+              "and waits");
+  ok &= Check(async_run.settled == n && admission.settled == n,
               "every submission settled exactly once");
-  ok &= Check(sync.cancelled == 0 && async_run.cancelled == 0,
+  ok &= Check(async_run.cancelled == 0,
               "nothing left stranded at Stop() after the drain");
-  ok &= Check(sync.dstats.messages == 0,
-              "sync path exchanges zero dispatcher messages");
   ok &= Check(async_run.dstats.messages >= 2 * n,
               "async path exchanges >= 2 messages per query");
-  ok &= Check(async_run.level[0].p99_ms == 0 && sync.level[0].p99_ms == 0,
+  ok &= Check(async_run.level[0].p99_ms == 0,
               "immediate queries never wait in the server queue");
   ok &= Check(async_run.level[2].p99_ms >= async_run.level[0].p99_ms,
               "best-effort waits at least as long as immediate");
@@ -254,7 +296,7 @@ bool CheckInvariants(const Schedule& sched, const RunOut& sync,
   return ok;
 }
 
-/// Admission knobs for the third run: an effectively unbounded
+/// Admission knobs for the second run: an effectively unbounded
 /// best-effort watermark lets best-effort work flow straight into the
 /// coordinator's VM queue (total concurrency counts the relaxed hold
 /// backlog, so any finite watermark keeps the gate shut under load) —
@@ -281,21 +323,17 @@ int RunFull(const char* out_path) {
               static_cast<double>(sched.arrivals.back()) / kMinutes,
               kSessions);
 
-  const RunOut sync =
-      RunOne(sched, /*async=*/false, kSessions, {}, 48, 48 * kHours);
-  PrintRun("sync (seed path)", sync);
-  const RunOut async_run =
-      RunOne(sched, /*async=*/true, kSessions, {}, 48, 48 * kHours);
+  const RunOut async_run = RunOne(sched, kSessions, {}, 48, 48 * kHours);
   PrintRun("async (actor path)", async_run);
   // Base Immediate traffic ~36 arrivals per 10 s window, spikes ~180:
   // threshold 80 trips on spikes only. The admission run gets a smaller
   // fleet (8 VMs = 32 slots) so spikes saturate the slots and dispatched
   // best-effort work actually sits in the recallable coordinator queue.
-  const RunOut admission = RunOne(sched, /*async=*/true, kSessions,
-                                  AdvancedAdmission(80), 8, 48 * kHours);
+  const RunOut admission =
+      RunOne(sched, kSessions, AdvancedAdmission(80), 8, 48 * kHours);
   PrintRun("async + cost placement + preemption", admission);
 
-  const bool ok = CheckInvariants(sched, sync, async_run, admission,
+  const bool ok = CheckInvariants(sched, async_run, admission, kFullPin,
                                   /*require_preemptions=*/true);
 
   FILE* f = std::fopen(out_path, "w");
@@ -303,13 +341,14 @@ int RunFull(const char* out_path) {
     std::fprintf(f, "{\n  \"bench\": \"admission\",\n");
     std::fprintf(f, "  \"queries\": %zu,\n", sched.arrivals.size());
     std::fprintf(f, "  \"sessions\": %zu,\n", kSessions);
-    std::fprintf(f, "  \"sync_async_identical\": %s,\n",
-                 Identical(sync, async_run) ? "true" : "false");
-    std::fprintf(f, "  \"total_billed_usd\": %.6f,\n", sync.total_billed);
-    const RunOut* runs[] = {&sync, &async_run, &admission};
-    const char* names[] = {"sync", "async", "admission"};
+    std::fprintf(f, "  \"matches_sync_pin\": %s,\n",
+                 MatchesPin(async_run, kFullPin) ? "true" : "false");
+    std::fprintf(f, "  \"total_billed_usd\": %.6f,\n",
+                 async_run.total_billed);
+    const RunOut* runs[] = {&async_run, &admission};
+    const char* names[] = {"async", "admission"};
     std::fprintf(f, "  \"runs\": [\n");
-    for (int r = 0; r < 3; ++r) {
+    for (int r = 0; r < 2; ++r) {
       std::fprintf(
           f,
           "    {\"mode\": \"%s\", \"settled\": %zu, \"cancelled\": %zu, "
@@ -328,7 +367,7 @@ int RunFull(const char* out_path) {
                      runs[r]->level[l].p50_ms, runs[r]->level[l].p99_ms,
                      l < 2 ? ", " : "");
       }
-      std::fprintf(f, "}}%s\n", r < 2 ? "," : "");
+      std::fprintf(f, "}}%s\n", r < 1 ? "," : "");
     }
     std::fprintf(f, "  ],\n  \"overall\": \"%s\"\n}\n", ok ? "PASS" : "FAIL");
     std::fclose(f);
@@ -340,23 +379,19 @@ int RunFull(const char* out_path) {
 }
 
 int RunSmoke() {
-  std::printf("=== E16 smoke: dispatcher identity + admission (CI) ===\n");
+  std::printf("=== E16 smoke: pinned dispatcher outcomes + admission ===\n");
   // ~6k queries, 50k sessions: every invariant, Release-gate sized.
   const Schedule sched = MakeSchedule(17, 4.0, 30.0, 20 * kMinutes);
   constexpr size_t kSessions = 50'000;
   std::printf("schedule: %zu queries, %zu sessions\n", sched.arrivals.size(),
               kSessions);
-  const RunOut sync =
-      RunOne(sched, /*async=*/false, kSessions, {}, 48, 6 * kHours);
-  const RunOut async_run =
-      RunOne(sched, /*async=*/true, kSessions, {}, 48, 6 * kHours);
+  const RunOut async_run = RunOne(sched, kSessions, {}, 48, 6 * kHours);
   // Base ~12 Immediate arrivals per window, spikes ~90: threshold 40.
-  const RunOut admission = RunOne(sched, /*async=*/true, kSessions,
-                                  AdvancedAdmission(40), 8, 6 * kHours);
-  PrintRun("sync", sync);
+  const RunOut admission =
+      RunOne(sched, kSessions, AdvancedAdmission(40), 8, 6 * kHours);
   PrintRun("async", async_run);
   PrintRun("admission", admission);
-  const bool ok = CheckInvariants(sched, sync, async_run, admission,
+  const bool ok = CheckInvariants(sched, async_run, admission, kSmokePin,
                                   /*require_preemptions=*/false);
   std::printf("E16 smoke: %s\n", ok ? "PASS" : "FAIL");
   return ok ? 0 : 1;

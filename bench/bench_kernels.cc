@@ -4,14 +4,16 @@
 // Five measurements over real engine paths:
 //   1. Predicate kernels: CompiledPredicate::Select vs the row-at-a-time
 //      reference evaluator on an in-memory batch, swept over selectivity.
-//   2. Fused decode+filter: a selective filter scan executed with
-//      fused_decode on vs off (same bill, fewer rows materialized).
+//   2. Fused decode+filter: PixelsReader::ReadRowGroupFiltered vs
+//      ReadRowGroup plus a kernel filter over every row group of a fact
+//      file (same rows, same ScanStats bytes, fewer rows materialized).
 //   3. Runtime filters: a clustered fact ⋈ small dim join with filters
 //      on vs off — identical results, measurably fewer billed bytes,
 //      and the exact audit bytes_off == bytes_on + rf_skipped_bytes.
-//   4. Typed hash tables (E14): hash aggregation and equi-join with
-//      vectorized_hash on vs off, swept over key cardinality and probe
-//      selectivity — identical rows and bills, typed path faster.
+//   4. Typed hash tables (E14): hash aggregation and equi-join vs the
+//      row-at-a-time reference (testing/reference_exec.h: boxed grouped
+//      aggregation, nested-loop join), swept over key cardinality and
+//      probe selectivity — identical rows and bills, typed path faster.
 //   5. Expression evaluation: EvaluateExpr's column kernels vs the
 //      row-at-a-time reference on TPC-H aggregate arguments (q5 revenue,
 //      q12 priority CASE, q14 promo CASE with LIKE) — identical columns.
@@ -34,10 +36,11 @@
 #include "exec/executor.h"
 #include "exec/expression.h"
 #include "exec/kernels.h"
+#include "format/reader.h"
 #include "format/writer.h"
 #include "sql/parser.h"
 #include "storage/memory_store.h"
-#include "testing/reference_eval.h"
+#include "testing/reference_exec.h"
 
 using namespace pixels;
 
@@ -268,11 +271,10 @@ struct EngineRun {
   uint64_t rf_pruned_row_groups = 0;
 };
 
-EngineRun RunQuery(Catalog* catalog, const std::string& sql, bool fused,
+EngineRun RunQuery(Catalog* catalog, const std::string& sql,
                    bool runtime_filters) {
   ExecContext ctx;
   ctx.catalog = catalog;
-  ctx.fused_decode = fused;
   ctx.runtime_filters = runtime_filters;
   ctx.parallelism = 1;
   EngineRun run;
@@ -334,23 +336,26 @@ std::shared_ptr<Catalog> BuildHashCatalog(int rows) {
 struct HashRun {
   TablePtr table;
   uint64_t bytes = 0;
+  uint64_t rf_skipped = 0;
 };
 
-HashRun ExecHashQuery(Catalog* catalog, const std::string& sql, bool typed,
+/// The typed engine, or (`reference`) the row-at-a-time join/agg oracle.
+HashRun ExecHashQuery(Catalog* catalog, const std::string& sql, bool reference,
                       bool rf = true) {
   ExecContext ctx;
   ctx.catalog = catalog;
-  ctx.vectorized_hash = typed;
   ctx.runtime_filters = rf;
   ctx.parallelism = 1;
   HashRun run;
-  auto result = ExecuteQuery(sql, "db", &ctx);
+  auto result = reference ? ReferenceQuery(sql, "db", &ctx)
+                          : ExecuteQuery(sql, "db", &ctx);
   if (result.ok()) run.table = *result;
   run.bytes = ctx.bytes_scanned.load();
+  run.rf_skipped = ctx.rf_skipped_bytes.load();
   return run;
 }
 
-/// Order-insensitive row set (scalar and typed emit orders may differ).
+/// Order-insensitive row set (reference and typed emit orders may differ).
 std::vector<std::string> SortedTableRows(const TablePtr& table) {
   std::vector<std::string> rows;
   if (table == nullptr) return rows;
@@ -368,7 +373,7 @@ struct HashPoint {
   const char* label;  // human-readable sweep point
   long long cardinality;
   double selectivity;
-  double scalar_ms;
+  double reference_ms;
   double typed_ms;
   double speedup;
   bool identical;
@@ -379,19 +384,21 @@ std::vector<HashPoint> RunHashSweep(Catalog* catalog, int rows, int reps) {
   std::vector<HashPoint> points;
   auto run_point = [&](const char* op, const char* label, long long card,
                        double sel, const std::string& sql, bool rf = true) {
-    HashRun scalar, typed;
+    HashRun ref, typed;
     // Time the engine only; result-set stringification (identical work on
-    // both paths) happens outside the timer.
-    const double scalar_ms =
-        TimeMs(reps, [&] { scalar = ExecHashQuery(catalog, sql, false, rf); });
+    // both paths) happens outside the timer. The oracle is timed once.
+    const double ref_ms =
+        TimeMs(1, [&] { ref = ExecHashQuery(catalog, sql, true, rf); });
     const double typed_ms =
-        TimeMs(reps, [&] { typed = ExecHashQuery(catalog, sql, true, rf); });
-    const auto scalar_rows = SortedTableRows(scalar.table);
+        TimeMs(reps, [&] { typed = ExecHashQuery(catalog, sql, false, rf); });
+    const auto ref_rows = SortedTableRows(ref.table);
     const auto typed_rows = SortedTableRows(typed.table);
-    points.push_back({op, label, card, sel, scalar_ms, typed_ms,
-                      typed_ms > 0 ? scalar_ms / typed_ms : 0,
-                      !scalar_rows.empty() && scalar_rows == typed_rows,
-                      scalar.bytes == typed.bytes});
+    // The oracle publishes no runtime filter, so it bills what the typed
+    // run fetched plus what its filters skipped.
+    points.push_back({op, label, card, sel, ref_ms, typed_ms,
+                      typed_ms > 0 ? ref_ms / typed_ms : 0,
+                      !ref_rows.empty() && ref_rows == typed_rows,
+                      ref.bytes == typed.bytes + typed.rf_skipped});
   };
 
   // Aggregation: key cardinality x probe selectivity. The WHERE v < 50
@@ -411,28 +418,27 @@ std::vector<HashPoint> RunHashSweep(Catalog* catalog, int rows, int reps) {
   }
 
   // Join: build-side cardinality doubles as probe selectivity (matched
-  // probe fraction = dim keys / rows); k_mid vs hd_big exercises
-  // duplicate probe hits per build key.
+  // probe fraction = dim keys / rows). The hd_big points probe with the 1%
+  // of h where v < 10 so the nested-loop oracle stays tractable; k_mid vs
+  // hd_big repeats each matched build key across many probe rows.
   run_point("join", "selective equi-join (0.1% match)", 1000,
             1000.0 / rows,
             "SELECT count(*) AS c, sum(h.v) AS s FROM h JOIN hd_small d "
             "ON h.k_hi = d.k");
   // With runtime filters on, the selective probe is mostly pruned at the
-  // scan (zone maps + bloom), so the join operator barely runs on either
-  // path. The rf-off point (same setting on both sides, so bills still
-  // match) sends every probe row through the operator and measures the
-  // join itself: the scalar path pays a serialized-key multimap lookup
-  // per probe row, the typed path a batch hash + table probe.
+  // scan (zone maps + bloom), so the join operator barely runs. The rf-off
+  // point sends every probe row through the operator and measures the
+  // join itself: a batch hash + table probe per probe row.
   run_point("join", "selective, rf off (raw probe)", 1000, 1000.0 / rows,
             "SELECT count(*) AS c, sum(h.v) AS s FROM h JOIN hd_small d "
             "ON h.k_hi = d.k",
             /*rf=*/false);
-  run_point("join", "10% match", 100000, 100000.0 / rows,
+  run_point("join", "10% match, 1% probe", 100000, 100000.0 / rows,
             "SELECT count(*) AS c, sum(h.v) AS s FROM h JOIN hd_big d "
-            "ON h.k_hi = d.k");
-  run_point("join", "every row matches (10k dup keys)", 10000, 1.0,
+            "ON h.k_hi = d.k WHERE h.v < 10");
+  run_point("join", "every row matches, 1% probe", 10000, 1.0,
             "SELECT count(*) AS c, sum(h.v) AS s FROM h JOIN hd_big d "
-            "ON h.k_mid = d.k");
+            "ON h.k_mid = d.k WHERE h.v < 10");
   return points;
 }
 
@@ -445,27 +451,55 @@ struct FusedPoint {
   bool bytes_equal;
 };
 
-std::vector<FusedPoint> RunFusedSweep(Catalog* catalog, int fact_rows,
-                                      int reps) {
-  (void)fact_rows;
+std::vector<FusedPoint> RunFusedSweep(Catalog* catalog, int reps) {
   std::vector<FusedPoint> points;
+  auto reader = PixelsReader::Open(catalog->storage(), "db/fact/part0.pxl");
+  Check(reader.status());
+  const std::vector<std::string> columns = {"k", "v", "tag"};
   // Predicate on `v` (uniform across row groups, so zone maps cannot
-  // prune): the fused path filters the encoded chunk and materializes
-  // only survivors, the unfused path decodes everything then filters.
+  // prune): ReadRowGroupFiltered filters the encoded chunks and
+  // materializes only survivors; the baseline decodes every row, then
+  // runs the same predicate as a kernel filter.
   for (double target : {0.001, 0.01, 0.1}) {
     const int64_t threshold = static_cast<int64_t>(1000 * target);
-    const std::string sql =
-        "SELECT tag, count(*) AS c, sum(k) AS s FROM fact WHERE v < " +
-        std::to_string(threshold) + " AND tag <> 'red' GROUP BY tag";
-    EngineRun fused_run, unfused_run;
+    const std::vector<ScanPredicate> preds = {
+        {"v", "<", Value::Int(threshold)}, {"tag", "<>", Value::String("red")}};
+    auto expr = ParseExpression("v < " + std::to_string(threshold) +
+                                " AND tag <> 'red'");
+    Check(expr.status());
+    const CompiledPredicate filter = CompiledPredicate::Compile(**expr);
+    auto scan = [&](bool fused, std::vector<std::string>* rows) {
+      ScanStats stats;
+      rows->clear();
+      for (size_t rg = 0; rg < (*reader)->NumRowGroups(); ++rg) {
+        RowBatchPtr batch;
+        if (fused) {
+          auto r = (*reader)->ReadRowGroupFiltered(rg, columns, preds, &stats);
+          Check(r.status());
+          batch = *r;
+        } else {
+          auto r = (*reader)->ReadRowGroup(rg, columns, &stats);
+          Check(r.status());
+          auto sel = filter.Select(**r);
+          Check(sel.status());
+          batch = (*r)->Gather(*sel);
+        }
+        for (size_t i = 0; i < batch->num_rows(); ++i) {
+          rows->push_back(batch->RowToString(i));
+        }
+      }
+      return stats.bytes_scanned;
+    };
+    std::vector<std::string> fused_rows, unfused_rows;
+    uint64_t fused_bytes = 0, unfused_bytes = 0;
     const double unfused_ms = TimeMs(
-        reps, [&] { unfused_run = RunQuery(catalog, sql, false, false); });
+        reps, [&] { unfused_bytes = scan(false, &unfused_rows); });
     const double fused_ms =
-        TimeMs(reps, [&] { fused_run = RunQuery(catalog, sql, true, false); });
+        TimeMs(reps, [&] { fused_bytes = scan(true, &fused_rows); });
     points.push_back({target, unfused_ms, fused_ms,
                       fused_ms > 0 ? unfused_ms / fused_ms : 0,
-                      fused_run.rows == unfused_run.rows,
-                      fused_run.bytes == unfused_run.bytes});
+                      !fused_rows.empty() && fused_rows == unfused_rows,
+                      fused_bytes == unfused_bytes});
   }
   return points;
 }
@@ -487,8 +521,8 @@ RfResult RunRfComparison(Catalog* catalog, int reps) {
       "JOIN dim d ON f.k = d.k GROUP BY d.name ORDER BY d.name";
   EngineRun off, on;
   RfResult rf;
-  rf.off_ms = TimeMs(reps, [&] { off = RunQuery(catalog, sql, true, false); });
-  rf.on_ms = TimeMs(reps, [&] { on = RunQuery(catalog, sql, true, true); });
+  rf.off_ms = TimeMs(reps, [&] { off = RunQuery(catalog, sql, false); });
+  rf.on_ms = TimeMs(reps, [&] { on = RunQuery(catalog, sql, true); });
   rf.bytes_off = off.bytes;
   rf.bytes_on = on.bytes;
   rf.rf_skipped = on.rf_skipped;
@@ -523,7 +557,7 @@ void WriteJson(const char* path, size_t kernel_rows,
   }
   std::fprintf(f, "  ],\n");
   std::fprintf(f, "  \"fact_rows\": %d,\n", fact_rows);
-  std::fprintf(f, "  \"fused_decode_sweep\": [\n");
+  std::fprintf(f, "  \"fused_scan_sweep\": [\n");
   for (size_t i = 0; i < fused.size(); ++i) {
     const auto& p = fused[i];
     std::fprintf(f,
@@ -560,10 +594,10 @@ void WriteJson(const char* path, size_t kernel_rows,
     std::fprintf(f,
                  "    {\"op\": \"%s\", \"label\": \"%s\", "
                  "\"cardinality\": %lld, \"selectivity\": %.4f, "
-                 "\"scalar_ms\": %.3f, \"typed_ms\": %.3f, "
+                 "\"reference_ms\": %.3f, \"typed_ms\": %.3f, "
                  "\"speedup\": %.2f, \"identical\": %s, "
                  "\"bytes_equal\": %s}%s\n",
-                 p.op, p.label, p.cardinality, p.selectivity, p.scalar_ms,
+                 p.op, p.label, p.cardinality, p.selectivity, p.reference_ms,
                  p.typed_ms, p.speedup, p.identical ? "true" : "false",
                  p.bytes_equal ? "true" : "false",
                  i + 1 < hash.size() ? "," : "");
@@ -621,7 +655,7 @@ int RunSmoke() {
 
   const int kFactRows = 1 << 17;
   auto catalog = BuildBenchCatalog(kFactRows, 100);
-  auto fused = RunFusedSweep(catalog.get(), kFactRows, 2);
+  auto fused = RunFusedSweep(catalog.get(), 2);
   for (const auto& p : fused) {
     if (!p.identical) return Fail("fused decode changed query results");
     if (!p.bytes_equal) return Fail("fused decode changed the bill");
@@ -650,11 +684,11 @@ int RunSmoke() {
 
 void PrintHashSweep(const std::vector<HashPoint>& hash) {
   std::printf("%5s %-34s %11s %6s %11s %11s %9s %5s %6s\n", "op", "point",
-              "cardinality", "sel", "scalar_ms", "typed_ms", "speedup",
+              "cardinality", "sel", "ref_ms", "typed_ms", "speedup",
               "same", "bill=");
   for (const auto& p : hash) {
     std::printf("%5s %-34s %11lld %6.3f %11.3f %11.3f %8.1fx %5s %6s\n",
-                p.op, p.label, p.cardinality, p.selectivity, p.scalar_ms,
+                p.op, p.label, p.cardinality, p.selectivity, p.reference_ms,
                 p.typed_ms, p.speedup, p.identical ? "yes" : "NO",
                 p.bytes_equal ? "yes" : "NO");
   }
@@ -669,8 +703,8 @@ int RunHashSmoke() {
   PrintHashSweep(hash);
   double high_card_agg = 0, selective_join = 0, raw_probe_join = 0;
   for (const auto& p : hash) {
-    if (!p.identical) return Fail("typed hash path changed query results");
-    if (!p.bytes_equal) return Fail("typed hash path changed the bill");
+    if (!p.identical) return Fail("typed hash path differs from the oracle");
+    if (!p.bytes_equal) return Fail("typed hash path bill differs from oracle");
     // Gate only the points where typed must win big; the remaining points
     // just need "not slower" with headroom for noisy runners.
     if (p.cardinality == kRows && std::strcmp(p.op, "agg") == 0 &&
@@ -715,11 +749,12 @@ int RunFull(const char* out_path) {
 
   const int kFactRows = 1 << 19;
   auto catalog = BuildBenchCatalog(kFactRows, 200);
-  std::printf("\n-- fused decode+filter (%d-row fact scan, best of 3) --\n",
+  std::printf("\n-- fused decode+filter (%d-row fact file, reader API, best of "
+              "3) --\n",
               kFactRows);
   std::printf("%12s %12s %12s %9s %6s %6s\n", "selectivity", "unfused_ms",
               "fused_ms", "speedup", "same", "bill=");
-  auto fused = RunFusedSweep(catalog.get(), kFactRows, 3);
+  auto fused = RunFusedSweep(catalog.get(), 3);
   for (const auto& p : fused) {
     std::printf("%12.3f %12.3f %12.3f %8.1fx %6s %6s\n", p.selectivity,
                 p.unfused_ms, p.fused_ms, p.speedup,

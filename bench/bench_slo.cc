@@ -108,7 +108,6 @@ RunOut RunOne(const Schedule& sched, bool adaptive, bool with_log,
   if (with_log) cparams.event_log_capacity = 1u << 20;
   Coordinator coordinator(&clock, &rng, cparams);
   QueryServerParams sparams;
-  sparams.async_dispatch = true;
   sparams.slo.best_effort_grace = 2 * kMinutes;
   sparams.admission.adaptive_watermarks = adaptive;
   // The static base is the cluster-idle threshold (0.75 queries), so the

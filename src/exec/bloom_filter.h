@@ -80,6 +80,9 @@ class BloomFilter {
   std::vector<uint64_t> words_;
 };
 
+/// Bloom sizing of published runtime filters (bits per build key).
+inline constexpr int kRfBloomBitsPerKey = 8;
+
 /// What a completed join build publishes for one annotated join.
 struct RuntimeFilter {
   explicit RuntimeFilter(size_t expected_keys, int bits_per_key)

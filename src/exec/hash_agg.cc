@@ -11,7 +11,7 @@ namespace {
 /// Typed min/max updates mirroring AggState::Update's use of
 /// Value::Compare: same-class comparisons run unboxed; mixed-kind states
 /// (e.g. an int batch after a double batch) fall back to boxed Compare.
-/// Storing Value::Int where the scalar path stored Value::Bool is
+/// Storing Value::Int where AggState::Update would store Value::Bool is
 /// output-identical (payloads equal, Compare is numeric across both,
 /// and BuildVectorFromValues maps both to int64).
 inline void MinMaxInt(HashAggOperator::AggState* st, int64_t x) {
@@ -79,6 +79,26 @@ inline void MinMaxString(HashAggOperator::AggState* st, const std::string& x) {
   }
 }
 
+/// Final value of one boxed aggregate state (the CF merge mode, the
+/// general typed mode, and the empty-input row all finalize here).
+Value Finalize(const std::string& fn, bool distinct,
+               const HashAggOperator::AggState& st) {
+  if (fn == "count") {
+    return Value::Int(distinct ? static_cast<int64_t>(st.distinct_keys.size())
+                               : st.count);
+  }
+  if (st.count == 0) return Value::Null();
+  if (fn == "sum") {
+    return st.any_double ? Value::Double(st.sum_d) : Value::Int(st.sum_i);
+  }
+  if (fn == "avg") {
+    return Value::Double(st.sum_d / static_cast<double>(st.count));
+  }
+  if (fn == "min") return st.min;
+  if (fn == "max") return st.max;
+  return Value::Null();
+}
+
 }  // namespace
 
 void HashAggOperator::AggState::Update(const Value& v, bool distinct) {
@@ -103,158 +123,6 @@ void HashAggOperator::AggState::Update(const Value& v, bool distinct) {
     if (v.Compare(min) < 0) min = v;
     if (v.Compare(max) > 0) max = v;
   }
-}
-
-void HashAggOperator::UpdateGroup(Group* group,
-                                  const std::vector<ColumnVectorPtr>& arg_cols,
-                                  size_t row) {
-  for (size_t a = 0; a < plan_.agg_exprs.size(); ++a) {
-    const Expr& call = *plan_.agg_exprs[a];
-    if (call.name == "count" &&
-        (call.args.empty() || call.args[0]->kind == Expr::Kind::kStar)) {
-      group->states[a].UpdateCountStar();
-    } else {
-      group->states[a].Update(arg_cols[a]->GetValue(row), call.distinct);
-    }
-  }
-}
-
-namespace {
-
-/// Per-batch precomputed inputs shared by the parallel phases.
-struct AggBatchInputs {
-  RowBatchPtr batch;
-  std::vector<ColumnVectorPtr> key_cols;
-  std::vector<ColumnVectorPtr> arg_cols;
-  std::vector<std::string> row_keys;  // serialized group key per row
-};
-
-}  // namespace
-
-Status HashAggOperator::Consume() {
-  while (true) {
-    PIXELS_ASSIGN_OR_RETURN(RowBatchPtr batch, child_->Next());
-    if (batch == nullptr) break;
-    if (batch->num_rows() == 0) continue;
-    // Evaluate group keys and aggregate arguments for the whole batch.
-    std::vector<ColumnVectorPtr> key_cols;
-    for (const auto& g : plan_.group_exprs) {
-      PIXELS_ASSIGN_OR_RETURN(ColumnVectorPtr col, EvaluateExpr(*g, *batch));
-      key_cols.push_back(std::move(col));
-    }
-    std::vector<ColumnVectorPtr> arg_cols(plan_.agg_exprs.size());
-    for (size_t a = 0; a < plan_.agg_exprs.size(); ++a) {
-      const Expr& call = *plan_.agg_exprs[a];
-      if (call.args.empty() || call.args[0]->kind == Expr::Kind::kStar) {
-        continue;  // COUNT(*): no argument
-      }
-      PIXELS_ASSIGN_OR_RETURN(arg_cols[a],
-                              EvaluateExpr(*call.args[0], *batch));
-    }
-    for (size_t r = 0; r < batch->num_rows(); ++r) {
-      std::vector<Value> keys;
-      keys.reserve(key_cols.size());
-      for (const auto& col : key_cols) keys.push_back(col->GetValue(r));
-      std::string key = ValuesKey(keys);
-      auto [it, inserted] = group_index_.emplace(key, groups_.size());
-      if (inserted) {
-        Group g;
-        g.keys = std::move(keys);
-        g.states.resize(plan_.agg_exprs.size());
-        groups_.push_back(std::move(g));
-      }
-      UpdateGroup(&groups_[it->second], arg_cols, r);
-    }
-  }
-  return Status::OK();
-}
-
-Status HashAggOperator::ConsumeParallel(int par) {
-  std::vector<AggBatchInputs> inputs;
-  while (true) {
-    PIXELS_ASSIGN_OR_RETURN(RowBatchPtr batch, child_->Next());
-    if (batch == nullptr) break;
-    if (batch->num_rows() == 0) continue;
-    AggBatchInputs in;
-    in.batch = std::move(batch);
-    inputs.push_back(std::move(in));
-  }
-  ThreadPool* pool = ctx_->EffectivePool();
-
-  // Phase 1 (batch-parallel): expression evaluation and key
-  // serialization, the CPU-heavy part of aggregation.
-  PIXELS_RETURN_NOT_OK(pool->ParallelFor(
-      0, inputs.size(), /*grain=*/1,
-      [&](size_t bi) -> Status {
-        AggBatchInputs& in = inputs[bi];
-        const RowBatch& batch = *in.batch;
-        for (const auto& g : plan_.group_exprs) {
-          PIXELS_ASSIGN_OR_RETURN(ColumnVectorPtr col,
-                                  EvaluateExpr(*g, batch));
-          in.key_cols.push_back(std::move(col));
-        }
-        in.arg_cols.resize(plan_.agg_exprs.size());
-        for (size_t a = 0; a < plan_.agg_exprs.size(); ++a) {
-          const Expr& call = *plan_.agg_exprs[a];
-          if (call.args.empty() || call.args[0]->kind == Expr::Kind::kStar) {
-            continue;  // COUNT(*): no argument
-          }
-          PIXELS_ASSIGN_OR_RETURN(in.arg_cols[a],
-                                  EvaluateExpr(*call.args[0], batch));
-        }
-        in.row_keys.resize(batch.num_rows());
-        std::vector<Value> keys(in.key_cols.size());
-        for (size_t r = 0; r < batch.num_rows(); ++r) {
-          for (size_t k = 0; k < in.key_cols.size(); ++k) {
-            keys[k] = in.key_cols[k]->GetValue(r);
-          }
-          in.row_keys[r] = ValuesKey(keys);
-        }
-        return Status::OK();
-      },
-      par));
-
-  // Phase 2 (partition-parallel): each partition owns the groups whose
-  // key hashes to it and scans all batches in order, so group contents
-  // and first-occurrence order are independent of thread scheduling.
-  struct Partition {
-    std::map<std::string, size_t> index;
-    std::vector<Group> groups;
-  };
-  std::vector<Partition> parts(static_cast<size_t>(par));
-  std::hash<std::string> hasher;
-  PIXELS_RETURN_NOT_OK(pool->ParallelFor(
-      0, parts.size(), /*grain=*/1,
-      [&](size_t p) -> Status {
-        Partition& part = parts[p];
-        for (const auto& in : inputs) {
-          for (size_t r = 0; r < in.row_keys.size(); ++r) {
-            const std::string& key = in.row_keys[r];
-            if (hasher(key) % parts.size() != p) continue;
-            auto [it, inserted] = part.index.emplace(key, part.groups.size());
-            if (inserted) {
-              Group g;
-              g.keys.reserve(in.key_cols.size());
-              for (const auto& col : in.key_cols) {
-                g.keys.push_back(col->GetValue(r));
-              }
-              g.states.resize(plan_.agg_exprs.size());
-              part.groups.push_back(std::move(g));
-            }
-            UpdateGroup(&part.groups[it->second], in.arg_cols, r);
-          }
-        }
-        return Status::OK();
-      },
-      par));
-
-  // Merge: concatenate partitions in order (deterministic; Emit order may
-  // differ from the serial first-occurrence order, which is fine — SQL
-  // group order is unspecified without ORDER BY).
-  for (auto& part : parts) {
-    for (auto& g : part.groups) groups_.push_back(std::move(g));
-  }
-  return Status::OK();
 }
 
 Status HashAggOperator::PrepareTypedBatch(TypedBatch* tb) const {
@@ -330,8 +198,8 @@ Status HashAggOperator::ApplyTypedBatch(TypedPart* part, const TypedBatch& tb,
     } else if (mode != batch_mode && mode != AggMode::kGeneral) {
       // Numeric family changed mid-stream (e.g. int batches then double
       // batches): rebox the accumulated compact state and continue on
-      // the general loops, whose mixed-kind min/max matches the scalar
-      // path's Value::Compare fallback.
+      // the general loops, whose mixed-kind min/max matches
+      // AggState::Update's Value::Compare fallback.
       ConvertTypedAggToGeneral(part, a);
     }
     if (mode == AggMode::kInt) {
@@ -470,15 +338,14 @@ void HashAggOperator::ConvertTypedAggToGeneral(TypedPart* part, size_t a) {
   part->modes[a] = AggMode::kGeneral;
 }
 
-Status HashAggOperator::ConsumeTyped(int par) {
-  const double lf = ctx_ != nullptr ? ctx_->hash_table_load_factor : 0.7;
+Status HashAggOperator::Consume(int par) {
   const size_t num_keys = plan_.group_exprs.size();
   const size_t num_aggs = plan_.agg_exprs.size();
 
   // COUNT(*) and DISTINCT modes are known up front; the numeric modes
   // resolve from the first argument batch each partition sees.
   auto make_part = [&]() {
-    TypedPart part{GroupTable(num_keys, lf), {}, {}, {}, {}};
+    TypedPart part{GroupTable(num_keys, kHashTableLoadFactor), {}, {}, {}, {}};
     part.modes.assign(num_aggs, AggMode::kUnset);
     part.counts.resize(num_aggs);
     part.nums.resize(num_aggs);
@@ -507,7 +374,7 @@ Status HashAggOperator::ConsumeTyped(int par) {
   }
 
   if (par <= 1) {
-    // Streaming: one batch resident at a time, like the scalar path.
+    // Streaming: one batch resident at a time.
     typed_parts_.push_back(make_part());
     while (true) {
       PIXELS_ASSIGN_OR_RETURN(SelBatch in, child_->NextSel());
@@ -528,7 +395,7 @@ Status HashAggOperator::ConsumeTyped(int par) {
 
   // Parallel: collect, prepare batch-parallel, then build each hash
   // partition in batch-then-row order (deterministic contents and order
-  // regardless of thread scheduling, exactly like the scalar path).
+  // regardless of thread scheduling).
   std::vector<TypedBatch> inputs;
   size_t total_rows = 0;
   while (true) {
@@ -650,14 +517,7 @@ Status HashAggOperator::ConsumeMerge() {
 Status HashAggOperator::Open() {
   PIXELS_RETURN_NOT_OK(child_->Open());
   if (plan_.merge_partials) return ConsumeMerge();  // small inputs: serial
-  const int par = ctx_ != nullptr ? ctx_->EffectiveParallelism() : 1;
-  if (ctx_ != nullptr && ctx_->vectorized_hash) {
-    PIXELS_RETURN_NOT_OK(ConsumeTyped(par));
-    typed_done_ = true;
-    return Status::OK();
-  }
-  if (par > 1) return ConsumeParallel(par);
-  return Consume();
+  return Consume(ctx_->EffectiveParallelism());
 }
 
 Result<RowBatchPtr> HashAggOperator::Emit() {
@@ -684,23 +544,6 @@ Result<RowBatchPtr> HashAggOperator::Emit() {
     const std::string& name = plan_.agg_names[a];
     const bool distinct = plan_.agg_exprs[a]->distinct;
 
-    auto finalize = [&](const AggState& st) -> Value {
-      if (fn == "count") {
-        if (distinct) return Value::Int(static_cast<int64_t>(st.distinct_keys.size()));
-        return Value::Int(st.count);
-      }
-      if (st.count == 0) return Value::Null();
-      if (fn == "sum") {
-        return st.any_double ? Value::Double(st.sum_d) : Value::Int(st.sum_i);
-      }
-      if (fn == "avg") {
-        return Value::Double(st.sum_d / static_cast<double>(st.count));
-      }
-      if (fn == "min") return st.min;
-      if (fn == "max") return st.max;
-      return Value::Null();
-    };
-
     if (plan_.partial && fn == "avg") {
       // Two state columns: N$sum, N$cnt.
       std::vector<Value> sums, cnts;
@@ -720,7 +563,9 @@ Result<RowBatchPtr> HashAggOperator::Emit() {
 
     std::vector<Value> vals;
     vals.reserve(groups_.size());
-    for (const auto& g : groups_) vals.push_back(finalize(g.states[a]));
+    for (const auto& g : groups_) {
+      vals.push_back(Finalize(fn, distinct, g.states[a]));
+    }
     PIXELS_ASSIGN_OR_RETURN(ColumnVectorPtr col, BuildVectorFromValues(vals));
     out->AddColumn(name, std::move(col));
   }
@@ -742,7 +587,7 @@ Result<RowBatchPtr> HashAggOperator::TypedEmit() {
 
   // Group key columns: rebox each stored key component once, straight
   // from the KeyStore (partitions in order, entries in first-insertion
-  // order — the same group order the boxed path produced).
+  // order within each).
   for (size_t k = 0; k < plan_.group_names.size(); ++k) {
     std::vector<Value> vals;
     vals.reserve(total);
@@ -762,28 +607,10 @@ Result<RowBatchPtr> HashAggOperator::TypedEmit() {
     const std::string& name = plan_.agg_names[a];
     const bool distinct = plan_.agg_exprs[a]->distinct;
 
-    auto finalize = [&](const AggState& st) -> Value {
-      if (fn == "count") {
-        if (distinct) {
-          return Value::Int(static_cast<int64_t>(st.distinct_keys.size()));
-        }
-        return Value::Int(st.count);
-      }
-      if (st.count == 0) return Value::Null();
-      if (fn == "sum") {
-        return st.any_double ? Value::Double(st.sum_d) : Value::Int(st.sum_i);
-      }
-      if (fn == "avg") {
-        return Value::Double(st.sum_d / static_cast<double>(st.count));
-      }
-      if (fn == "min") return st.min;
-      if (fn == "max") return st.max;
-      return Value::Null();
-    };
     auto state_value = [&](const TypedPart& part, size_t g) -> Value {
       const AggMode mode = part.modes[a];
       if (mode == AggMode::kGeneral) {
-        return finalize(part.states[g * num_aggs + a]);
+        return Finalize(fn, distinct, part.states[g * num_aggs + a]);
       }
       if (mode == AggMode::kCountStar) return Value::Int(part.counts[a][g]);
       if (mode == AggMode::kUnset) {
@@ -864,7 +691,7 @@ Result<RowBatchPtr> HashAggOperator::TypedEmit() {
 Result<RowBatchPtr> HashAggOperator::Next() {
   if (emitted_) return RowBatchPtr(nullptr);
   emitted_ = true;
-  return typed_done_ ? TypedEmit() : Emit();
+  return plan_.merge_partials ? Emit() : TypedEmit();
 }
 
 }  // namespace pixels

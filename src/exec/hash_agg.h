@@ -12,21 +12,17 @@
 
 namespace pixels {
 
-/// At parallelism 1 the input is consumed streaming (one batch resident at
-/// a time). At parallelism N, input batches are collected, key/argument
-/// expressions are evaluated batch-parallel, and groups are built
-/// partition-parallel (partition = hash(key) % N); each partition scans
-/// rows in batch-then-row order, so group contents and emit order are
-/// deterministic.
-///
-/// With `ExecContext::vectorized_hash` (the default), groups live in
-/// typed open-addressing tables keyed on batch-precomputed hashes
-/// (exec/hash_table.h) and SUM/COUNT/MIN/MAX update as typed flat loops —
-/// no Value boxing or per-row key serialization on the hot path, and the
-/// child's selection vector is iterated directly (no gather after a
-/// Filter). The scalar path remains for equivalence tests; both produce
-/// identical results. COUNT(DISTINCT) state and the CF partial-merge mode
-/// stay on the serialized-key path (cold, cross-worker format).
+/// Groups live in typed open-addressing tables keyed on batch-
+/// precomputed hashes (exec/hash_table.h), and SUM/COUNT/MIN/MAX update as
+/// typed flat loops over the child's selection vector (no Value boxing,
+/// per-row key serialization, or gather after a Filter). At parallelism 1
+/// the input is consumed streaming (one batch resident at a time). At
+/// parallelism N, input batches are collected, key/argument expressions
+/// are evaluated batch-parallel, and groups are built partition-parallel
+/// (partition = hash(key) % N); each partition scans rows in
+/// batch-then-row order, so group contents and emit order are
+/// deterministic. COUNT(DISTINCT) state and the CF partial-merge mode stay
+/// on boxed AggState (cold, cross-worker format).
 class HashAggOperator : public Operator {
  public:
   HashAggOperator(OperatorPtr child, const LogicalPlan& plan, ExecContext* ctx)
@@ -49,7 +45,6 @@ class HashAggOperator : public Operator {
     std::set<std::string> distinct_keys;
 
     void Update(const Value& v, bool distinct);
-    void UpdateCountStar() { ++count; }
   };
 
   struct Group {
@@ -101,20 +96,17 @@ class HashAggOperator : public Operator {
     std::vector<uint64_t> hashes;
   };
 
-  Status Consume();
-  Status ConsumeParallel(int par);
+  /// Serial streaming (par <= 1) or collect + partition-parallel build.
+  Status Consume(int par);
+  /// CF final mode: folds per-worker partial states by group name.
   Status ConsumeMerge();
-  /// Typed-table path (vectorized_hash): serial is streaming, parallel
-  /// collects batches and builds partitions in batch-then-row order like
-  /// the scalar path.
-  Status ConsumeTyped(int par);
   Status PrepareTypedBatch(TypedBatch* tb) const;
   /// Folds the rows of `tb` owned by partition `p` (hash % num_parts)
   /// into that partition's table and states.
   Status ApplyTypedBatch(TypedPart* part, const TypedBatch& tb, size_t p,
                          size_t num_parts);
   /// Converts aggregate `a`'s compact states in `part` to boxed AggState
-  /// (exact — the boxed state equals what the scalar loops would have
+  /// (exact — the boxed state equals what AggState::Update would have
   /// built) and flips its mode to kGeneral.
   void ConvertTypedAggToGeneral(TypedPart* part, size_t a);
   /// Builds the output batch directly from the typed tables: keys are
@@ -122,10 +114,8 @@ class HashAggOperator : public Operator {
   /// from their flat state arrays — no per-group Group construction.
   /// Output columns/types/order are identical to Emit's.
   Result<RowBatchPtr> TypedEmit();
-  /// Applies one input row (precomputed agg argument values in `args`) to
-  /// the row's group state.
-  void UpdateGroup(Group* group, const std::vector<ColumnVectorPtr>& arg_cols,
-                   size_t row);
+  /// Emits the boxed `groups_` of the merge mode (or, for a global
+  /// aggregation over an empty input, its one default row).
   Result<RowBatchPtr> Emit();
 
   OperatorPtr child_;
@@ -134,7 +124,6 @@ class HashAggOperator : public Operator {
   std::map<std::string, size_t> group_index_;
   std::vector<Group> groups_;
   std::vector<TypedPart> typed_parts_;
-  bool typed_done_ = false;  // ConsumeTyped ran; emit from typed_parts_
   bool emitted_ = false;
 };
 

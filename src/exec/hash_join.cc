@@ -2,7 +2,6 @@
 
 #include "exec/expression.h"
 #include "exec/kernels.h"
-#include "exec/operators.h"
 #include "plan/optimizer.h"
 
 namespace pixels {
@@ -93,79 +92,12 @@ Status HashJoinOperator::BuildSide() {
     right_types_.assign(right_names_.size(), TypeId::kInt64);
   }
   if (!use_hash_) return Status::OK();
-
-  const int par = ctx_ != nullptr ? ctx_->EffectiveParallelism() : 1;
-  ThreadPool* pool = ctx_ != nullptr ? ctx_->EffectivePool() : nullptr;
-  if (ctx_ != nullptr && ctx_->vectorized_hash) {
-    typed_build_ = true;
-    probe_safe_ = true;
-    for (const auto& k : left_keys_) {
-      probe_safe_ = probe_safe_ && ExprSafeToEvalUnselected(*k);
-    }
-    return BuildSideTyped(par, pool);
+  for (const auto& k : left_keys_) {
+    probe_safe_ = probe_safe_ && ExprSafeToEvalUnselected(*k);
   }
 
-  // Phase 1 (batch-parallel): evaluate key expressions and serialize each
-  // row's join key; empty string marks a null key (nulls never join).
-  std::vector<std::vector<std::string>> batch_keys(build_batches_.size());
-  auto compute_keys = [&](size_t bi) -> Status {
-    const RowBatch& batch = *build_batches_[bi];
-    std::vector<ColumnVectorPtr> key_cols;
-    for (const auto& k : right_keys_) {
-      PIXELS_ASSIGN_OR_RETURN(ColumnVectorPtr col, EvaluateExpr(*k, batch));
-      key_cols.push_back(std::move(col));
-    }
-    auto& keys = batch_keys[bi];
-    keys.resize(batch.num_rows());
-    for (size_t r = 0; r < batch.num_rows(); ++r) {
-      std::vector<Value> key;
-      bool has_null = false;
-      for (const auto& col : key_cols) {
-        Value v = col->GetValue(r);
-        has_null |= v.is_null();
-        key.push_back(std::move(v));
-      }
-      if (!has_null) keys[r] = ValuesKey(key);
-    }
-    return Status::OK();
-  };
-
-  // Phase 2 (partition-parallel): each partition inserts its rows in
-  // batch-then-row order, so the table contents never depend on thread
-  // scheduling.
-  hash_parts_.assign(par > 1 ? static_cast<size_t>(par) : 1, {});
-  const size_t num_parts = hash_parts_.size();
-  std::hash<std::string> hasher;
-  auto build_partition = [&](size_t p) -> Status {
-    auto& part = hash_parts_[p];
-    for (size_t bi = 0; bi < build_batches_.size(); ++bi) {
-      const auto& keys = batch_keys[bi];
-      for (size_t r = 0; r < keys.size(); ++r) {
-        if (keys[r].empty()) continue;  // null key
-        if (hasher(keys[r]) % num_parts != p) continue;
-        part.emplace(keys[r], BuildRow{bi, static_cast<uint32_t>(r)});
-      }
-    }
-    return Status::OK();
-  };
-
-  if (par <= 1 || pool == nullptr) {
-    for (size_t bi = 0; bi < build_batches_.size(); ++bi) {
-      PIXELS_RETURN_NOT_OK(compute_keys(bi));
-    }
-    return build_partition(0);
-  }
-  PIXELS_RETURN_NOT_OK(pool->ParallelFor(
-      0, build_batches_.size(), /*grain=*/1,
-      [&](size_t bi) { return compute_keys(bi); }, par));
-  return pool->ParallelFor(
-      0, num_parts, /*grain=*/1,
-      [&](size_t p) { return build_partition(p); }, par);
-}
-
-Status HashJoinOperator::BuildSideTyped(int par, ThreadPool* pool) {
-  // Phase 1 (batch-parallel): key columns + hashes per batch. No
-  // per-row serialization — HashKeyColumns runs typed flat loops.
+  // Phase 1 (batch-parallel): key columns + hashes per batch, computed
+  // by HashKeyColumns' typed flat loops.
   struct BatchKeys {
     std::vector<ColumnVectorPtr> key_cols;
     std::vector<uint64_t> hashes;
@@ -189,12 +121,12 @@ Status HashJoinOperator::BuildSideTyped(int par, ThreadPool* pool) {
   // table contents — including duplicate-key chains — are deterministic.
   // Pre-sized from the exact build row count (distinct keys <= rows):
   // no rehash storm regardless of key distribution.
+  const int par = ctx_->EffectiveParallelism();
   const size_t num_parts = par > 1 ? static_cast<size_t>(par) : 1;
-  typed_parts_.reserve(num_parts);
+  tables_.reserve(num_parts);
   for (size_t p = 0; p < num_parts; ++p) {
-    typed_parts_.emplace_back(right_keys_.size(),
-                              ctx_->hash_table_load_factor);
-    typed_parts_[p].Reserve(total_rows / num_parts + 16);
+    tables_.emplace_back(right_keys_.size(), kHashTableLoadFactor);
+    tables_[p].Reserve(total_rows / num_parts + 16);
   }
   auto build_partition = [&](size_t p) -> Status {
     for (size_t bi = 0; bi < build_batches_.size(); ++bi) {
@@ -203,19 +135,20 @@ Status HashJoinOperator::BuildSideTyped(int par, ThreadPool* pool) {
         if (bk.any_null[r]) continue;  // null keys never join
         const uint64_t h = bk.hashes[r];
         if (h % num_parts != p) continue;
-        typed_parts_[p].Insert(h, bk.key_cols, r,
-                               (static_cast<uint64_t>(bi) << 32) | r);
+        tables_[p].Insert(h, bk.key_cols, r,
+                          (static_cast<uint64_t>(bi) << 32) | r);
       }
     }
     return Status::OK();
   };
 
-  if (par <= 1 || pool == nullptr) {
+  if (par <= 1) {
     for (size_t bi = 0; bi < build_batches_.size(); ++bi) {
       PIXELS_RETURN_NOT_OK(compute_keys(bi));
     }
     return build_partition(0);
   }
+  ThreadPool* pool = ctx_->EffectivePool();
   PIXELS_RETURN_NOT_OK(pool->ParallelFor(
       0, build_batches_.size(), /*grain=*/1,
       [&](size_t bi) { return compute_keys(bi); }, par));
@@ -225,7 +158,7 @@ Status HashJoinOperator::BuildSideTyped(int par, ThreadPool* pool) {
 }
 
 Status HashJoinOperator::PublishRuntimeFilter() {
-  if (ctx_ == nullptr || !ctx_->runtime_filters || plan_.rf_id < 0 ||
+  if (!ctx_->runtime_filters || plan_.rf_id < 0 ||
       !use_hash_ || plan_.join_type != JoinClause::Type::kInner) {
     return Status::OK();
   }
@@ -250,7 +183,7 @@ Status HashJoinOperator::PublishRuntimeFilter() {
     key_cols.push_back(std::move(col));
   }
   auto rf = std::make_shared<RuntimeFilter>(
-      static_cast<size_t>(key_count), ctx_->rf_bloom_bits_per_key);
+      static_cast<size_t>(key_count), kRfBloomBitsPerKey);
   rf->key_count = key_count;
   for (const auto& col : key_cols) {
     const std::vector<uint64_t> hashes = RfHashColumn(*col);
@@ -318,7 +251,7 @@ Result<RowBatchPtr> HashJoinOperator::CombineAndFilter(
   return combined;
 }
 
-Result<RowBatchPtr> HashJoinOperator::NextTyped() {
+Result<RowBatchPtr> HashJoinOperator::Next() {
   std::vector<uint64_t> matches;
   while (true) {
     PIXELS_ASSIGN_OR_RETURN(SelBatch in, left_->NextSel());
@@ -332,13 +265,16 @@ Result<RowBatchPtr> HashJoinOperator::NextTyped() {
     }
 
     std::vector<ColumnVectorPtr> key_cols;
-    for (const auto& k : left_keys_) {
-      PIXELS_ASSIGN_OR_RETURN(ColumnVectorPtr col, EvaluateExpr(*k, *probe));
-      key_cols.push_back(std::move(col));
-    }
     std::vector<uint8_t> any_null;
-    const std::vector<uint64_t> hashes =
-        HashKeyColumns(key_cols, probe->num_rows(), &any_null);
+    std::vector<uint64_t> hashes;
+    if (use_hash_) {
+      for (const auto& k : left_keys_) {
+        PIXELS_ASSIGN_OR_RETURN(ColumnVectorPtr col,
+                                EvaluateExpr(*k, *probe));
+        key_cols.push_back(std::move(col));
+      }
+      hashes = HashKeyColumns(key_cols, probe->num_rows(), &any_null);
+    }
 
     std::vector<uint32_t> probe_sel;
     std::vector<ColumnVectorPtr> build_out;
@@ -356,12 +292,24 @@ Result<RowBatchPtr> HashJoinOperator::NextTyped() {
       }
     };
     auto probe_row = [&](uint32_t r) {
+      if (!use_hash_) {
+        // Nested loop: every build row; CombineAndFilter then applies the
+        // whole condition as the residual.
+        for (size_t bi = 0; bi < build_batches_.size(); ++bi) {
+          const uint32_t rows =
+              static_cast<uint32_t>(build_batches_[bi]->num_rows());
+          for (uint32_t br = 0; br < rows; ++br) {
+            const uint64_t m = (static_cast<uint64_t>(bi) << 32) | br;
+            emit_pair(r, &m);
+          }
+        }
+        return;
+      }
       bool matched = false;
       if (!any_null[r]) {
         const uint64_t h = hashes[r];
         matches.clear();
-        typed_parts_[h % typed_parts_.size()].Probe(h, key_cols, r,
-                                                    &matches);
+        tables_[h % tables_.size()].Probe(h, key_cols, r, &matches);
         for (const uint64_t m : matches) emit_pair(r, &m);
         matched = !matches.empty();
       }
@@ -384,85 +332,11 @@ Result<RowBatchPtr> HashJoinOperator::NextTyped() {
   }
 }
 
-Result<RowBatchPtr> HashJoinOperator::Next() {
-  if (typed_build_) return NextTyped();
-  while (true) {
-    PIXELS_ASSIGN_OR_RETURN(RowBatchPtr probe, left_->Next());
-    if (probe == nullptr) return RowBatchPtr(nullptr);
-    if (probe->num_rows() == 0) continue;
-
-    // Output accumulators: gather probe rows and append build rows.
-    std::vector<uint32_t> probe_sel;
-    std::vector<ColumnVectorPtr> build_out;
-    for (TypeId t : right_types_) build_out.push_back(MakeVector(t));
-    auto emit_pair = [&](uint32_t probe_row, const BuildRow* build_row) {
-      probe_sel.push_back(probe_row);
-      for (size_t c = 0; c < build_out.size(); ++c) {
-        if (build_row == nullptr) {
-          build_out[c]->AppendNull();
-        } else {
-          build_out[c]->AppendFrom(
-              *build_batches_[build_row->batch_index]->column(c),
-              build_row->row);
-        }
-      }
-    };
-
-    if (use_hash_) {
-      std::vector<ColumnVectorPtr> key_cols;
-      for (const auto& k : left_keys_) {
-        PIXELS_ASSIGN_OR_RETURN(ColumnVectorPtr col, EvaluateExpr(*k, *probe));
-        key_cols.push_back(std::move(col));
-      }
-      for (size_t r = 0; r < probe->num_rows(); ++r) {
-        std::vector<Value> key;
-        bool has_null = false;
-        for (const auto& col : key_cols) {
-          Value v = col->GetValue(r);
-          has_null |= v.is_null();
-          key.push_back(std::move(v));
-        }
-        bool matched = false;
-        if (!has_null) {
-          const std::string k = ValuesKey(key);
-          const auto& part =
-              hash_parts_[std::hash<std::string>{}(k) % hash_parts_.size()];
-          auto range = part.equal_range(k);
-          for (auto it = range.first; it != range.second; ++it) {
-            emit_pair(static_cast<uint32_t>(r), &it->second);
-            matched = true;
-          }
-        }
-        if (!matched && plan_.join_type == JoinClause::Type::kLeft) {
-          emit_pair(static_cast<uint32_t>(r), nullptr);
-        }
-      }
-    } else {
-      // Nested loop: every probe row against every build row.
-      for (size_t r = 0; r < probe->num_rows(); ++r) {
-        for (size_t bi = 0; bi < build_batches_.size(); ++bi) {
-          for (size_t br = 0; br < build_batches_[bi]->num_rows(); ++br) {
-            BuildRow row{bi, static_cast<uint32_t>(br)};
-            emit_pair(static_cast<uint32_t>(r), &row);
-          }
-        }
-      }
-    }
-
-    if (probe_sel.empty()) continue;
-    PIXELS_ASSIGN_OR_RETURN(RowBatchPtr out,
-                            CombineAndFilter(probe, probe_sel, build_out));
-    if (out == nullptr) continue;  // residual filtered everything out
-    return out;
-  }
-}
-
 void HashJoinOperator::Close() {
   left_->Close();
   right_->Close();
   build_batches_.clear();
-  hash_parts_.clear();
-  typed_parts_.clear();
+  tables_.clear();
 }
 
 }  // namespace pixels

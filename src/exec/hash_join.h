@@ -2,8 +2,6 @@
 // fallback for non-equi and cross joins. Inner and left-outer supported.
 #pragma once
 
-#include <unordered_map>
-
 #include "exec/hash_table.h"
 #include "exec/operator.h"
 #include "plan/logical_plan.h"
@@ -12,21 +10,17 @@ namespace pixels {
 
 /// Joins children[0] (probe/left) with children[1] (build/right).
 ///
+/// Equi-joins build typed open-addressing tables (exec/hash_table.h)
+/// keyed on batch-precomputed hashes and pre-sized from the exact build
+/// row count, and the probe iterates the child's selection vector
+/// directly (no Value boxing, key serialization, or post-Filter gather).
 /// The build side is partitioned by key hash: key expressions are
 /// evaluated batch-parallel, then each of the P partitions builds its own
 /// table in parallel (P = the query's parallelism degree). Insertion
 /// order within a partition is batch-then-row order regardless of thread
-/// scheduling, so results are deterministic; P = 1 reproduces the serial
-/// single-table build exactly.
-///
-/// With `ExecContext::vectorized_hash` (the default) the build rows go
-/// into typed open-addressing tables (exec/hash_table.h) keyed on batch-
-/// precomputed hashes, pre-sized from the exact build row count, and the
-/// probe iterates the child's selection vector directly — no Value
-/// boxing, key serialization, or post-Filter gather on either side. The
-/// scalar path remains for equivalence tests; both emit the same rows
-/// (the order of duplicate build-key matches within a probe row is
-/// insertion order in the typed table, unspecified in the scalar one).
+/// scheduling, so results — including the order of duplicate build-key
+/// matches within a probe row — are deterministic. Cross joins and joins
+/// without an equi conjunct run as a nested loop over the build rows.
 class HashJoinOperator : public Operator {
  public:
   HashJoinOperator(OperatorPtr left, OperatorPtr right,
@@ -41,17 +35,9 @@ class HashJoinOperator : public Operator {
   void Close() override;
 
  private:
-  struct BuildRow {
-    size_t batch_index;
-    uint32_t row;
-  };
-
+  /// Collects the build side; for equi-joins, builds the partitioned
+  /// typed tables (payload = batch << 32 | row).
   Status BuildSide();
-  /// Typed build: per-batch key hashes, then partition-parallel inserts
-  /// into JoinTables in batch-then-row order. Payload = batch << 32 | row.
-  Status BuildSideTyped(int par, ThreadPool* pool);
-  /// Typed probe loop (selection-aware); tail shared via CombineAndFilter.
-  Result<RowBatchPtr> NextTyped();
   /// Gathers matched probe rows, appends build columns, and applies the
   /// residual condition. Returns null when every pair was filtered out
   /// (caller pulls the next probe batch).
@@ -71,11 +57,8 @@ class HashJoinOperator : public Operator {
   ExecContext* ctx_;
 
   std::vector<RowBatchPtr> build_batches_;
-  /// Hash table partitioned by std::hash(key) % hash_parts_.size().
-  std::vector<std::unordered_multimap<std::string, BuildRow>> hash_parts_;
-  /// Typed tables (vectorized_hash), partitioned by hash % size.
-  std::vector<JoinTable> typed_parts_;
-  bool typed_build_ = false;
+  /// Build tables, partitioned by key hash % size.
+  std::vector<JoinTable> tables_;
   /// Probe keys may be evaluated over deselected rows (total exprs).
   bool probe_safe_ = true;
   bool keys_extracted_ = false;

@@ -11,7 +11,7 @@
 // Int(1) != Double(1.0) != Bool(true) != String("1"), doubles compare
 // bitwise (-0.0 != +0.0, NaN == NaN of the same bit pattern), and nulls
 // equal each other (aggregation groups nulls; join builds must skip
-// null keys before insertion, as the scalar path does).
+// null keys before insertion, since nulls never join).
 //
 // Layout: slots_ is a power-of-two linear-probing index of entry ids;
 // per-entry hashes and key payloads live in dense side arrays (KeyStore:
@@ -66,6 +66,10 @@ class KeyStore {
   std::vector<Col> cols_;
   size_t rows_ = 0;
 };
+
+/// Maximum occupancy the join/agg operators build their tables with
+/// before the slot array doubles.
+inline constexpr double kHashTableLoadFactor = 0.7;
 
 /// Linear-probing table mapping hashed keys to dense entry ids
 /// [0, num_entries) in first-insertion order. Backs both aggregation

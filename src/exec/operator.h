@@ -48,26 +48,11 @@ struct ExecContext {
   std::atomic<uint64_t> mv_hits{0};
   std::atomic<uint64_t> mv_saved_bytes{0};
 
-  /// Vectorization / runtime-filter knobs. Both paths are superset-safe:
-  /// results are byte-identical with them on or off.
-  /// Evaluate pushed-down predicates on encoded chunks (dictionary codes,
-  /// RLE runs) and materialize only selected rows. Billing is unchanged:
-  /// the same chunks are fetched either way.
-  bool fused_decode = true;
   /// Join-build bloom/range filters pushed into probe-side scans. Range
   /// pruning skips whole row groups — genuinely fewer billed bytes, which
-  /// is the point (the deltas are audited via rf_skipped_bytes).
+  /// is the point (the deltas are audited via rf_skipped_bytes). Results
+  /// are identical on or off.
   bool runtime_filters = true;
-  /// Bloom filter size per distinct-insensitive build key.
-  int rf_bloom_bits_per_key = 8;
-  /// Typed open-addressing hash tables + batch hash kernels for hash
-  /// join and aggregation (exec/hash_table.h). The scalar Value-boxed
-  /// path is retained for equivalence tests and benches; results,
-  /// bills, and bytes_scanned are byte-identical on or off.
-  bool vectorized_hash = true;
-  /// Maximum load factor of the join/agg hash tables (clamped to
-  /// [0.1, 0.95]; lower = fewer probe steps, more slot memory).
-  double hash_table_load_factor = 0.7;
   /// Per-query registry: joins publish filters after build, scans poll.
   RuntimeFilterHub rf_hub;
   /// Runtime-filter audit counters. Row counters cover bloom probes on
@@ -93,6 +78,34 @@ struct ExecContext {
   }
   ThreadPool* EffectivePool() const {
     return pool != nullptr ? pool : ThreadPool::Shared();
+  }
+};
+
+/// Snapshot of one context's runtime-filter counters, summed across the
+/// contexts (CF workers, shuffle tasks, VM fallbacks, final plan) that ran
+/// parts of one query.
+struct RfStats {
+  uint64_t probe_rows = 0;
+  uint64_t pruned_rows = 0;
+  uint64_t pruned_row_groups = 0;
+  uint64_t skipped_bytes = 0;
+
+  static RfStats From(const ExecContext& ctx) {
+    return {ctx.rf_probe_rows.load(), ctx.rf_pruned_rows.load(),
+            ctx.rf_pruned_row_groups.load(), ctx.rf_skipped_bytes.load()};
+  }
+  RfStats& operator+=(const RfStats& o) {
+    probe_rows += o.probe_rows;
+    pruned_rows += o.pruned_rows;
+    pruned_row_groups += o.pruned_row_groups;
+    skipped_bytes += o.skipped_bytes;
+    return *this;
+  }
+  /// Counter growth since an earlier snapshot `o` of the same context.
+  RfStats operator-(const RfStats& o) const {
+    return {probe_rows - o.probe_rows, pruned_rows - o.pruned_rows,
+            pruned_row_groups - o.pruned_row_groups,
+            skipped_bytes - o.skipped_bytes};
   }
 };
 

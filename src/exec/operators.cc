@@ -65,11 +65,11 @@ Result<RowBatchPtr> ScanOperator::DecodeMorsel(const Morsel& morsel,
                                                ScanStats* stats) const {
   const PixelsReader& reader = *readers_[morsel.reader_index];
   RowBatchPtr batch;
-  if (ctx_->fused_decode && !plan_.pushed.empty()) {
+  if (!plan_.pushed.empty()) {
     // Fused decode+filter: pushed predicates are evaluated on the encoded
     // chunks and only surviving rows materialize. Billing and
-    // rows_scanned stay identical to the unfused path (all projected
-    // chunk bytes are charged, all row-group rows counted).
+    // rows_scanned equal a full ReadRowGroup's (all projected chunk
+    // bytes are charged, all row-group rows counted).
     PIXELS_ASSIGN_OR_RETURN(
         batch, reader.ReadRowGroupFiltered(morsel.row_group, columns_,
                                            plan_.pushed, stats));

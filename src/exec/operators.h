@@ -162,7 +162,7 @@ class ViewOperator : public Operator {
 };
 
 /// Serializes row `row` of `batch` into a collision-free key (used by
-/// distinct, COUNT(DISTINCT) state, and the scalar join/agg paths).
+/// distinct, COUNT(DISTINCT) state, and the CF partial-merge groups).
 /// Each component is length-prefixed so no concatenation of components
 /// can collide with a different split of the same bytes.
 std::string RowKey(const RowBatch& batch, size_t row,

@@ -135,10 +135,7 @@ class ScopedIoDelta {
         bytes_(ctx->bytes_scanned.load()),
         hits_(ctx->cache_hits.load()),
         misses_(ctx->cache_misses.load()),
-        rf_probe_(ctx->rf_probe_rows.load()),
-        rf_pruned_(ctx->rf_pruned_rows.load()),
-        rf_groups_(ctx->rf_pruned_row_groups.load()),
-        rf_bytes_(ctx->rf_skipped_bytes.load()) {}
+        rf_(RfStats::From(*ctx)) {}
   ~ScopedIoDelta() {
     node_->bytes_scanned.fetch_add(ctx_->bytes_scanned.load() - bytes_,
                                    std::memory_order_relaxed);
@@ -146,15 +143,7 @@ class ScopedIoDelta {
                                 std::memory_order_relaxed);
     node_->cache_misses.fetch_add(ctx_->cache_misses.load() - misses_,
                                   std::memory_order_relaxed);
-    node_->rf_probe_rows.fetch_add(ctx_->rf_probe_rows.load() - rf_probe_,
-                                   std::memory_order_relaxed);
-    node_->rf_pruned_rows.fetch_add(ctx_->rf_pruned_rows.load() - rf_pruned_,
-                                    std::memory_order_relaxed);
-    node_->rf_pruned_row_groups.fetch_add(
-        ctx_->rf_pruned_row_groups.load() - rf_groups_,
-        std::memory_order_relaxed);
-    node_->rf_skipped_bytes.fetch_add(ctx_->rf_skipped_bytes.load() - rf_bytes_,
-                                      std::memory_order_relaxed);
+    node_->AddRf(RfStats::From(*ctx_) - rf_);
   }
 
  private:
@@ -163,17 +152,14 @@ class ScopedIoDelta {
   uint64_t bytes_;
   uint64_t hits_;
   uint64_t misses_;
-  uint64_t rf_probe_;
-  uint64_t rf_pruned_;
-  uint64_t rf_groups_;
-  uint64_t rf_bytes_;
+  RfStats rf_;
 };
 
 }  // namespace
 
 Status ProfilingOperator::Open() {
   ScopedWall wall(node_);
-  if (node_->measures_io && ctx_ != nullptr) {
+  if (node_->measures_io) {
     ScopedIoDelta io(node_, ctx_);
     return child_->Open();
   }
@@ -183,7 +169,7 @@ Status ProfilingOperator::Open() {
 Result<RowBatchPtr> ProfilingOperator::Next() {
   ScopedWall wall(node_);
   Result<RowBatchPtr> result = [&] {
-    if (node_->measures_io && ctx_ != nullptr) {
+    if (node_->measures_io) {
       ScopedIoDelta io(node_, ctx_);
       return child_->Next();
     }
@@ -200,7 +186,7 @@ Result<RowBatchPtr> ProfilingOperator::Next() {
 Result<SelBatch> ProfilingOperator::NextSel() {
   ScopedWall wall(node_);
   Result<SelBatch> result = [&] {
-    if (node_->measures_io && ctx_ != nullptr) {
+    if (node_->measures_io) {
       ScopedIoDelta io(node_, ctx_);
       return child_->NextSel();
     }

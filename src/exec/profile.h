@@ -52,6 +52,14 @@ struct OperatorProfile {
   /// Cumulative wall time inside this operator's Open+Next (includes
   /// children — the usual EXPLAIN ANALYZE convention).
   std::atomic<uint64_t> wall_us{0};
+
+  void AddRf(const RfStats& rf) {
+    rf_probe_rows.fetch_add(rf.probe_rows, std::memory_order_relaxed);
+    rf_pruned_rows.fetch_add(rf.pruned_rows, std::memory_order_relaxed);
+    rf_pruned_row_groups.fetch_add(rf.pruned_row_groups,
+                                   std::memory_order_relaxed);
+    rf_skipped_bytes.fetch_add(rf.skipped_bytes, std::memory_order_relaxed);
+  }
 };
 
 /// Arena + report for one query's operator profiles. Node addresses are

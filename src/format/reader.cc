@@ -207,7 +207,7 @@ Result<RowBatchPtr> PixelsReader::ReadRowGroupFiltered(
                           ResolveColumns(columns));
   PIXELS_ASSIGN_OR_RETURN(std::vector<BufferCache::Buffer> buffers,
                           FetchChunks(rg, col_indexes, stats));
-  // Billing is identical to the unfused path: every projected chunk is
+  // Billing is identical to ReadRowGroup: every projected chunk is
   // charged up front, selected rows or not.
   for (size_t i = 0; i < col_indexes.size(); ++i) {
     stats->bytes_scanned += buffers[i]->size();

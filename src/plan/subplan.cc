@@ -125,9 +125,19 @@ Status InjectViewImpl(LogicalPlan* node, TablePtr* view, bool* injected) {
   return Status::OK();
 }
 
-void FindScans(const PlanPtr& node, std::vector<LogicalPlan*>* scans) {
+/// Scans under `node` in tree order. With `partitionable`, skips the
+/// null-supplying side of LEFT JOINs: a worker holding only part of it
+/// would pad probe rows that another worker's part matches.
+void FindScans(const PlanPtr& node, std::vector<LogicalPlan*>* scans,
+               bool partitionable = false) {
   if (node->kind == LogicalPlan::Kind::kScan) scans->push_back(node.get());
-  for (const auto& c : node->children) FindScans(c, scans);
+  for (size_t i = 0; i < node->children.size(); ++i) {
+    if (partitionable && i == 1 && node->kind == LogicalPlan::Kind::kJoin &&
+        node->join_type == JoinClause::Type::kLeft) {
+      continue;
+    }
+    FindScans(node->children[i], scans, partitionable);
+  }
 }
 
 }  // namespace
@@ -148,7 +158,7 @@ Result<std::vector<PlanPtr>> PartitionSubplan(const PlanPtr& subplan,
     return Status::InvalidArgument("num_workers must be positive");
   }
   std::vector<LogicalPlan*> scans;
-  FindScans(subplan, &scans);
+  FindScans(subplan, &scans, /*partitionable=*/true);
   if (scans.empty()) {
     return Status::InvalidArgument("sub-plan has no scan to partition");
   }

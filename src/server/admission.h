@@ -19,8 +19,8 @@
 //    into the server's hold queue.
 //
 // With every knob at its default the controller reproduces the seed
-// policy decision-for-decision — the async-vs-sync byte-identity
-// invariant depends on this.
+// policy decision-for-decision — the dispatcher's pinned bills and
+// dispatch times depend on this.
 #pragma once
 
 #include <algorithm>

@@ -2,14 +2,14 @@
 // server (submission admission, completion settlement, poll ticks, stop)
 // flows through one MPSC queue drained by a run-to-completion pump.
 //
-// Determinism contract (the async-vs-sync byte-identity invariant rests
-// on it): Enqueue pushes the message and pumps IMMEDIATELY on the calling
-// (simulation) thread — messages are handled at the same virtual time
-// they were produced, in production order. A message enqueued from inside
-// a handler (a finish callback that Submits again, a completion arriving
-// while a poll drains) is NOT handled recursively: the active pump's
-// loop picks it up after the current message settles, exactly the order
-// the synchronous seed path produced by direct calls.
+// Determinism contract (the pinned bills and dispatch times of the
+// dispatcher tests rest on it): Enqueue pushes the message and pumps
+// IMMEDIATELY on the calling (simulation) thread — messages are handled
+// at the same virtual time they were produced, in production order. A
+// message enqueued from inside a handler (a finish callback that Submits
+// again, a completion arriving while a poll drains) is NOT handled
+// recursively: the active pump's loop picks it up after the current
+// message settles.
 #pragma once
 
 #include <cstdint>

@@ -39,18 +39,13 @@ EventLog* QueryServer::SyncedLog() {
 // Message routing
 
 void QueryServer::Enqueue(ServerMessage msg) {
-  if (params_.async_dispatch) {
-    mailbox_.Push(std::move(msg));
-    // Pump immediately on the calling (simulation) thread: messages are
-    // handled at the virtual time they were produced, in production
-    // order. If a pump is already active (this enqueue came from inside
-    // a handler), the active pump's loop absorbs the message after the
-    // current one settles — handlers never nest, which is exactly the
-    // re-entrancy fix the synchronous path needed.
-    mailbox_.Pump([this](ServerMessage&& m) { HandleMessage(std::move(m)); });
-  } else {
-    HandleMessage(std::move(msg));
-  }
+  mailbox_.Push(std::move(msg));
+  // Pump immediately on the calling (simulation) thread: messages are
+  // handled at the virtual time they were produced, in production order.
+  // If a pump is already active (this enqueue came from inside a
+  // handler), the active pump's loop absorbs the message after the
+  // current one settles — handlers never nest.
+  mailbox_.Pump([this](ServerMessage&& m) { HandleMessage(std::move(m)); });
 }
 
 void QueryServer::HandleMessage(ServerMessage&& msg) {

@@ -18,10 +18,9 @@
 // completion pump on the simulation thread, and per-submission state
 // lives in sharded tables (stable node pointers, per-shard locks) so
 // millions of sessions stay tractable and batched status polls do not
-// serialize against the dispatcher. With `async_dispatch=false` every
-// message is handled by direct call at the submission site — the
-// synchronous seed path — and the two modes produce byte-identical
-// results, bytes_scanned, and bills for the same arrival schedule.
+// serialize against the dispatcher. Handlers never nest, so a finish
+// callback may Submit again, and the same arrival schedule always yields
+// the same results, bytes_scanned, and bills.
 #pragma once
 
 #include <deque>
@@ -53,10 +52,6 @@ struct QueryServerParams {
   /// for a full hit is this fraction of the original query's bill, which
   /// keeps revenue auditable against `mv_saved_bytes`.
   double mv_reuse_bill_fraction = 0.1;
-  /// Route every server mutation through the MPSC mailbox + pump (the
-  /// actor path). Off = handle messages by direct call at the submission
-  /// site (the synchronous seed path). Byte-identical either way.
-  bool async_dispatch = true;
   /// Shards of the submission/session tables (rounded up to a power of
   /// two). More shards = less lock contention for concurrent status
   /// reads against millions of entries.
@@ -183,8 +178,8 @@ class QueryServer {
     uint64_t hold_span = 0;  // "hold" span while in the server queue
   };
 
-  /// Routes a message: async → mailbox push + immediate pump (re-entrant
-  /// pushes are absorbed by the active pump); sync → direct call.
+  /// Routes a message: mailbox push + immediate pump (re-entrant pushes
+  /// are absorbed by the active pump).
   void Enqueue(ServerMessage msg);
   void HandleMessage(ServerMessage&& msg);
   void HandleSubmit(int64_t server_id);

@@ -94,46 +94,6 @@ void TraceMvLookup(Tracer* tracer, uint64_t parent, const char* granularity,
   tracer->EndSpan(span);
 }
 
-/// Applies the vectorized-execution knobs to a fresh context.
-void ApplyExecKnobs(ExecContext* ctx, const CfWorkerOptions& options) {
-  ctx->runtime_filters = options.runtime_filters;
-  ctx->fused_decode = options.fused_decode;
-  ctx->rf_bloom_bits_per_key = options.rf_bloom_bits_per_key;
-  ctx->vectorized_hash = options.vectorized_hash;
-  ctx->hash_table_load_factor = options.hash_table_load_factor;
-}
-
-/// Snapshot of one context's runtime-filter counters.
-struct RfCounters {
-  uint64_t probe_rows = 0;
-  uint64_t pruned_rows = 0;
-  uint64_t pruned_row_groups = 0;
-  uint64_t skipped_bytes = 0;
-
-  static RfCounters From(const ExecContext& ctx) {
-    RfCounters c;
-    c.probe_rows = ctx.rf_probe_rows.load();
-    c.pruned_rows = ctx.rf_pruned_rows.load();
-    c.pruned_row_groups = ctx.rf_pruned_row_groups.load();
-    c.skipped_bytes = ctx.rf_skipped_bytes.load();
-    return c;
-  }
-};
-
-void MergeRf(CfExecution* out, const RfCounters& c) {
-  out->rf_probe_rows += c.probe_rows;
-  out->rf_pruned_rows += c.pruned_rows;
-  out->rf_pruned_row_groups += c.pruned_row_groups;
-  out->rf_skipped_bytes += c.skipped_bytes;
-}
-
-void SetProfileRf(OperatorProfile* node, const RfCounters& c) {
-  node->rf_probe_rows = c.probe_rows;
-  node->rf_pruned_rows = c.pruned_rows;
-  node->rf_pruned_row_groups = c.pruned_row_groups;
-  node->rf_skipped_bytes = c.skipped_bytes;
-}
-
 }  // namespace
 
 Result<CfExecution> ExecuteWithCfPushdown(const PlanPtr& plan,
@@ -167,7 +127,7 @@ Result<CfExecution> ExecuteWithCfPushdown(const PlanPtr& plan,
   top_ctx.tracer = options.tracer;
   top_ctx.trace_parent = options.trace_parent;
   top_ctx.profile = options.profile;
-  ApplyExecKnobs(&top_ctx, options);
+  top_ctx.runtime_filters = options.runtime_filters;
 
   if (split.subplan == nullptr) {
     // Nothing heavy to push: run the plan as-is.
@@ -176,7 +136,7 @@ Result<CfExecution> ExecuteWithCfPushdown(const PlanPtr& plan,
     out.bytes_scanned = top_ctx.bytes_scanned;
     out.work_vcpu_seconds = static_cast<double>(out.bytes_scanned) /
                             options.bytes_per_vcpu_second;
-    MergeRf(&out, RfCounters::From(top_ctx));
+    out.rf += RfStats::From(top_ctx);
     CommitMvInsert(options.mv_store, std::move(snap), out.result,
                    out.bytes_scanned);
     return out;
@@ -203,13 +163,13 @@ Result<CfExecution> ExecuteWithCfPushdown(const PlanPtr& plan,
         final_ctx.tracer = options.tracer;
         final_ctx.trace_parent = options.trace_parent;
         final_ctx.profile = options.profile;
-        ApplyExecKnobs(&final_ctx, options);
+        final_ctx.runtime_filters = options.runtime_filters;
         PIXELS_ASSIGN_OR_RETURN(out.result,
                                 ExecutePlan(split.final_plan, &final_ctx));
         out.bytes_scanned = final_ctx.bytes_scanned;
         out.work_vcpu_seconds = static_cast<double>(out.bytes_scanned) /
                                 options.bytes_per_vcpu_second;
-        MergeRf(&out, RfCounters::From(final_ctx));
+        out.rf += RfStats::From(final_ctx);
         return out;
       }
     }
@@ -246,7 +206,7 @@ Result<CfExecution> ExecuteWithCfPushdown(const PlanPtr& plan,
     final_ctx.tracer = options.tracer;
     final_ctx.trace_parent = options.trace_parent;
     final_ctx.profile = options.profile;
-    ApplyExecKnobs(&final_ctx, options);
+    final_ctx.runtime_filters = options.runtime_filters;
     uint64_t final_span = 0;
     if (tracer != nullptr) {
       final_span = tracer->StartSpan("cf-final", options.trace_parent);
@@ -265,7 +225,7 @@ Result<CfExecution> ExecuteWithCfPushdown(const PlanPtr& plan,
     }
     PIXELS_ASSIGN_OR_RETURN(out.result, std::move(final_result));
     out.bytes_scanned += final_ctx.bytes_scanned;
-    MergeRf(&out, RfCounters::From(final_ctx));
+    out.rf += RfStats::From(final_ctx);
 
     // Also cache the full-query result (keyed by the original plan, which
     // still has no inlined view) so an identical repeat skips even the
@@ -307,10 +267,6 @@ Result<CfExecution> ExecuteWithCfPushdown(const PlanPtr& plan,
       rp.retry_backoff_ms = options.worker_retry_backoff_ms;
       rp.vm_fallback = options.vm_fallback;
       rp.runtime_filters = options.runtime_filters;
-      rp.fused_decode = options.fused_decode;
-      rp.rf_bloom_bits_per_key = options.rf_bloom_bits_per_key;
-      rp.vectorized_hash = options.vectorized_hash;
-      rp.hash_table_load_factor = options.hash_table_load_factor;
       rp.tracer = options.tracer;
       rp.trace_parent = options.trace_parent;
       rp.profile = options.profile;
@@ -339,10 +295,7 @@ Result<CfExecution> ExecuteWithCfPushdown(const PlanPtr& plan,
       out.shuffle_critical_path_ms = shux->critical_path_ms;
       out.shuffle_objects_swept = shux->objects_swept;
       out.bytes_scanned = shux->bytes_scanned;
-      out.rf_probe_rows += shux->rf_probe_rows;
-      out.rf_pruned_rows += shux->rf_pruned_rows;
-      out.rf_pruned_row_groups += shux->rf_pruned_row_groups;
-      out.rf_skipped_bytes += shux->rf_skipped_bytes;
+      out.rf += shux->rf;
       return finish(std::move(shux->view));
     }
   }
@@ -374,7 +327,7 @@ Result<CfExecution> ExecuteWithCfPushdown(const PlanPtr& plan,
           : nullptr;
   std::vector<TablePtr> parts(n);
   std::vector<uint64_t> worker_bytes(n, 0);
-  std::vector<RfCounters> worker_rf(n);
+  std::vector<RfStats> worker_rf(n);
   std::vector<int> retries(n, 0);
   std::vector<char> recovered(n, 0);
   std::vector<char> needs_fallback(n, 0);
@@ -387,7 +340,7 @@ Result<CfExecution> ExecuteWithCfPushdown(const PlanPtr& plan,
     worker_ctx.io = options.io;
     worker_ctx.tracer = options.tracer;
     worker_ctx.trace_parent = attempt_span;
-    ApplyExecKnobs(&worker_ctx, options);
+    worker_ctx.runtime_filters = options.runtime_filters;
     PIXELS_ASSIGN_OR_RETURN(TablePtr part,
                             ExecutePlan(worker_plans[w], &worker_ctx));
     if (options.intermediate_store != nullptr) {
@@ -402,7 +355,7 @@ Result<CfExecution> ExecuteWithCfPushdown(const PlanPtr& plan,
     // never reaches the billing counters. The same rule keeps profiles
     // clean — an aggregate node is created from this context only here.
     worker_bytes[w] = worker_ctx.bytes_scanned;
-    worker_rf[w] = RfCounters::From(worker_ctx);
+    worker_rf[w] = RfStats::From(worker_ctx);
     parts[w] = std::move(part);
     if (options.profile != nullptr) {
       OperatorProfile* node = options.profile->AddNode(
@@ -413,7 +366,7 @@ Result<CfExecution> ExecuteWithCfPushdown(const PlanPtr& plan,
       node->cache_misses = worker_ctx.cache_misses.load();
       node->rows_out = parts[w]->num_rows();
       node->batches_out = parts[w]->batches().size();
-      SetProfileRf(node, worker_rf[w]);
+      node->AddRf(worker_rf[w]);
     }
     return Status::OK();
   };
@@ -525,7 +478,7 @@ Result<CfExecution> ExecuteWithCfPushdown(const PlanPtr& plan,
     vm_ctx.catalog = catalog;
     vm_ctx.io = options.io;
     vm_ctx.tracer = options.tracer;
-    ApplyExecKnobs(&vm_ctx, options);
+    vm_ctx.runtime_filters = options.runtime_filters;
     uint64_t fb_span = 0;
     if (tracer != nullptr) {
       fb_span = tracer->StartSpan("cf-fallback", fleet_span);
@@ -545,7 +498,7 @@ Result<CfExecution> ExecuteWithCfPushdown(const PlanPtr& plan,
     }
     PIXELS_ASSIGN_OR_RETURN(parts[w], std::move(fb_result));
     worker_bytes[w] = vm_ctx.bytes_scanned;
-    worker_rf[w] = RfCounters::From(vm_ctx);
+    worker_rf[w] = RfStats::From(vm_ctx);
     out.fallback_bytes_scanned += vm_ctx.bytes_scanned;
     ++out.workers_fallback;
     if (options.profile != nullptr) {
@@ -557,7 +510,7 @@ Result<CfExecution> ExecuteWithCfPushdown(const PlanPtr& plan,
       node->cache_misses = vm_ctx.cache_misses.load();
       node->rows_out = parts[w]->num_rows();
       node->batches_out = parts[w]->batches().size();
-      SetProfileRf(node, worker_rf[w]);
+      node->AddRf(worker_rf[w]);
     }
   }
   out.workers_used = static_cast<int>(n) - out.workers_fallback;
@@ -566,7 +519,7 @@ Result<CfExecution> ExecuteWithCfPushdown(const PlanPtr& plan,
   auto view = std::make_shared<Table>();
   for (size_t w = 0; w < n; ++w) {
     out.bytes_scanned += worker_bytes[w];
-    MergeRf(&out, worker_rf[w]);
+    out.rf += worker_rf[w];
     out.worker_retries += retries[w];
     if (recovered[w]) ++out.workers_recovered;
     out.retry_backoff_simulated_ms += backoff_ms[w];

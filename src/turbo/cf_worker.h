@@ -73,12 +73,9 @@ struct CfExecution {
   /// Runtime-filter totals across every context that ran part of this
   /// query (workers, VM fallbacks, top-level/final plan), merged in
   /// partition order so serial and parallel fleets report identically.
-  /// `rf_skipped_bytes` is billed scan work the filters genuinely avoided
+  /// `rf.skipped_bytes` is billed scan work the filters genuinely avoided
   /// (row groups never fetched) — `bytes_scanned` above excludes it.
-  uint64_t rf_probe_rows = 0;
-  uint64_t rf_pruned_rows = 0;
-  uint64_t rf_pruned_row_groups = 0;
-  uint64_t rf_skipped_bytes = 0;
+  RfStats rf;
 };
 
 /// Options for CF execution.
@@ -134,17 +131,10 @@ struct CfWorkerOptions {
   QueryProfile* profile = nullptr;
   /// Audit event log for shuffle stage progress (null = off).
   EventLog* event_log = nullptr;
-  /// Vectorized-execution knobs, threaded into every ExecContext this
-  /// query creates (workers included, so runtime filters prune billed
-  /// scan work across the CF seam). Both are superset-safe: results are
-  /// identical on or off.
+  /// Runtime filters in every ExecContext this query creates (workers
+  /// included, so filters prune billed scan work across the CF seam).
+  /// Results are identical on or off.
   bool runtime_filters = true;
-  bool fused_decode = true;
-  int rf_bloom_bits_per_key = 8;
-  /// Typed hash tables + selection-vector pipeline for joins/aggregation
-  /// (exec/hash_table.h). Superset-safe like the knobs above.
-  bool vectorized_hash = true;
-  double hash_table_load_factor = 0.7;
   /// Multi-stage shuffle knobs (stage_scheduler.h). `shuffle.enabled`
   /// off — the default — preserves single-stage behavior exactly; on, an
   /// eligible sub-plan (single equi-join core) runs as a

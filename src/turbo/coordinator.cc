@@ -16,6 +16,18 @@
 
 namespace pixels {
 
+namespace {
+
+/// Copies one execution's runtime-filter totals into its record.
+void SetRecordRf(QueryRecord* rec, const RfStats& rf) {
+  rec->rf_probe_rows = rf.probe_rows;
+  rec->rf_pruned_rows = rf.pruned_rows;
+  rec->rf_pruned_row_groups = rf.pruned_row_groups;
+  rec->rf_skipped_bytes = rf.skipped_bytes;
+}
+
+}  // namespace
+
 Coordinator::Coordinator(SimClock* clock, Random* rng,
                          CoordinatorParams params,
                          std::shared_ptr<Catalog> catalog)
@@ -255,10 +267,6 @@ void Coordinator::MaybeExecuteReal(QueryRecord* rec, bool via_cf) {
     options.worker_retry_backoff_ms = params_.cf_worker_retry_backoff_ms;
     options.vm_fallback = params_.cf_vm_fallback;
     options.runtime_filters = params_.runtime_filters;
-    options.fused_decode = params_.fused_decode;
-    options.rf_bloom_bits_per_key = params_.rf_bloom_bits_per_key;
-    options.vectorized_hash = params_.vectorized_hash;
-    options.hash_table_load_factor = params_.hash_table_load_factor;
     options.tracer = tracer_;
     options.trace_parent = exec_span;
     options.profile = profiling ? &profile : nullptr;
@@ -324,10 +332,7 @@ void Coordinator::MaybeExecuteReal(QueryRecord* rec, bool via_cf) {
         metrics_.Observe("cf_stage_wall_ms", wall);
       }
     }
-    rec->rf_probe_rows = exec->rf_probe_rows;
-    rec->rf_pruned_rows = exec->rf_pruned_rows;
-    rec->rf_pruned_row_groups = exec->rf_pruned_row_groups;
-    rec->rf_skipped_bytes = exec->rf_skipped_bytes;
+    SetRecordRf(rec, exec->rf);
     rec->mv_hit = exec->mv_full_hit;
     rec->mv_saved_bytes = exec->mv_saved_bytes;
     if (exec->mv_full_hit || exec->mv_subplan_hit) {
@@ -346,10 +351,6 @@ void Coordinator::MaybeExecuteReal(QueryRecord* rec, bool via_cf) {
   ctx.trace_parent = exec_span;
   ctx.profile = profiling ? &profile : nullptr;
   ctx.runtime_filters = params_.runtime_filters;
-  ctx.fused_decode = params_.fused_decode;
-  ctx.rf_bloom_bits_per_key = params_.rf_bloom_bits_per_key;
-  ctx.vectorized_hash = params_.vectorized_hash;
-  ctx.hash_table_load_factor = params_.hash_table_load_factor;
   auto result = ExecuteQuery(rec->spec.sql, rec->spec.db, &ctx);
   if (!result.ok()) {
     rec->error = result.status().ToString();
@@ -358,10 +359,7 @@ void Coordinator::MaybeExecuteReal(QueryRecord* rec, bool via_cf) {
   }
   rec->result = std::move(result).ValueOrDie();
   rec->bytes_scanned = ctx.bytes_scanned;
-  rec->rf_probe_rows = ctx.rf_probe_rows.load();
-  rec->rf_pruned_rows = ctx.rf_pruned_rows.load();
-  rec->rf_pruned_row_groups = ctx.rf_pruned_row_groups.load();
-  rec->rf_skipped_bytes = ctx.rf_skipped_bytes.load();
+  SetRecordRf(rec, RfStats::From(ctx));
   rec->mv_hit = ctx.mv_hits.load() > 0;
   rec->mv_saved_bytes = ctx.mv_saved_bytes.load();
   if (rec->mv_hit) {

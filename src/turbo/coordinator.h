@@ -78,24 +78,11 @@ struct CoordinatorParams {
   bool cf_shuffle_hedging = true;
   double cf_hedge_quantile = 75.0;
   double cf_hedge_delay_factor = 1.5;
-  /// Vectorized-execution knobs applied to every real execution (VM path
-  /// and CF workers alike). `runtime_filters` publishes bloom + min/max
-  /// filters from hash-join builds into probe-side scans (pruned row
-  /// groups shrink the bill); `fused_decode` evaluates pushed predicates
-  /// on encoded chunks. Both are superset-safe: results are identical
-  /// with either off.
+  /// Applied to every real execution (VM path and CF workers alike):
+  /// hash-join builds publish bloom + min/max filters into probe-side
+  /// scans, and pruned row groups shrink the bill. Results are identical
+  /// with it off.
   bool runtime_filters = true;
-  bool fused_decode = true;
-  /// Bloom sizing for published runtime filters (bits per build key).
-  int rf_bloom_bits_per_key = 8;
-  /// Typed open-addressing hash tables + selection-vector pipeline for
-  /// joins and aggregation (see DESIGN.md "Vectorized hash tables").
-  /// Superset-safe: identical results, bills, and bytes_scanned with it
-  /// off — it only changes how fast groups and matches are found.
-  bool vectorized_hash = true;
-  /// Target occupancy of the typed tables before they grow (clamped to
-  /// [0.1, 0.95]). Lower = fewer probe collisions, more memory.
-  double hash_table_load_factor = 0.7;
   /// Observability level. kOff (the default) is the zero-overhead path:
   /// no spans are allocated, no profile nodes are created, and every
   /// query executes byte-identically to a build without tracing. kSpans

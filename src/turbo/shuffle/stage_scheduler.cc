@@ -51,10 +51,7 @@ struct AttemptOutcome {
   uint64_t bytes_scanned = 0;
   uint64_t exchange_bytes_written = 0;
   uint64_t exchange_bytes_read = 0;
-  uint64_t rf_probe_rows = 0;
-  uint64_t rf_pruned_rows = 0;
-  uint64_t rf_pruned_row_groups = 0;
-  uint64_t rf_skipped_bytes = 0;
+  RfStats rf;
   /// Simulated duration of this attempt (compute + exchange I/O + slow
   /// penalty), excluding retry backoff.
   double sim_ms = 0;
@@ -85,21 +82,6 @@ double ComputeMs(const ShuffleRunParams& params, uint64_t bytes) {
 
 double SlowMs(const ShuffleRunParams& params, const std::string& path) {
   return params.shuffle.path_slow_ms ? params.shuffle.path_slow_ms(path) : 0;
-}
-
-void ApplyKnobs(ExecContext* ctx, const ShuffleRunParams& params) {
-  ctx->runtime_filters = params.runtime_filters;
-  ctx->fused_decode = params.fused_decode;
-  ctx->rf_bloom_bits_per_key = params.rf_bloom_bits_per_key;
-  ctx->vectorized_hash = params.vectorized_hash;
-  ctx->hash_table_load_factor = params.hash_table_load_factor;
-}
-
-void TakeRf(AttemptOutcome* o, const ExecContext& ctx) {
-  o->rf_probe_rows = ctx.rf_probe_rows.load();
-  o->rf_pruned_rows = ctx.rf_pruned_rows.load();
-  o->rf_pruned_row_groups = ctx.rf_pruned_row_groups.load();
-  o->rf_skipped_bytes = ctx.rf_skipped_bytes.load();
 }
 
 std::string TaskPath(const std::string& prefix, int stage, size_t task,
@@ -333,10 +315,7 @@ Status RunStage(const ShuffleRunParams& params, int stage_id,
     exec->bytes_scanned += w.bytes_scanned;
     exec->exchange_bytes_written += w.exchange_bytes_written;
     exec->exchange_bytes_read += w.exchange_bytes_read;
-    exec->rf_probe_rows += w.rf_probe_rows;
-    exec->rf_pruned_rows += w.rf_pruned_rows;
-    exec->rf_pruned_row_groups += w.rf_pruned_row_groups;
-    exec->rf_skipped_bytes += w.rf_skipped_bytes;
+    exec->rf += w.rf;
   }
   exec->hedges_fired += static_cast<int>(hedged.size());
   exec->hedges_won += hedges_won;
@@ -433,7 +412,7 @@ Result<ShuffleExecution> ExecuteShuffleDag(const StageGraph& graph,
       ctx.io = params.io;
       ctx.tracer = params.tracer;
       ctx.trace_parent = attempt_span;
-      ApplyKnobs(&ctx, params);
+      ctx.runtime_filters = params.runtime_filters;
       PIXELS_ASSIGN_OR_RETURN(TablePtr table, ExecutePlan((*plans)[t], &ctx));
       PIXELS_ASSIGN_OR_RETURN(std::vector<TablePtr> parts,
                               HashPartitionTable(*table, keys, P));
@@ -444,7 +423,7 @@ Result<ShuffleExecution> ExecuteShuffleDag(const StageGraph& graph,
       AttemptOutcome o;
       o.bytes_scanned = ctx.bytes_scanned;
       o.exchange_bytes_written = info.bytes_written;
-      TakeRf(&o, ctx);
+      o.rf = RfStats::From(ctx);
       o.sim_ms = ComputeMs(params, o.bytes_scanned) +
                  EstimateIoMs(params.store, info.bytes_written) +
                  SlowMs(params, path);
@@ -519,10 +498,10 @@ Result<ShuffleExecution> ExecuteShuffleDag(const StageGraph& graph,
     ctx.io = params.io;
     ctx.tracer = params.tracer;
     ctx.trace_parent = attempt_span;
-    ApplyKnobs(&ctx, params);
+    ctx.runtime_filters = params.runtime_filters;
     PIXELS_ASSIGN_OR_RETURN(o.table, ExecutePlan(plan, &ctx));
     o.bytes_scanned = ctx.bytes_scanned;  // 0: consumers scan no base table
-    TakeRf(&o, ctx);
+    o.rf = RfStats::From(ctx);
     // Compute proxy: consumers do join/agg work proportional to the
     // exchange bytes they ingest, priced at the same vCPU throughput.
     o.sim_ms = ComputeMs(params, o.exchange_bytes_read) + io_ms +

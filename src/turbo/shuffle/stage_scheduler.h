@@ -100,10 +100,6 @@ struct ShuffleRunParams {
   double retry_backoff_ms = 200.0;
   bool vm_fallback = true;
   bool runtime_filters = true;
-  bool fused_decode = true;
-  int rf_bloom_bits_per_key = 8;
-  bool vectorized_hash = true;
-  double hash_table_load_factor = 0.7;
   Tracer* tracer = nullptr;
   uint64_t trace_parent = 0;
   QueryProfile* profile = nullptr;
@@ -134,10 +130,7 @@ struct ShuffleExecution {
   uint64_t exchange_bytes_read = 0;     // consumer combined reads
   double retry_backoff_simulated_ms = 0;
   /// Runtime-filter totals of committed attempts (merged in task order).
-  uint64_t rf_probe_rows = 0;
-  uint64_t rf_pruned_rows = 0;
-  uint64_t rf_pruned_row_groups = 0;
-  uint64_t rf_skipped_bytes = 0;
+  RfStats rf;
   /// Intermediate objects removed by the end-of-run GC sweep.
   size_t objects_swept = 0;
   /// Simulated wall per stage, index-aligned with the DAG (L, R, J).

@@ -1,13 +1,13 @@
-// Equivalence suite for the vectorized (typed hash table) join/agg path:
-// every query must produce the same rows and bill the same bytes_scanned
-// with `vectorized_hash` on or off, serial or parallel, and through the
-// CF worker fleet. The matrix covers key types (int, double, string,
-// multi-key), null patterns (null groups, null join keys, null agg
-// arguments), key cardinality (2 .. every-row-distinct), duplicate build
-// keys, residual conditions, LEFT JOIN padding, and COUNT(DISTINCT).
-// Aggregate arguments (arithmetic, CASE, LIKE in CASE, and CASE arguments
-// whose type flips between batches) must also equal folding the
-// row-at-a-time reference column of every scanned batch.
+// Equivalence suite for the typed hash join/agg operators: every query
+// must produce the rows of the row-at-a-time reference
+// (testing/reference_exec.h) serial, parallel, and through the CF worker
+// fleet, and bill the same bytes_scanned on every path. The matrix covers
+// key types (int, double, string, multi-key), null patterns (null groups,
+// null join keys, null agg arguments), key cardinality (2 ..
+// every-row-distinct), duplicate build keys, residual conditions, LEFT
+// JOIN padding, and COUNT(DISTINCT). Aggregate arguments (arithmetic,
+// CASE, LIKE in CASE, and CASE arguments whose type flips between
+// batches) must match the reference value for value and type for type.
 //
 // These tests also run under TSan in CI (gtest filter VectorizedHash*):
 // the parallel runs exercise the batch-parallel hash prep + partition-
@@ -23,9 +23,8 @@
 #include "format/writer.h"
 #include "plan/binder.h"
 #include "plan/optimizer.h"
-#include "sql/parser.h"
 #include "storage/memory_store.h"
-#include "testing/reference_eval.h"
+#include "testing/reference_exec.h"
 #include "turbo/cf_worker.h"
 
 namespace pixels {
@@ -81,83 +80,59 @@ class VectorizedHashTest : public ::testing::Test {
     }
   }
 
-  TablePtr Run(const std::string& sql, bool vectorized, int parallelism,
-               uint64_t* bytes) {
+  TablePtr Run(const std::string& sql, int parallelism, uint64_t* bytes,
+               uint64_t* rf_skipped = nullptr) {
     ExecContext ctx;
     ctx.catalog = catalog_.get();
-    ctx.vectorized_hash = vectorized;
     ctx.parallelism = parallelism;
     auto r = ExecuteQuery(sql, "db", &ctx);
     EXPECT_TRUE(r.ok()) << sql << " -> " << r.status().ToString();
     if (bytes != nullptr) *bytes = ctx.bytes_scanned;
+    if (rf_skipped != nullptr) *rf_skipped = ctx.rf_skipped_bytes;
     return r.ok() ? *r : nullptr;
   }
 
-  /// Runs `sql` through {scalar, typed} x {serial, parallel 4} and
-  /// asserts identical row sets and byte-identical bytes_scanned.
-  void ExpectAllPathsAgree(const std::string& sql) {
-    uint64_t bytes[4] = {0, 0, 0, 0};
-    TablePtr scalar_serial = Run(sql, false, 1, &bytes[0]);
-    TablePtr typed_serial = Run(sql, true, 1, &bytes[1]);
-    TablePtr scalar_par = Run(sql, false, 4, &bytes[2]);
-    TablePtr typed_par = Run(sql, true, 4, &bytes[3]);
-    ASSERT_NE(scalar_serial, nullptr) << sql;
-    ASSERT_NE(typed_serial, nullptr) << sql;
-    ASSERT_NE(scalar_par, nullptr) << sql;
-    ASSERT_NE(typed_par, nullptr) << sql;
-    const auto expected = SortedRows(*scalar_serial);
-    EXPECT_EQ(expected, SortedRows(*typed_serial)) << sql;
-    EXPECT_EQ(expected, SortedRows(*scalar_par)) << sql;
-    EXPECT_EQ(expected, SortedRows(*typed_par)) << sql;
-    EXPECT_EQ(bytes[0], bytes[1]) << sql;
-    EXPECT_EQ(bytes[0], bytes[2]) << sql;
-    EXPECT_EQ(bytes[0], bytes[3]) << sql;
+  /// The reference result; `*bytes` gets its (runtime-filters-off) bill.
+  TablePtr Reference(const std::string& sql, uint64_t* bytes) {
+    ExecContext ctx;
+    ctx.catalog = catalog_.get();
+    ctx.parallelism = 1;
+    auto r = ReferenceQuery(sql, "db", &ctx);
+    EXPECT_TRUE(r.ok()) << sql << " -> " << r.status().ToString();
+    *bytes = ctx.bytes_scanned;
+    return r.ok() ? *r : nullptr;
   }
 
-  /// grpk -> {sum, avg, min, max} of `arg`: the reference column of every
-  /// scanned batch, folded row by row as AggState::Update folds values.
-  std::map<int64_t, std::vector<Value>> ReferenceAggregate(
-      const std::string& arg) {
-    struct Acc {
-      int64_t count = 0, sum_i = 0;
-      double sum_d = 0;
-      bool any_double = false;
-      Value min, max;
-    };
-    std::map<int64_t, Acc> accs;
-    auto expr = ParseExpression(arg);
-    EXPECT_TRUE(expr.ok()) << arg;
-    TablePtr all = Run("SELECT * FROM t", true, 1, nullptr);
-    if (!expr.ok() || all == nullptr) return {};
-    for (const auto& batch : all->batches()) {
-      auto col = ReferenceEvaluate(**expr, *batch);
-      EXPECT_TRUE(col.ok()) << arg << ": " << col.status().ToString();
-      if (!col.ok()) return {};
-      const ColumnVector& keys = *batch->column(batch->FindColumn("grpk"));
-      for (size_t r = 0; r < batch->num_rows(); ++r) {
-        const Value v = (*col)->GetValue(r);
-        if (v.is_null()) continue;
-        Acc& acc = accs[keys.GetInt(r)];
-        ++acc.count;
-        if (v.kind == Value::Kind::kDouble) {
-          acc.any_double = true;
-          acc.sum_d += v.d;
-        } else {
-          acc.sum_i += v.i;
-          acc.sum_d += static_cast<double>(v.i);
-        }
-        if (acc.count == 1 || v.Compare(acc.min) < 0) acc.min = v;
-        if (acc.count == 1 || v.Compare(acc.max) > 0) acc.max = v;
-      }
-    }
-    std::map<int64_t, std::vector<Value>> out;
-    for (const auto& [key, acc] : accs) {
-      out[key] = {acc.any_double ? Value::Double(acc.sum_d)
-                                 : Value::Int(acc.sum_i),
-                  Value::Double(acc.sum_d / static_cast<double>(acc.count)),
-                  acc.min, acc.max};
-    }
-    return out;
+  Result<CfExecution> RunFleet(const std::string& sql) {
+    PIXELS_ASSIGN_OR_RETURN(PlanPtr plan, PlanQuery(sql, *catalog_, "db"));
+    PIXELS_ASSIGN_OR_RETURN(plan, Optimize(std::move(plan), *catalog_));
+    CfWorkerOptions options;
+    options.num_workers = 3;
+    return ExecuteWithCfPushdown(plan, catalog_.get(), options);
+  }
+
+  /// Runs `sql` serial, at parallelism 4, and through a 3-worker CF fleet,
+  /// and asserts each returns the reference row set. Serial and parallel
+  /// bill the same bytes, which plus the runtime-filter savings equal the
+  /// reference's filter-free bill. (Fleet workers of a join each scan
+  /// the unpartitioned side, so a join's fleet bill is larger by design;
+  /// CfFleetBillsIdenticallyToDirectAndOracle checks an aggregate's.)
+  void ExpectAllPathsAgree(const std::string& sql) {
+    uint64_t ref_bytes = 0, serial_bytes = 0, par_bytes = 0, skipped = 0;
+    TablePtr reference = Reference(sql, &ref_bytes);
+    TablePtr serial = Run(sql, 1, &serial_bytes, &skipped);
+    TablePtr par = Run(sql, 4, &par_bytes);
+    auto fleet = RunFleet(sql);
+    ASSERT_NE(reference, nullptr) << sql;
+    ASSERT_NE(serial, nullptr) << sql;
+    ASSERT_NE(par, nullptr) << sql;
+    ASSERT_TRUE(fleet.ok()) << sql << " -> " << fleet.status().ToString();
+    const auto expected = SortedRows(*reference);
+    EXPECT_EQ(expected, SortedRows(*serial)) << sql;
+    EXPECT_EQ(expected, SortedRows(*par)) << sql;
+    EXPECT_EQ(expected, SortedRows(*fleet->result)) << sql;
+    EXPECT_EQ(serial_bytes, par_bytes) << sql;
+    EXPECT_EQ(ref_bytes, serial_bytes + skipped) << sql;
   }
 
   std::shared_ptr<MemoryStore> storage_;
@@ -276,61 +251,42 @@ TEST_F(VectorizedHashTest, AggregateArgumentsMatchReferenceColumns) {
       "CASE WHEN id < 1000 THEN vint ELSE vdbl END",
       "CASE WHEN id >= 2600 THEN vint ELSE vdbl END"};
   for (const char* arg : args) {
-    const auto expected = ReferenceAggregate(arg);
-    ASSERT_FALSE(expected.empty()) << arg;
     const std::string a(arg);
     const std::string sql = "SELECT grpk, sum(" + a + ") AS s, avg(" + a +
                             ") AS a, min(" + a + ") AS lo, max(" + a +
                             ") AS hi FROM t GROUP BY grpk";
+    uint64_t ref_bytes = 0;
+    TablePtr expected = Reference(sql, &ref_bytes);
+    ASSERT_NE(expected, nullptr) << sql;
+    ASSERT_EQ(expected->batches().size(), 1u) << sql;
+    const RowBatch& want = *expected->batches()[0];
+    std::map<int64_t, size_t> want_row;  // grpk -> reference row
+    for (size_t r = 0; r < want.num_rows(); ++r) {
+      want_row[want.column(0)->GetInt(r)] = r;
+    }
     for (int par : {1, 4}) {
-      TablePtr got = Run(sql, true, par, nullptr);
+      TablePtr got = Run(sql, par, nullptr);
       ASSERT_NE(got, nullptr) << sql;
-      size_t groups = 0;
-      for (const auto& b : got->batches()) {
-        groups += b->num_rows();
-        // Output columns are typed over the whole batch, like any
-        // BuildVectorFromValues result.
-        for (size_t c = 0; c < 4; ++c) {
-          std::vector<Value> want;
-          for (size_t r = 0; r < b->num_rows(); ++r) {
-            auto it = expected.find(b->column(0)->GetInt(r));
-            ASSERT_NE(it, expected.end()) << arg;
-            want.push_back(it->second[c]);
-          }
-          auto want_col = BuildVectorFromValues(want);
-          ASSERT_TRUE(want_col.ok()) << arg;
-          const ColumnVector& got_col = *b->column(c + 1);
-          EXPECT_EQ(got_col.type(), (*want_col)->type())
-              << arg << " par=" << par << " col=" << c;
-          for (size_t r = 0; r < b->num_rows(); ++r) {
-            const Value g = got_col.GetValue(r);
-            const Value w = (*want_col)->GetValue(r);
-            EXPECT_TRUE(SameValue(g, w))
-                << arg << " par=" << par << " row=" << r << " col=" << c
-                << ": got " << g.ToString() << ", want " << w.ToString();
-          }
+      ASSERT_EQ(got->batches().size(), 1u) << sql;
+      const RowBatch& b = *got->batches()[0];
+      // The same groups (parallel runs emit them in partition order),
+      // every output column typed and valued like the reference's.
+      ASSERT_EQ(b.num_rows(), want.num_rows()) << arg << " par=" << par;
+      ASSERT_EQ(b.num_columns(), want.num_columns()) << arg;
+      for (size_t c = 0; c < b.num_columns(); ++c) {
+        EXPECT_EQ(b.column(c)->type(), want.column(c)->type())
+            << arg << " par=" << par << " col=" << c;
+        for (size_t r = 0; r < b.num_rows(); ++r) {
+          auto it = want_row.find(b.column(0)->GetInt(r));
+          ASSERT_NE(it, want_row.end()) << arg << " par=" << par;
+          const Value g = b.column(c)->GetValue(r);
+          const Value w = want.column(c)->GetValue(it->second);
+          EXPECT_TRUE(SameValue(g, w))
+              << arg << " par=" << par << " row=" << r << " col=" << c
+              << ": got " << g.ToString() << ", want " << w.ToString();
         }
       }
-      EXPECT_EQ(groups, expected.size()) << arg << " par=" << par;
     }
-  }
-}
-
-TEST_F(VectorizedHashTest, LoadFactorKnobDoesNotChangeResults) {
-  const std::string sql =
-      "SELECT grpk, count(*) AS n, sum(vint) AS s FROM t GROUP BY grpk";
-  uint64_t base_bytes = 0;
-  TablePtr base = Run(sql, true, 1, &base_bytes);
-  ASSERT_NE(base, nullptr);
-  for (double lf : {0.2, 0.9}) {
-    ExecContext ctx;
-    ctx.catalog = catalog_.get();
-    ctx.vectorized_hash = true;
-    ctx.hash_table_load_factor = lf;
-    auto r = ExecuteQuery(sql, "db", &ctx);
-    ASSERT_TRUE(r.ok()) << r.status().ToString();
-    EXPECT_EQ(SortedRows(*base), SortedRows(**r)) << "load_factor=" << lf;
-    EXPECT_EQ(base_bytes, ctx.bytes_scanned) << "load_factor=" << lf;
   }
 }
 
@@ -342,52 +298,39 @@ TEST_F(VectorizedHashTest, HighParallelismPartitionBuildStaysDeterministic) {
       "JOIN t b ON a.grpk = b.grpk WHERE a.vint < 2 AND b.vint < 2 "
       "GROUP BY a.grpk";
   uint64_t b1 = 0, b2 = 0;
-  TablePtr r1 = Run(sql, true, 16, &b1);
-  TablePtr r2 = Run(sql, true, 16, &b2);
+  TablePtr r1 = Run(sql, 16, &b1);
+  TablePtr r2 = Run(sql, 16, &b2);
   ASSERT_NE(r1, nullptr);
   ASSERT_NE(r2, nullptr);
   EXPECT_EQ(SortedRows(*r1), SortedRows(*r2));
   EXPECT_EQ(b1, b2);
   uint64_t serial_bytes = 0;
-  TablePtr serial = Run(sql, true, 1, &serial_bytes);
+  TablePtr serial = Run(sql, 1, &serial_bytes);
   ASSERT_NE(serial, nullptr);
   EXPECT_EQ(SortedRows(*serial), SortedRows(*r1));
   EXPECT_EQ(serial_bytes, b1);
 }
 
-TEST_F(VectorizedHashTest, CfFleetBillsIdenticallyWithKnobOnAndOff) {
-  // The CF seam: the same sub-plan pushed to workers must return the same
-  // rows and bill the same bytes whether workers run typed or scalar.
+TEST_F(VectorizedHashTest, CfFleetBillsIdenticallyToDirectAndOracle) {
+  // The CF seam: the sub-plan pushed to workers (partial aggregation per
+  // worker, merged above the view) must return the reference rows and
+  // bill the same bytes as direct execution.
   const std::string sql =
       "SELECT grpk, sum(vint) AS s, count(*) AS n FROM t WHERE vint < 20 "
       "GROUP BY grpk ORDER BY grpk";
-  auto plan = [&]() {
-    auto p = PlanQuery(sql, *catalog_, "db");
-    EXPECT_TRUE(p.ok()) << p.status().ToString();
-    auto o = Optimize(std::move(p).ValueOrDie(), *catalog_);
-    EXPECT_TRUE(o.ok());
-    return o.ok() ? *o : nullptr;
-  };
-  CfWorkerOptions on;
-  on.num_workers = 3;
-  on.vectorized_hash = true;
-  auto exec_on = ExecuteWithCfPushdown(plan(), catalog_.get(), on);
-  ASSERT_TRUE(exec_on.ok()) << exec_on.status().ToString();
-
-  CfWorkerOptions off;
-  off.num_workers = 3;
-  off.vectorized_hash = false;
-  auto exec_off = ExecuteWithCfPushdown(plan(), catalog_.get(), off);
-  ASSERT_TRUE(exec_off.ok()) << exec_off.status().ToString();
-
-  EXPECT_EQ(SortedRows(*exec_on->result), SortedRows(*exec_off->result));
-  EXPECT_EQ(exec_on->bytes_scanned, exec_off->bytes_scanned);
-
-  // And both match direct (non-CF) execution.
-  uint64_t direct_bytes = 0;
-  TablePtr direct = Run(sql, true, 1, &direct_bytes);
+  auto fleet = RunFleet(sql);
+  ASSERT_TRUE(fleet.ok()) << fleet.status().ToString();
+  EXPECT_TRUE(fleet->pushdown_used);
+  EXPECT_EQ(fleet->workers_used, 3);
+  uint64_t direct_bytes = 0, ref_bytes = 0;
+  TablePtr direct = Run(sql, 1, &direct_bytes);
+  TablePtr reference = Reference(sql, &ref_bytes);
   ASSERT_NE(direct, nullptr);
-  EXPECT_EQ(SortedRows(*direct), SortedRows(*exec_on->result));
+  ASSERT_NE(reference, nullptr);
+  EXPECT_EQ(SortedRows(*reference), SortedRows(*fleet->result));
+  EXPECT_EQ(SortedRows(*reference), SortedRows(*direct));
+  EXPECT_EQ(fleet->bytes_scanned, direct_bytes);
+  EXPECT_EQ(ref_bytes, direct_bytes);
 }
 
 }  // namespace

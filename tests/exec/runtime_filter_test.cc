@@ -15,6 +15,7 @@
 #include "plan/binder.h"
 #include "plan/optimizer.h"
 #include "storage/memory_store.h"
+#include "testing/reference_eval.h"
 #include "turbo/cf_worker.h"
 
 namespace pixels {
@@ -166,11 +167,10 @@ class RuntimeFilterJoinTest : public ::testing::Test {
   };
 
   Run Execute(bool runtime_filters, int parallelism = 1,
-              bool fused_decode = true, const std::string& sql = kJoinSql) {
+              const std::string& sql = kJoinSql) {
     ExecContext ctx;
     ctx.catalog = catalog_.get();
     ctx.runtime_filters = runtime_filters;
-    ctx.fused_decode = fused_decode;
     ctx.parallelism = parallelism;
     auto result = ExecuteQuery(sql, "db", &ctx);
     EXPECT_TRUE(result.ok()) << result.status().ToString();
@@ -220,28 +220,43 @@ TEST_F(RuntimeFilterJoinTest, SerialAndParallelRunsAreIdentical) {
 }
 
 TEST_F(RuntimeFilterJoinTest, FusedDecodeMatchesUnfusedWithSameBill) {
-  const std::string sql =
-      "SELECT tag, count(*) AS c FROM fact WHERE k >= 30 AND k < 50 "
-      "AND tag <> 'red' GROUP BY tag ORDER BY tag";
-  const Run fused = Execute(false, 1, /*fused_decode=*/true, sql);
-  const Run unfused = Execute(false, 1, /*fused_decode=*/false, sql);
-  ASSERT_FALSE(fused.rows.empty());
-  EXPECT_EQ(fused.rows, unfused.rows);
-  // Fused decode changes how chunks are materialized, never what is
-  // fetched: the bill is byte-identical.
-  EXPECT_EQ(fused.bytes, unfused.bytes);
+  // Reader level: the fused scan returns exactly the rows of a full
+  // ReadRowGroup filtered row by row. It changes how chunks are
+  // materialized, never what is fetched, so the bill is byte-identical.
+  auto reader = PixelsReader::Open(catalog_->storage(), "db/fact/part0.pxl");
+  ASSERT_TRUE(reader.ok()) << reader.status().ToString();
+  const std::vector<std::string> columns = {"k", "tag"};
+  const std::vector<ScanPredicate> preds = {
+      {"k", ">=", Value::Int(30)},
+      {"k", "<", Value::Int(50)},
+      {"tag", "<>", Value::String("red")}};
+  size_t selected = 0;
+  for (size_t rg = 0; rg < (*reader)->NumRowGroups(); ++rg) {
+    ScanStats fused_stats, full_stats;
+    auto fused =
+        (*reader)->ReadRowGroupFiltered(rg, columns, preds, &fused_stats);
+    auto full = ReferenceReadRowGroupFiltered(**reader, rg, columns, preds,
+                                              &full_stats);
+    ASSERT_TRUE(fused.ok()) << fused.status().ToString();
+    ASSERT_TRUE(full.ok()) << full.status().ToString();
+    ASSERT_EQ((*fused)->num_rows(), (*full)->num_rows()) << "rg " << rg;
+    for (size_t r = 0; r < (*full)->num_rows(); ++r) {
+      EXPECT_EQ((*fused)->RowToString(r), (*full)->RowToString(r));
+    }
+    EXPECT_EQ(fused_stats.bytes_scanned, full_stats.bytes_scanned);
+    EXPECT_GT(fused_stats.bytes_scanned, 0u);
+    selected += (*fused)->num_rows();
+  }
+  EXPECT_GT(selected, 0u);
 }
 
 TEST_F(RuntimeFilterJoinTest, AllKnobCombinationsAgree) {
   std::vector<std::string> expected;
   for (bool rf : {false, true}) {
-    for (bool fused : {false, true}) {
-      for (int par : {1, 3}) {
-        const Run run = Execute(rf, par, fused);
-        if (expected.empty()) expected = run.rows;
-        EXPECT_EQ(run.rows, expected)
-            << "rf=" << rf << " fused=" << fused << " par=" << par;
-      }
+    for (int par : {1, 3}) {
+      const Run run = Execute(rf, par);
+      if (expected.empty()) expected = run.rows;
+      EXPECT_EQ(run.rows, expected) << "rf=" << rf << " par=" << par;
     }
   }
 }
@@ -252,8 +267,8 @@ TEST_F(RuntimeFilterJoinTest, EmptyBuildSideSkipsEveryRowGroup) {
   const std::string sql =
       "SELECT count(*) AS c FROM fact f JOIN dim d ON f.k = d.k "
       "WHERE d.name = 'nope'";
-  const Run off = Execute(false, 1, true, sql);
-  const Run on = Execute(true, 1, true, sql);
+  const Run off = Execute(false, 1, sql);
+  const Run on = Execute(true, 1, sql);
   EXPECT_EQ(off.rows, on.rows);
   EXPECT_EQ(on.rf_pruned_row_groups, 8u);
   EXPECT_EQ(off.bytes, on.bytes + on.rf_skipped_bytes);
@@ -295,8 +310,8 @@ TEST_F(RuntimeFilterJoinTest, CfSeamIdenticalResultsAndByteAudit) {
   // Same exact audit across the seam: every byte the filters skipped is
   // a byte the off-run billed.
   EXPECT_EQ(exec_off->bytes_scanned,
-            exec_on->bytes_scanned + exec_on->rf_skipped_bytes);
-  EXPECT_EQ(exec_off->rf_skipped_bytes, 0u);
+            exec_on->bytes_scanned + exec_on->rf.skipped_bytes);
+  EXPECT_EQ(exec_off->rf.skipped_bytes, 0u);
 
   // And the direct (no-pushdown) result agrees with both.
   ExecContext ctx;

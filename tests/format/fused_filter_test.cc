@@ -116,10 +116,16 @@ Value MidLiteral(TypeId type, int rows) {
 }
 
 struct FusedCase {
+  FusedCase(TypeId t, Encoding e, NullPattern n)
+      : type(t), encoding(e), nulls(n) {}
   TypeId type;
   Encoding encoding;
+  // Explicit zeros where the compiler would pad: ctest names each case
+  // after the struct's raw bytes, and padding would leak stack garbage.
+  uint8_t zero[2] = {};
   NullPattern nulls;
 };
+static_assert(sizeof(FusedCase) == 8, "no implicit padding");
 
 std::vector<FusedCase> AllSupportedCases() {
   std::vector<FusedCase> cases;

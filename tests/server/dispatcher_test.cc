@@ -1,9 +1,10 @@
-// Server lifecycle + dispatcher suite (ISSUE 9): Stop-with-held-queries,
-// re-entrant Submit-from-callback, backlog-signal correctness under mixed
-// holds, batched status polling, client sessions, and async-vs-sync
-// bill/byte identity under a seeded arrival schedule.
+// Server lifecycle + dispatcher suite: Stop-with-held-queries, re-entrant
+// Submit-from-callback, backlog-signal correctness under mixed holds,
+// batched status polling, client sessions, and bills/bytes/dispatch times
+// pinned under a seeded arrival schedule.
 #include <gtest/gtest.h>
 
+#include <bit>
 #include <vector>
 
 #include "server/query_server.h"
@@ -197,23 +198,6 @@ TEST_F(DispatcherTest, ReentrantSubmitFromCallbackIsSafe) {
   EXPECT_GT(server_->dispatcher_stats().reentrant_enqueues, 0u);
 }
 
-TEST_F(DispatcherTest, ReentrantSubmitFromCallbackIsSafeInSyncMode) {
-  sparams_.async_dispatch = false;
-  Rebuild();
-  int settled = 0;
-  server_->Submit(Work(ServiceLevel::kImmediate, 1.0),
-                  [&](const SubmissionRecord& srec, const QueryRecord&) {
-                    for (int i = 0; i < 64; ++i) {
-                      server_->Submit(Work(ServiceLevel::kImmediate, 0.1));
-                    }
-                    EXPECT_TRUE(srec.billed);
-                    ++settled;
-                  });
-  clock_.RunUntil(30 * kMinutes);
-  EXPECT_EQ(settled, 1);
-  EXPECT_EQ(server_->dispatcher_stats().messages, 0u);  // mailbox unused
-}
-
 // ---------------------------------------------------------------------------
 // Satellite 2: backlog signals under mixed holds.
 
@@ -326,8 +310,9 @@ TEST_F(DispatcherTest, ClientSessionsAggregateBills) {
 }
 
 // ---------------------------------------------------------------------------
-// The standing invariant: async dispatcher vs synchronous path produce
-// byte-identical bills, bytes, and outcomes for the same seeded schedule.
+// The standing invariant: the actor dispatcher reproduces, bit for bit,
+// the bills, bytes, dispatch times and states that the synchronous
+// direct-call dispatcher (since removed) produced for a seeded schedule.
 
 struct RunSummary {
   std::vector<double> bills;
@@ -337,9 +322,26 @@ struct RunSummary {
   double total_billed = 0;
 };
 
+/// FNV-1a over the bit patterns of every per-query outcome.
+uint64_t Digest(const RunSummary& r) {
+  uint64_t h = 1469598103934665603ULL;
+  auto mix = [&h](uint64_t v) {
+    for (int b = 0; b < 8; ++b) {
+      h ^= (v >> (8 * b)) & 0xffu;
+      h *= 1099511628211ULL;
+    }
+  };
+  for (size_t i = 0; i < r.bills.size(); ++i) {
+    mix(std::bit_cast<uint64_t>(r.bills[i]));
+    mix(r.bytes[i]);
+    mix(static_cast<uint64_t>(r.dispatch_times[i]));
+    mix(static_cast<uint64_t>(r.states[i]));
+  }
+  return h;
+}
+
 RunSummary RunSchedule(const CoordinatorParams& cparams,
-                       QueryServerParams sparams, bool async) {
-  sparams.async_dispatch = async;
+                       const QueryServerParams& sparams) {
   SimClock clock;
   Random rng(7);
   Coordinator coordinator(&clock, &rng, cparams);
@@ -405,18 +407,21 @@ TEST_F(DispatcherTest, AsyncAndSyncPathsAreByteIdentical) {
   sparams.relaxed_grace_period = 90 * kSeconds;
   sparams.poll_interval = 2 * kSeconds;
 
-  const RunSummary sync_run = RunSchedule(cparams, sparams, /*async=*/false);
-  const RunSummary async_run = RunSchedule(cparams, sparams, /*async=*/true);
+  const RunSummary run = RunSchedule(cparams, sparams);
 
-  ASSERT_EQ(sync_run.bills.size(), async_run.bills.size());
-  for (size_t i = 0; i < sync_run.bills.size(); ++i) {
-    EXPECT_EQ(sync_run.bills[i], async_run.bills[i]) << "query " << i;
-    EXPECT_EQ(sync_run.bytes[i], async_run.bytes[i]) << "query " << i;
-    EXPECT_EQ(sync_run.dispatch_times[i], async_run.dispatch_times[i])
-        << "query " << i;
-    EXPECT_EQ(sync_run.states[i], async_run.states[i]) << "query " << i;
+  // Pinned from the synchronous dispatcher on the same schedule: 484
+  // queries, their digest, and the exact total bill.
+  ASSERT_EQ(run.bills.size(), 484u);
+  EXPECT_EQ(Digest(run), 0x3856ea01b72937dcULL);
+  EXPECT_EQ(run.total_billed, 0x1.b7b5d739c598ep+0);
+  EXPECT_EQ(run.bills[0], 0x1.f4b1ef307d4e6p-10);
+  EXPECT_EQ(run.bytes[0], 1910000061u);
+  EXPECT_EQ(run.dispatch_times[0], 7720);
+  EXPECT_EQ(run.bills.back(), 0x1.d68a2e4c589b1p-11);
+  EXPECT_EQ(run.dispatch_times.back(), 1129071);
+  for (int state : run.states) {
+    EXPECT_EQ(state, static_cast<int>(QueryState::kFinished));
   }
-  EXPECT_EQ(sync_run.total_billed, async_run.total_billed);
 }
 
 TEST_F(DispatcherTest, DispatcherStatsCountTraffic) {

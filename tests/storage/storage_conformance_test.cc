@@ -17,6 +17,10 @@ struct BackendFactory {
   std::function<std::shared_ptr<Storage>()> make;
 };
 
+// gtest prints the parameter into each ctest name; without this it would
+// dump the struct's raw bytes, heap addresses included.
+void PrintTo(const BackendFactory& b, std::ostream* os) { *os << b.name; }
+
 class StorageConformanceTest
     : public ::testing::TestWithParam<BackendFactory> {
  protected:

@@ -142,8 +142,8 @@ uint64_t TableDigest(const Table& t) {
 
 TEST_F(TpchTest, QuerySetResultDigestsArePinned) {
   // Serial results and bills of every query, pinned bit for bit from the
-  // row-at-a-time expression evaluator; the column kernels and the typed
-  // and scalar hash paths must all reproduce them.
+  // row-at-a-time expression evaluator and the boxed hash join/agg; the
+  // column kernels and the typed hash tables must reproduce them.
   struct Pinned {
     const char* name;
     uint64_t digest;
@@ -164,18 +164,14 @@ TEST_F(TpchTest, QuerySetResultDigestsArePinned) {
   ASSERT_EQ(queries.size(), std::size(pinned));
   for (size_t i = 0; i < queries.size(); ++i) {
     ASSERT_EQ(queries[i].name, pinned[i].name);
-    for (bool typed : {true, false}) {
-      ExecContext ctx;
-      ctx.catalog = catalog_.get();
-      ctx.parallelism = 1;
-      ctx.vectorized_hash = typed;
-      auto r = ExecuteQuery(queries[i].sql, "tpch", &ctx);
-      ASSERT_TRUE(r.ok()) << pinned[i].name << ": " << r.status().ToString();
-      EXPECT_EQ(TableDigest(**r), pinned[i].digest)
-          << pinned[i].name << " typed=" << typed;
-      EXPECT_EQ(ctx.bytes_scanned.load(), pinned[i].bytes_scanned)
-          << pinned[i].name << " typed=" << typed;
-    }
+    ExecContext ctx;
+    ctx.catalog = catalog_.get();
+    ctx.parallelism = 1;
+    auto r = ExecuteQuery(queries[i].sql, "tpch", &ctx);
+    ASSERT_TRUE(r.ok()) << pinned[i].name << ": " << r.status().ToString();
+    EXPECT_EQ(TableDigest(**r), pinned[i].digest) << pinned[i].name;
+    EXPECT_EQ(ctx.bytes_scanned.load(), pinned[i].bytes_scanned)
+        << pinned[i].name;
   }
 }
 
