@@ -21,18 +21,14 @@ QueryServer::QueryServer(SimClock* clock, Coordinator* coordinator,
 }
 
 Tracer* QueryServer::SyncedTracer() {
+  coordinator_->SyncObservability();
   Tracer* tracer = coordinator_->tracer();
-  if (tracer == nullptr || !tracer->enabled()) return nullptr;
-  const SimTime now = clock_->Now();
-  tracer->SyncTime(now);
-  SyncLogTime(now);
-  return tracer;
+  return tracer != nullptr && tracer->enabled() ? tracer : nullptr;
 }
 
 EventLog* QueryServer::SyncedLog() {
-  EventLog* log = coordinator_->event_log();
-  if (log != nullptr) log->SyncTime(clock_->Now());
-  return log;
+  coordinator_->SyncObservability();
+  return coordinator_->event_log();
 }
 
 // ---------------------------------------------------------------------------

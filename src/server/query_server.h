@@ -199,12 +199,12 @@ class QueryServer {
   /// queue (burst preemption). Returns the number recalled.
   size_t PreemptQueuedBestEffort(Tracer* tracer);
 
-  /// The coordinator's tracer when tracing is on, else null; syncs the
-  /// tracer's and logger's virtual-time mirrors as a side effect (always
-  /// called on the simulation thread).
+  /// The coordinator's tracer when tracing is on, else null, and its
+  /// audit event log (null = off). Both sync every virtual-time mirror
+  /// through Coordinator::SyncObservability as a side effect (always
+  /// called on the simulation thread; the server shares the
+  /// coordinator's clock).
   Tracer* SyncedTracer();
-  /// The coordinator's audit event log (null = off); syncs its
-  /// virtual-time mirror as a side effect.
   EventLog* SyncedLog();
   /// Feeds the windowed best-effort violation rate / queue-wait p99 /
   /// oldest-hold age into the admission controller's adaptive watermark

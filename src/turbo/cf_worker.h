@@ -2,14 +2,24 @@
 // is partitioned over a fleet of ephemeral workers, each worker's result
 // is written to cloud object storage, and the concatenation re-enters the
 // top-level plan as a materialized view.
+//
+// The fleet is a one-stage DAG on the stage scheduler
+// (shuffle/stage_scheduler.h). The same RunStage launches, retries, backs
+// off, falls back to the VM path and commits its tasks as it does for the
+// stages of a multi-stage shuffle, so each policy exists once.
 #pragma once
 
+#include <functional>
+#include <string>
+#include <vector>
+
 #include "catalog/catalog.h"
+#include "common/event_log.h"
 #include "common/trace.h"
 #include "exec/profile.h"
 #include "mv/mv_store.h"
 #include "plan/subplan.h"
-#include "turbo/shuffle/stage_scheduler.h"
+#include "storage/buffer_cache.h"
 
 namespace pixels {
 
@@ -27,8 +37,8 @@ struct CfExecution {
   bool mv_subplan_hit = false;
   /// Scan bytes MV hits avoided (full-query or sub-plan granularity).
   uint64_t mv_saved_bytes = 0;
-  /// Re-invocations of failed workers across the fleet (transient worker
-  /// failures absorbed without surfacing to the query).
+  /// Re-invocations of failed workers across every stage (transient
+  /// worker failures absorbed without surfacing to the query).
   int worker_retries = 0;
   /// Partitions that succeeded after at least one re-invocation.
   int workers_recovered = 0;
@@ -44,7 +54,7 @@ struct CfExecution {
   /// Per-worker vCPU-seconds estimate derived from bytes (for billing).
   double work_vcpu_seconds = 0;
   /// Measured wall-clock seconds of each worker's sub-plan (index =
-  /// partition index).
+  /// partition index; single-stage fleet only).
   std::vector<double> worker_elapsed_seconds;
   /// Measured wall-clock seconds from first worker start to last worker
   /// finish. With a concurrent fleet this is less than the sum of
@@ -78,6 +88,26 @@ struct CfExecution {
   RfStats rf;
 };
 
+/// Shuffle knobs, threaded from CoordinatorParams via CfWorkerOptions.
+struct ShuffleOptions {
+  /// Master switch (`cf_shuffle`). Off (default) preserves today's
+  /// single-stage CF behavior exactly.
+  bool enabled = false;
+  /// Consumer fan-out: number of hash partitions / stage-J tasks
+  /// (0 = the CF fleet size).
+  int partitions = 0;
+  /// Producer fan-out: tasks per scan stage, clamped by the partitioned
+  /// table's file count (0 = the CF fleet size).
+  int producer_tasks = 0;
+  /// Hedged duplicate invocation of straggler tasks (cutoff: p75 of the
+  /// stage's primary durations x 1.5, stage_scheduler.cc).
+  bool hedging = true;
+  /// Deterministic per-path slow penalty (simulated ms) added to a task
+  /// attempt's duration — wire to FaultInjectingStorage::PathSlowMs to
+  /// inject whole-task stragglers. Null = no penalty.
+  std::function<double(const std::string&)> path_slow_ms;
+};
+
 /// Options for CF execution.
 struct CfWorkerOptions {
   int num_workers = 8;
@@ -90,12 +120,9 @@ struct CfWorkerOptions {
   double bytes_per_vcpu_second = 100e6;
   /// How many workers genuinely run concurrently on the shared pool:
   /// 0 = DefaultParallelism(), 1 = serial fleet (today's deterministic
-  /// discrete-event-simulation behavior).
+  /// discrete-event-simulation behavior). Each worker runs its own
+  /// sub-plan on one thread, mirroring 1-vCPU cloud functions.
   int fleet_parallelism = 0;
-  /// Intra-worker parallelism for each worker's own sub-plan (scans,
-  /// builds). Workers default to serial so fleet-level concurrency is the
-  /// unit of scaling, mirroring 1-vCPU cloud functions.
-  int worker_parallelism = 1;
   /// I/O policy shared by the top-level plan and every worker: one chunk
   /// cache means a worker's fetch warms the final plan's reads. Billing
   /// is unchanged by caching.
@@ -106,42 +133,71 @@ struct CfWorkerOptions {
   /// sub-plan (hit = the worker fleet is skipped and the cached view
   /// re-enters the top-level plan directly).
   MvStore* mv_store = nullptr;
-  /// Attempt budget per worker partition, including the first invocation
+  /// Attempt budget per worker task, including the first invocation
   /// (1 disables re-invocation). A worker whose sub-plan fails with a
   /// retryable error (see RetryPolicy::IsRetryable) is re-invoked from a
-  /// fresh ExecContext, so only the successful attempt's scanned bytes
+  /// fresh ExecContext after a simulated backoff (200 ms, doubled per
+  /// further attempt), so only the successful attempt's scanned bytes
   /// are counted — retries never double-bill.
   int max_worker_attempts = 3;
-  /// Base backoff between re-invocations of one worker, doubled per
-  /// further attempt. Accounted in simulated milliseconds only.
-  double worker_retry_backoff_ms = 200.0;
-  /// When a partition exhausts its attempt budget, execute it on the VM
-  /// path (inline, no intermediate round trip) instead of failing the
-  /// query. Non-retryable errors always fail the query: a corrupt object
-  /// is corrupt on the VM path too.
+  /// When a task exhausts its attempt budget, execute it on the VM path
+  /// (inline, after the stage's primary wave drains) instead of failing
+  /// the query. Non-retryable errors always fail the query: a corrupt
+  /// object is corrupt on the VM path too.
   bool vm_fallback = true;
-  /// Observability (all null/0 = off, the default). With a tracer on, the
-  /// fleet emits cf-fleet → cf-worker → cf-attempt spans (retry counts,
-  /// bytes, fallback reasons) under `trace_parent`. With a profile,
-  /// workers contribute aggregate-only nodes — counters come from the
-  /// successful attempt's ExecContext, so failed attempts never pollute
-  /// the report — while the top-level plan profiles per operator.
+  /// Observability (all null/0 = off, the default). With a tracer on,
+  /// every stage emits cf-fleet → cf-worker → cf-attempt spans (retry
+  /// counts, bytes, fallback reasons) under `trace_parent`. With a
+  /// profile, each stage adds a CfStage[<name>] node whose CfWorker[t] /
+  /// CfFallback[t] children carry the committed attempt's counters, so
+  /// failed and losing attempts never pollute the report, while the
+  /// top-level plan profiles per operator.
   Tracer* tracer = nullptr;
   uint64_t trace_parent = 0;
   QueryProfile* profile = nullptr;
-  /// Audit event log for shuffle stage progress (null = off).
+  /// Audit event log for stage progress (null = off).
   EventLog* event_log = nullptr;
   /// Runtime filters in every ExecContext this query creates (workers
   /// included, so filters prune billed scan work across the CF seam).
   /// Results are identical on or off.
   bool runtime_filters = true;
-  /// Multi-stage shuffle knobs (stage_scheduler.h). `shuffle.enabled`
-  /// off — the default — preserves single-stage behavior exactly; on, an
+  /// Multi-stage shuffle knobs. `shuffle.enabled` off — the default —
+  /// preserves single-stage behavior exactly; on, an
   /// eligible sub-plan (single equi-join core) runs as a
   /// scan→shuffle→join DAG with hedged straggler mitigation, and
   /// ineligible shapes silently keep the single-stage fleet.
   ShuffleOptions shuffle;
 };
+
+/// Threads each CF worker runs its own sub-plan on: fleet-level
+/// concurrency is the unit of scaling, mirroring 1-vCPU cloud functions.
+inline constexpr int kCfWorkerThreads = 1;
+
+/// The options' tracer when tracing is actually on, else null.
+inline Tracer* LiveTracer(const CfWorkerOptions& options) {
+  return options.tracer != nullptr && options.tracer->enabled()
+             ? options.tracer
+             : nullptr;
+}
+
+/// What one plan fragment produced: its table and the counters billing,
+/// profiles and cache metrics read from its ExecContext.
+struct FragmentRun {
+  TablePtr table;
+  uint64_t bytes_scanned = 0;
+  uint64_t cache_hits = 0;
+  uint64_t cache_misses = 0;
+  RfStats rf;
+};
+
+/// Runs `plan` in a fresh ExecContext configured from `options` (I/O
+/// policy, tracer, runtime filters) on `parallelism` threads (0 =
+/// DefaultParallelism()), with its spans under `trace_parent` and, when
+/// `profile` is set, per-operator profile nodes.
+Result<FragmentRun> RunFragment(const PlanPtr& plan, Catalog* catalog,
+                                const CfWorkerOptions& options,
+                                int parallelism, uint64_t trace_parent,
+                                QueryProfile* profile = nullptr);
 
 /// Executes `plan` with the sub-plan pushed down to a simulated CF worker
 /// fleet. Falls back to plain execution when nothing is pushable.

@@ -264,8 +264,6 @@ void Coordinator::MaybeExecuteReal(QueryRecord* rec, bool via_cf) {
     options.io = QueryIo();
     options.mv_store = mv_store_.get();
     options.max_worker_attempts = params_.cf_max_worker_attempts;
-    options.worker_retry_backoff_ms = params_.cf_worker_retry_backoff_ms;
-    options.vm_fallback = params_.cf_vm_fallback;
     options.runtime_filters = params_.runtime_filters;
     options.tracer = tracer_;
     options.trace_parent = exec_span;
@@ -274,10 +272,6 @@ void Coordinator::MaybeExecuteReal(QueryRecord* rec, bool via_cf) {
     options.shuffle.enabled = params_.cf_shuffle;
     options.shuffle.partitions = params_.cf_shuffle_partitions;
     options.shuffle.producer_tasks = params_.cf_shuffle_producer_tasks;
-    options.shuffle.hedging = params_.cf_shuffle_hedging;
-    options.shuffle.hedge_quantile = params_.cf_hedge_quantile;
-    options.shuffle.hedge_delay_factor = params_.cf_hedge_delay_factor;
-    options.shuffle.object_prefix = options.view_prefix + ".shuffle";
     if (params_.cf_shuffle) {
       // Deterministic straggler model: slow rules on the fault-injecting
       // decorator (anywhere in the storage stack) stretch whole task

@@ -50,14 +50,11 @@ struct CoordinatorParams {
   /// Path prefix for MV entries spilled as Pixels objects through the
   /// catalog's storage. Empty disables the spill tier.
   std::string mv_spill_prefix;
-  /// CF-fleet robustness knobs, threaded into CfWorkerOptions: attempt
-  /// budget per worker partition (incl. the first invocation), base
-  /// backoff between re-invocations (doubled per attempt, simulated
-  /// time), and whether an exhausted partition degrades to the VM path
-  /// instead of failing the query.
+  /// Attempt budget per CF worker task (incl. the first invocation),
+  /// threaded into CfWorkerOptions. Re-invocations back off 200 ms,
+  /// doubled per attempt, in simulated time; an exhausted task degrades
+  /// to the VM path instead of failing the query.
   int cf_max_worker_attempts = 3;
-  double cf_worker_retry_backoff_ms = 200.0;
-  bool cf_vm_fallback = true;
   /// Multi-stage CF shuffle (DESIGN.md "Multi-stage CF shuffle"). Off —
   /// the default — preserves the single-stage fleet exactly. On, a
   /// pushed-down sub-plan whose core is one equi-join runs as a
@@ -67,17 +64,13 @@ struct CoordinatorParams {
   /// byte-identical either way.
   bool cf_shuffle = false;
   /// Stage fan-out knobs: hash partitions (= join-stage tasks) and
-  /// producer tasks per scan stage. 0 = the query's CF fleet size.
-  int cf_shuffle_partitions = 0;
-  int cf_shuffle_producer_tasks = 0;
-  /// Hedged duplicate invocation of straggler tasks: a task whose
-  /// simulated duration exceeds Percentile(stage durations,
-  /// cf_hedge_quantile) * cf_hedge_delay_factor gets one duplicate; the
+  /// producer tasks per scan stage. 0 = the query's CF fleet size. Every
+  /// shuffle stage hedges its stragglers: a task whose simulated duration
+  /// exceeds p75 of the stage's durations x 1.5 gets one duplicate; the
   /// first finisher (simulated time) wins the commit, the loser's write
   /// is discarded and un-billed.
-  bool cf_shuffle_hedging = true;
-  double cf_hedge_quantile = 75.0;
-  double cf_hedge_delay_factor = 1.5;
+  int cf_shuffle_partitions = 0;
+  int cf_shuffle_producer_tasks = 0;
   /// Applied to every real execution (VM path and CF workers alike):
   /// hash-join builds publish bloom + min/max filters into probe-side
   /// scans, and pruned row groups shrink the bill. Results are identical
@@ -193,6 +186,14 @@ class Coordinator {
   /// result to ToPrometheusText() for a scrape-shaped export.
   MetricsRegistry MetricsSnapshot();
 
+  /// Forwards the clock to the virtual-time mirrors of the event log, the
+  /// tracer and the logger (the tracer's and the logger's only while
+  /// tracing). Called at every event boundary on the simulation thread —
+  /// the only thread that may touch the SimClock — by the coordinator and
+  /// by the query server that shares its clock, so pool threads read a
+  /// stamped copy instead of racing the clock.
+  void SyncObservability();
+
  private:
   /// Estimated work for a spec (vCPU-seconds).
   double EstimateWork(const QuerySpec& spec) const;
@@ -208,11 +209,6 @@ class Coordinator {
   /// ObjectStore, possibly under a TracingStorage decorator) into this
   /// registry as deltas since the last publish.
   void PublishStorageMetrics();
-  /// Forwards the clock to the tracer's and the logger's atomic mirrors.
-  /// Called at every event boundary on the simulation thread — the only
-  /// thread that may touch the SimClock — so pool threads read a stamped
-  /// copy instead of racing the clock.
-  void SyncObservability();
 
   /// The query-server-wide I/O policy handed to every real execution.
   IoOptions QueryIo() const;

@@ -1,11 +1,11 @@
 #include "turbo/shuffle/stage_scheduler.h"
 
 #include <algorithm>
+#include <chrono>
 #include <cmath>
 
 #include "cloud/metrics.h"
 #include "common/thread_pool.h"
-#include "exec/executor.h"
 #include "storage/object_store.h"
 #include "storage/retrying_storage.h"
 #include "turbo/shuffle/exchange.h"
@@ -44,27 +44,14 @@ ExchangeCommitTable::Claim ExchangeCommitTable::Get(int stage,
 
 namespace {
 
-/// Counters one task attempt commits if it wins its slot. Failed and
-/// losing attempts never reach the ShuffleExecution totals.
-struct AttemptOutcome {
-  TablePtr table;  // consumer output (null for producers)
-  uint64_t bytes_scanned = 0;
-  uint64_t exchange_bytes_written = 0;
-  uint64_t exchange_bytes_read = 0;
-  RfStats rf;
-  /// Simulated duration of this attempt (compute + exchange I/O + slow
-  /// penalty), excluding retry backoff.
-  double sim_ms = 0;
-};
-
-using TaskRunner = std::function<Result<AttemptOutcome>(
-    size_t task, const std::string& attempt_path, uint64_t attempt_span)>;
-
-struct StageOutcome {
-  std::vector<AttemptOutcome> winners;   // per task
-  std::vector<double> completion_ms;     // per task, relative to stage start
-  double wall_ms = 0;
-};
+/// Simulated backoff before a task's second attempt, doubled per further
+/// attempt.
+constexpr double kRetryBackoffMs = 200.0;
+/// Hedge cutoff: a primary whose simulated duration exceeds
+/// Percentile(the stage's primary durations, kHedgeQuantile) x
+/// kHedgeDelayFactor gets one duplicate.
+constexpr double kHedgeQuantile = 75.0;
+constexpr double kHedgeDelayFactor = 1.5;
 
 /// Simulated latency of one exchange GET/PUT: the object store's own
 /// model when the store is one, else the same S3-like default formula.
@@ -76,138 +63,190 @@ double EstimateIoMs(Storage* storage, uint64_t bytes) {
   return 15.0 + static_cast<double>(bytes) / (90.0 * 1e6) * 1000.0;
 }
 
-double ComputeMs(const ShuffleRunParams& params, uint64_t bytes) {
-  return static_cast<double>(bytes) / params.bytes_per_vcpu_second * 1000.0;
-}
-
-double SlowMs(const ShuffleRunParams& params, const std::string& path) {
-  return params.shuffle.path_slow_ms ? params.shuffle.path_slow_ms(path) : 0;
-}
-
 std::string TaskPath(const std::string& prefix, int stage, size_t task,
-                     const char* suffix) {
+                     const std::string& suffix) {
   return prefix + "/s" + std::to_string(stage) + "/t" + std::to_string(task) +
          suffix;
 }
 
-/// Runs one stage: primaries with the PR-4 retry/backoff + VM-fallback
-/// rules, then the hedge wave against stragglers, then first-writer-wins
-/// resolution through the commit table. Counter updates into `exec`
-/// happen after the barriers, on the calling thread.
-Status RunStage(const ShuffleRunParams& params, int stage_id,
-                const std::string& stage_name, size_t num_tasks,
-                const TaskRunner& run, bool writes_objects,
-                ExchangeCommitTable* commit, Tracer* tracer,
-                uint64_t shuffle_span, OperatorProfile* shuffle_node,
-                ShuffleExecution* exec, StageOutcome* out) {
-  const std::string& prefix = params.shuffle.object_prefix;
-  const int budget = std::max(params.max_task_attempts, 1);
-  const int fleet_par = params.fleet_parallelism > 0
-                            ? params.fleet_parallelism
+double SecondsSince(std::chrono::steady_clock::time_point start) {
+  return std::chrono::duration<double>(std::chrono::steady_clock::now() -
+                                       start)
+      .count();
+}
+
+/// Ends the stage's worker spans on every exit path; they stay open until
+/// the stage's VM fallbacks have run under them.
+struct WorkerSpans {
+  Tracer* tracer;
+  std::vector<uint64_t> ids;
+  ~WorkerSpans() {
+    if (tracer == nullptr) return;
+    for (uint64_t id : ids) tracer->EndSpan(id);
+  }
+};
+
+}  // namespace
+
+TablePtr StageOutcome::ConcatTables() const {
+  auto table = std::make_shared<Table>();
+  for (const TaskOutcome& w : winners) {
+    for (const auto& batch : w.fragment.table->batches()) {
+      table->AddBatch(batch);
+    }
+  }
+  return table;
+}
+
+Result<StageOutcome> RunStage(const CfWorkerOptions& options,
+                              const StageSpec& stage, const TaskRunner& run,
+                              CfExecution* exec) {
+  const size_t n = stage.tasks;
+  const int budget = std::max(options.max_worker_attempts, 1);
+  const int fleet_par = options.fleet_parallelism > 0
+                            ? options.fleet_parallelism
                             : DefaultParallelism();
+  Tracer* tracer = LiveTracer(options);
   uint64_t stage_span = 0;
   if (tracer != nullptr) {
-    stage_span = tracer->StartSpan("cf-stage", shuffle_span);
-    tracer->Annotate(stage_span, "stage", stage_name);
-    tracer->Annotate(stage_span, "tasks", static_cast<uint64_t>(num_tasks));
+    stage_span = tracer->StartSpan("cf-fleet", stage.parent_span);
+    tracer->Annotate(stage_span, "stage", stage.name);
+    tracer->Annotate(stage_span, "tasks", static_cast<uint64_t>(n));
   }
   ScopedSpan stage_scope(tracer, stage_span);
+  WorkerSpans workers{tracer, std::vector<uint64_t>(n, 0)};
   const uint64_t prior_parent = tracer != nullptr ? tracer->ActiveParent() : 0;
-  if (params.event_log != nullptr) {
+  auto fail = [&](const Status& st) {
+    if (tracer != nullptr) tracer->Annotate(stage_span, "error", st.ToString());
+    return st;
+  };
+  if (options.event_log != nullptr) {
     // Emitted on the calling thread before the parallel section, so the
     // event order is deterministic.
     Json f = Json::Object();
-    f.Set("stage", Json(stage_id));
-    f.Set("name", Json(stage_name));
-    f.Set("tasks", Json(static_cast<int64_t>(num_tasks)));
-    params.event_log->Emit("shuffle.stage_start", std::move(f));
+    f.Set("stage", Json(stage.id));
+    f.Set("name", Json(stage.name));
+    f.Set("tasks", Json(static_cast<int64_t>(n)));
+    options.event_log->Emit("shuffle.stage_start", std::move(f));
   }
 
-  std::vector<AttemptOutcome> primary(num_tasks);
-  std::vector<AttemptOutcome> hedge(num_tasks);
-  std::vector<double> primary_ms(num_tasks, 0.0);
-  std::vector<int> retries(num_tasks, 0);
-  std::vector<double> backoff_ms(num_tasks, 0.0);
-  std::vector<char> recovered(num_tasks, 0);
-  std::vector<char> fallback(num_tasks, 0);
-  std::vector<char> hedge_ok(num_tasks, 0);
+  ExchangeCommitTable commit;
+  std::vector<TaskOutcome> primary(n);
+  std::vector<TaskOutcome> hedge(n);
+  std::vector<double> primary_ms(n, 0.0);
+  std::vector<int> retries(n, 0);
+  std::vector<double> backoff_ms(n, 0.0);
+  std::vector<char> recovered(n, 0);
+  std::vector<char> fallback(n, 0);
+  std::vector<char> hedge_ok(n, 0);
+  StageOutcome out;
+  out.task_elapsed_seconds.assign(n, 0.0);
 
-  auto run_primary = [&](size_t t) -> Status {
-    uint64_t task_span = 0;
+  // Simulated duration of one successful attempt, excluding backoff.
+  auto sim_ms = [&](const TaskOutcome& o, const std::string& path) {
+    const double compute_ms =
+        static_cast<double>(o.fragment.bytes_scanned + o.exchange_bytes_read) /
+        options.bytes_per_vcpu_second * 1000.0;
+    return compute_ms + o.io_ms +
+           (options.shuffle.path_slow_ms ? options.shuffle.path_slow_ms(path)
+                                         : 0.0);
+  };
+  // Runs one attempt under `span` (the ambient parent of its storage
+  // ops: concurrent attempts race the slot, but the tree stays
+  // well-formed and a serial fleet nests exactly).
+  auto attempt = [&](size_t t, const std::string& path, uint64_t span,
+                     bool vm_fallback) {
+    if (tracer != nullptr) tracer->SetActiveParent(span);
+    Result<TaskOutcome> r = run(t, path, span, vm_fallback);
     if (tracer != nullptr) {
-      task_span = tracer->StartSpan("cf-task", stage_span);
-      tracer->Annotate(task_span, "task", static_cast<uint64_t>(t));
+      if (!r.ok()) tracer->Annotate(span, "error", r.status().ToString());
+      tracer->EndSpan(span);
     }
-    ScopedSpan task_scope(tracer, task_span);
+    return r;
+  };
+  auto offer_primary = [&](size_t t, TaskOutcome o, const std::string& path) {
+    primary_ms[t] = sim_ms(o, path) + backoff_ms[t];
+    primary[t] = std::move(o);
+    commit.Offer(stage.id, static_cast<int>(t),
+                 {/*attempt_rank=*/0, primary_ms[t], path});
+  };
+
+  // Primary wave. A retryable failure is re-invoked from a fresh context
+  // after a backoff; a task that exhausts its budget waits for the VM
+  // fallback below.
+  auto run_primary = [&](size_t t) -> Status {
+    const auto start = std::chrono::steady_clock::now();
+    uint64_t& worker_span = workers.ids[t];
+    if (tracer != nullptr) {
+      worker_span = tracer->StartSpan("cf-worker", stage_span);
+      tracer->Annotate(worker_span, "task", static_cast<uint64_t>(t));
+    }
     Status last;
-    for (int attempt = 1; attempt <= budget; ++attempt) {
-      if (attempt > 1) {
+    for (int a = 1; a <= budget; ++a) {
+      if (a > 1) {
         ++retries[t];
-        double delay = params.retry_backoff_ms;
-        for (int i = 2; i < attempt; ++i) delay *= 2.0;
-        backoff_ms[t] += delay;
+        backoff_ms[t] += std::ldexp(kRetryBackoffMs, a - 2);
       }
       const std::string path =
-          TaskPath(prefix, stage_id, t, (".a" + std::to_string(attempt)).c_str());
-      uint64_t attempt_span = 0;
+          TaskPath(stage.prefix, stage.id, t, ".a" + std::to_string(a));
+      uint64_t span = 0;
       if (tracer != nullptr) {
-        attempt_span = tracer->StartSpan("cf-task-attempt", task_span);
-        tracer->Annotate(attempt_span, "attempt",
-                         static_cast<uint64_t>(attempt));
-        tracer->SetActiveParent(attempt_span);
+        span = tracer->StartSpan("cf-attempt", worker_span);
+        tracer->Annotate(span, "attempt", static_cast<uint64_t>(a));
       }
-      Result<AttemptOutcome> r = run(t, path, attempt_span);
-      last = r.ok() ? Status::OK() : r.status();
+      Result<TaskOutcome> r = attempt(t, path, span, /*vm_fallback=*/false);
+      if (r.ok()) {
+        if (a > 1) recovered[t] = 1;
+        offer_primary(t, std::move(*r), path);
+        out.task_elapsed_seconds[t] = SecondsSince(start);
+        last = Status::OK();
+        break;
+      }
+      last = r.status();
+      // Permanent errors fail the query outright — re-running or falling
+      // back cannot fix a corrupt or missing object.
+      if (!RetryPolicy::IsRetryable(last)) break;
+    }
+    if (tracer != nullptr) {
+      tracer->Annotate(worker_span, "retries",
+                       static_cast<uint64_t>(retries[t]));
+    }
+    if (last.ok()) return last;
+    if (!RetryPolicy::IsRetryable(last) || !options.vm_fallback) {
       if (tracer != nullptr) {
-        if (!last.ok()) tracer->Annotate(attempt_span, "error", last.ToString());
-        tracer->EndSpan(attempt_span);
+        tracer->Annotate(worker_span, "error", last.ToString());
       }
-      if (last.ok()) {
-        if (attempt > 1) recovered[t] = 1;
-        primary[t] = std::move(*r);
-        primary_ms[t] = primary[t].sim_ms + backoff_ms[t];
-        commit->Offer(stage_id, static_cast<int>(t),
-                      {/*attempt_rank=*/0, primary_ms[t], path});
-        if (tracer != nullptr) {
-          tracer->Annotate(task_span, "retries",
-                           static_cast<uint64_t>(retries[t]));
-        }
-        return Status::OK();
-      }
-      if (!RetryPolicy::IsRetryable(last)) return last;
+      return last;
     }
-    if (!params.vm_fallback) return last;
-    // Budget exhausted: degrade this task to the VM path. It still has to
-    // produce its exchange object (consumers need the partitions), so the
-    // same runner executes inline under a ".vm" attempt path.
-    const std::string vm_path = TaskPath(prefix, stage_id, t, ".vm");
-    uint64_t vm_span = 0;
-    if (tracer != nullptr) {
-      vm_span = tracer->StartSpan("cf-task-attempt", task_span);
-      tracer->Annotate(vm_span, "attempt", "vm-fallback");
-      tracer->SetActiveParent(vm_span);
-    }
-    Result<AttemptOutcome> r = run(t, vm_path, vm_span);
-    if (tracer != nullptr) {
-      if (!r.ok()) tracer->Annotate(vm_span, "error", r.status().ToString());
-      tracer->EndSpan(vm_span);
-    }
-    PIXELS_RETURN_NOT_OK(r.status());
     fallback[t] = 1;
-    primary[t] = std::move(*r);
-    primary_ms[t] = primary[t].sim_ms + backoff_ms[t];
-    commit->Offer(stage_id, static_cast<int>(t),
-                  {/*attempt_rank=*/0, primary_ms[t], vm_path});
     if (tracer != nullptr) {
-      tracer->Annotate(task_span, "fallback", "attempts-exhausted");
+      tracer->Annotate(worker_span, "fallback", "attempts-exhausted");
     }
     return Status::OK();
   };
+  const auto wave_start = std::chrono::steady_clock::now();
   Status st = ThreadPool::Shared()->ParallelFor(
-      0, num_tasks, /*grain=*/1, [&](size_t t) { return run_primary(t); },
-      fleet_par);
+      0, n, /*grain=*/1, [&](size_t t) { return run_primary(t); }, fleet_par);
   if (tracer != nullptr) tracer->SetActiveParent(prior_parent);
-  PIXELS_RETURN_NOT_OK(st);
+  if (!st.ok()) return fail(st);
+  out.elapsed_seconds = SecondsSince(wave_start);
+
+  // Graceful degradation: exhausted tasks run on the VM path, inline,
+  // serially and in task order, once the wave has drained. Their
+  // simulated completion and commit are as if they ran in place.
+  for (size_t t = 0; t < n; ++t) {
+    if (!fallback[t]) continue;
+    const std::string path = TaskPath(stage.prefix, stage.id, t, ".vm");
+    uint64_t span = 0;
+    if (tracer != nullptr) {
+      span = tracer->StartSpan("cf-attempt", workers.ids[t]);
+      tracer->Annotate(span, "attempt", "vm-fallback");
+    }
+    Result<TaskOutcome> r = attempt(t, path, span, /*vm_fallback=*/true);
+    if (tracer != nullptr) tracer->SetActiveParent(prior_parent);
+    if (!r.ok()) return fail(r.status());
+    offer_primary(t, std::move(*r), path);
+  }
 
   // Hedge wave: every task whose primary simulated duration exceeds the
   // quantile-derived cutoff gets one duplicate invocation. The duplicate
@@ -215,68 +254,75 @@ Status RunStage(const ShuffleRunParams& params, int stage_id,
   // the commit table then picks the earlier finisher deterministically.
   std::vector<size_t> hedged;
   double cutoff = 0;
-  if (params.shuffle.hedging && num_tasks >= 2) {
+  if (stage.hedge && n >= 2) {
     std::vector<double> durations;
-    durations.reserve(num_tasks);
-    for (size_t t = 0; t < num_tasks; ++t) {
+    durations.reserve(n);
+    for (size_t t = 0; t < n; ++t) {
       if (!fallback[t]) durations.push_back(primary_ms[t]);
     }
-    cutoff = Percentile(durations, params.shuffle.hedge_quantile) *
-             params.shuffle.hedge_delay_factor;
-    for (size_t t = 0; t < num_tasks; ++t) {
+    cutoff = Percentile(durations, kHedgeQuantile) * kHedgeDelayFactor;
+    for (size_t t = 0; t < n; ++t) {
       if (!fallback[t] && primary_ms[t] > cutoff) hedged.push_back(t);
     }
   }
   if (!hedged.empty()) {
     auto run_hedge = [&](size_t i) -> Status {
       const size_t t = hedged[i];
-      const std::string path = TaskPath(prefix, stage_id, t, ".h");
-      uint64_t hedge_span = 0;
+      const std::string path = TaskPath(stage.prefix, stage.id, t, ".h");
+      uint64_t span = 0;
       if (tracer != nullptr) {
-        hedge_span = tracer->StartSpan("cf-task-hedge", stage_span);
-        tracer->Annotate(hedge_span, "task", static_cast<uint64_t>(t));
-        tracer->SetActiveParent(hedge_span);
+        span = tracer->StartSpan("cf-hedge", stage_span);
+        tracer->Annotate(span, "task", static_cast<uint64_t>(t));
       }
-      ScopedSpan scope(tracer, hedge_span);
-      Result<AttemptOutcome> r = run(t, path, hedge_span);
-      if (!r.ok()) {
-        // A failed hedge just loses the race; the primary already won.
-        if (tracer != nullptr) {
-          tracer->Annotate(hedge_span, "error", r.status().ToString());
-        }
-        return Status::OK();
-      }
+      // A failed hedge just loses the race; the primary already won.
+      Result<TaskOutcome> r = attempt(t, path, span, /*vm_fallback=*/false);
+      if (!r.ok()) return Status::OK();
+      const double completion_ms = cutoff + sim_ms(*r, path);
       hedge[t] = std::move(*r);
       hedge_ok[t] = 1;
-      commit->Offer(stage_id, static_cast<int>(t),
-                    {/*attempt_rank=*/1, cutoff + hedge[t].sim_ms, path});
+      commit.Offer(stage.id, static_cast<int>(t),
+                   {/*attempt_rank=*/1, completion_ms, path});
       return Status::OK();
     };
     st = ThreadPool::Shared()->ParallelFor(
         0, hedged.size(), /*grain=*/1,
         [&](size_t i) { return run_hedge(i); }, fleet_par);
     if (tracer != nullptr) tracer->SetActiveParent(prior_parent);
-    PIXELS_RETURN_NOT_OK(st);
+    if (!st.ok()) return fail(st);
   }
 
   // Resolve winners; discard (and delete) losers so their bytes never
-  // reach billing and their objects never reach consumers.
-  out->winners.resize(num_tasks);
-  out->completion_ms.assign(num_tasks, 0.0);
+  // reach billing and their objects never reach consumers. Counters,
+  // events and profile nodes are produced here, on the calling thread in
+  // task order, so identical runs report identically.
+  OperatorProfile* stage_node =
+      options.profile != nullptr
+          ? options.profile->AddNode("CfStage[" + stage.name + "]",
+                                     stage.parent_node)
+          : nullptr;
+  out.winners.resize(n);
   int hedges_won = 0;
-  for (size_t t = 0; t < num_tasks; ++t) {
+  int stage_retries = 0;
+  int stage_fallbacks = 0;
+  uint64_t stage_bytes = 0;
+  for (size_t t = 0; t < n; ++t) {
     const ExchangeCommitTable::Claim held =
-        commit->Get(stage_id, static_cast<int>(t));
+        commit.Get(stage.id, static_cast<int>(t));
     const bool hedge_wins = held.attempt_rank == 1;
-    out->winners[t] = hedge_wins ? std::move(hedge[t]) : std::move(primary[t]);
-    out->completion_ms[t] = held.completion_ms;
     if (hedge_wins) ++hedges_won;
-    if (params.event_log != nullptr) {
+    // A finished hedge leaves a loser: best-effort delete its object; the
+    // DAG's prefix sweep catches anything a transient fault leaves behind.
+    const TaskOutcome& loser = hedge_wins ? primary[t] : hedge[t];
+    if (hedge_ok[t] && stage.store != nullptr && !loser.object.empty()) {
+      stage.store->Delete(loser.object).ok();
+    }
+    out.winners[t] = std::move(hedge_wins ? hedge[t] : primary[t]);
+    const TaskOutcome& w = out.winners[t];
+    if (options.event_log != nullptr) {
       // Exactly ONE commit event per (stage, task) slot regardless of how
-      // many attempts raced: emission happens here, in the post-barrier
-      // resolution loop in task order, never at Offer time.
+      // many attempts raced: emission happens here, never at Offer time.
       Json f = Json::Object();
-      f.Set("stage", Json(stage_id));
+      f.Set("stage", Json(stage.id));
       f.Set("task", Json(static_cast<int64_t>(t)));
       f.Set("winner", Json(hedge_wins ? "hedge"
                                       : (fallback[t] ? "vm-fallback"
@@ -284,267 +330,240 @@ Status RunStage(const ShuffleRunParams& params, int stage_id,
       f.Set("completion_ms", Json(held.completion_ms));
       f.Set("retries", Json(retries[t]));
       f.Set("path", Json(held.path));
-      params.event_log->Emit("shuffle.task_commit", std::move(f));
+      options.event_log->Emit("shuffle.task_commit", std::move(f));
     }
-    if (writes_objects) {
-      // Best-effort delete of the losing attempt's object; the final
-      // prefix sweep catches anything a transient fault leaves behind.
-      if (hedge_wins) {
-        params.store->Delete(TaskPath(prefix, stage_id, t, ".a1")).ok();
-      } else if (hedge_ok[t]) {
-        params.store->Delete(TaskPath(prefix, stage_id, t, ".h")).ok();
-      }
-    }
-    out->wall_ms = std::max(out->wall_ms, held.completion_ms);
-  }
-
-  // Merge stage counters (winners only) into the execution totals.
-  uint64_t stage_scanned = 0;
-  for (size_t t = 0; t < num_tasks; ++t) {
-    const AttemptOutcome& w = out->winners[t];
-    stage_scanned += w.bytes_scanned;
     if (fallback[t]) {
-      ++exec->tasks_fallback;
-      exec->fallback_bytes_scanned += w.bytes_scanned;
+      ++exec->workers_fallback;
+      ++stage_fallbacks;
+      exec->fallback_bytes_scanned += w.fragment.bytes_scanned;
     } else {
-      ++exec->tasks;
+      ++exec->workers_used;
     }
-    exec->task_retries += retries[t];
-    if (recovered[t]) ++exec->tasks_recovered;
+    stage_retries += retries[t];
+    if (recovered[t]) ++exec->workers_recovered;
     exec->retry_backoff_simulated_ms += backoff_ms[t];
-    exec->bytes_scanned += w.bytes_scanned;
-    exec->exchange_bytes_written += w.exchange_bytes_written;
-    exec->exchange_bytes_read += w.exchange_bytes_read;
-    exec->rf += w.rf;
+    exec->bytes_scanned += w.fragment.bytes_scanned;
+    exec->shuffle_bytes_written += w.exchange_bytes_written;
+    exec->shuffle_bytes_read += w.exchange_bytes_read;
+    exec->rf += w.fragment.rf;
+    stage_bytes += w.fragment.bytes_scanned;
+    out.wall_ms = std::max(out.wall_ms, held.completion_ms);
+    if (tracer != nullptr) {
+      tracer->Annotate(workers.ids[t], "bytes", w.fragment.bytes_scanned);
+    }
+    if (stage_node != nullptr) {
+      OperatorProfile* node = options.profile->AddNode(
+          (fallback[t] ? "CfFallback[" : "CfWorker[") + std::to_string(t) +
+              "]",
+          stage_node, /*measures_io=*/true);
+      node->bytes_scanned = w.fragment.bytes_scanned;
+      node->cache_hits = w.fragment.cache_hits;
+      node->cache_misses = w.fragment.cache_misses;
+      node->rows_out = w.rows;
+      node->batches_out =
+          w.fragment.table != nullptr ? w.fragment.table->batches().size() : 0;
+      node->AddRf(w.fragment.rf);
+    }
   }
+  exec->worker_retries += stage_retries;
   exec->hedges_fired += static_cast<int>(hedged.size());
   exec->hedges_won += hedges_won;
-  ++exec->stages;
-  exec->stage_wall_ms.push_back(out->wall_ms);
-  if (params.event_log != nullptr) {
+  if (options.event_log != nullptr) {
     Json f = Json::Object();
-    f.Set("stage", Json(stage_id));
-    f.Set("name", Json(stage_name));
-    f.Set("wall_ms", Json(out->wall_ms));
+    f.Set("stage", Json(stage.id));
+    f.Set("name", Json(stage.name));
+    f.Set("wall_ms", Json(out.wall_ms));
     f.Set("hedges_fired", Json(static_cast<int64_t>(hedged.size())));
     f.Set("hedges_won", Json(hedges_won));
-    f.Set("bytes", Json(static_cast<int64_t>(stage_scanned)));
-    params.event_log->Emit("shuffle.stage_done", std::move(f));
+    f.Set("bytes", Json(static_cast<int64_t>(stage_bytes)));
+    options.event_log->Emit("shuffle.stage_done", std::move(f));
   }
   if (tracer != nullptr) {
     tracer->Annotate(stage_span, "wall_ms",
-                     static_cast<uint64_t>(std::llround(out->wall_ms)));
+                     static_cast<uint64_t>(std::llround(out.wall_ms)));
+    tracer->Annotate(stage_span, "retries",
+                     static_cast<uint64_t>(stage_retries));
+    tracer->Annotate(stage_span, "fallbacks",
+                     static_cast<uint64_t>(stage_fallbacks));
     tracer->Annotate(stage_span, "hedges_fired",
                      static_cast<uint64_t>(hedged.size()));
     tracer->Annotate(stage_span, "hedges_won",
                      static_cast<uint64_t>(hedges_won));
-    tracer->Annotate(stage_span, "bytes", stage_scanned);
+    tracer->Annotate(stage_span, "bytes", stage_bytes);
   }
-  if (shuffle_node != nullptr && params.profile != nullptr) {
-    OperatorProfile* node = params.profile->AddNode(
-        "CfStage[" + stage_name + "]", shuffle_node, /*measures_io=*/true);
-    node->bytes_scanned = stage_scanned;
-    node->rows_out = 0;
-    node->batches_out = 0;
-  }
-  return Status::OK();
+  return out;
 }
 
-}  // namespace
+Result<TablePtr> ExecuteShuffleDag(const StageGraph& graph, Catalog* catalog,
+                                   const CfWorkerOptions& options,
+                                   CfExecution* exec) {
+  Storage* store = options.intermediate_store != nullptr
+                       ? options.intermediate_store
+                       : catalog->storage();
+  const std::string prefix = options.view_prefix + ".shuffle";
+  const int fleet = std::max(options.num_workers, 1);
+  const int P =
+      options.shuffle.partitions > 0 ? options.shuffle.partitions : fleet;
+  const int producers = options.shuffle.producer_tasks > 0
+                            ? options.shuffle.producer_tasks
+                            : fleet;
 
-Result<ShuffleExecution> ExecuteShuffleDag(const StageGraph& graph,
-                                           const ShuffleRunParams& params) {
-  if (!graph.viable) {
-    return Status::FailedPrecondition("stage graph is not viable: " +
-                                      graph.reason);
-  }
-  if (params.catalog == nullptr || params.store == nullptr) {
-    return Status::InvalidArgument("shuffle needs a catalog and a store");
-  }
-  if (params.shuffle.object_prefix.empty()) {
-    return Status::InvalidArgument("shuffle needs an object prefix");
-  }
-  const int P = params.shuffle.partitions > 0 ? params.shuffle.partitions
-                                              : std::max(params.num_workers, 1);
-  const int producers = params.shuffle.producer_tasks > 0
-                            ? params.shuffle.producer_tasks
-                            : std::max(params.num_workers, 1);
-
-  Tracer* tracer =
-      params.tracer != nullptr && params.tracer->enabled() ? params.tracer
-                                                           : nullptr;
+  Tracer* tracer = LiveTracer(options);
   uint64_t shuffle_span = 0;
   if (tracer != nullptr) {
-    shuffle_span = tracer->StartSpan("cf-shuffle", params.trace_parent);
+    shuffle_span = tracer->StartSpan("cf-shuffle", options.trace_parent);
     tracer->Annotate(shuffle_span, "partitions", static_cast<uint64_t>(P));
     tracer->Annotate(shuffle_span, "producer_tasks",
                      static_cast<uint64_t>(producers));
   }
   ScopedSpan shuffle_scope(tracer, shuffle_span);
   OperatorProfile* shuffle_node =
-      params.profile != nullptr ? params.profile->AddNode("CfShuffle", nullptr)
-                                : nullptr;
+      options.profile != nullptr ? options.profile->AddNode("CfShuffle", nullptr)
+                                 : nullptr;
+  auto stage = [&](int id, const char* name, size_t tasks) {
+    StageSpec s;
+    s.id = id;
+    s.name = name;
+    s.tasks = tasks;
+    s.prefix = prefix;
+    s.store = store;
+    s.hedge = options.shuffle.hedging;
+    s.parent_span = shuffle_span;
+    s.parent_node = shuffle_node;
+    return s;
+  };
 
   std::vector<const Expr*> left_keys, right_keys;
   for (const auto& k : graph.left_keys) left_keys.push_back(k.get());
   for (const auto& k : graph.right_keys) right_keys.push_back(k.get());
 
-  PIXELS_ASSIGN_OR_RETURN(
-      std::vector<PlanPtr> left_plans,
-      PartitionSubplan(graph.left, producers, *params.catalog));
-  PIXELS_ASSIGN_OR_RETURN(
-      std::vector<PlanPtr> right_plans,
-      PartitionSubplan(graph.right, producers, *params.catalog));
+  auto run_dag = [&]() -> Result<TablePtr> {
+    PIXELS_ASSIGN_OR_RETURN(std::vector<PlanPtr> left_plans,
+                            PartitionSubplan(graph.left, producers, *catalog));
+    PIXELS_ASSIGN_OR_RETURN(
+        std::vector<PlanPtr> right_plans,
+        PartitionSubplan(graph.right, producers, *catalog));
 
-  ShuffleExecution exec;
-  ExchangeCommitTable commit;
+    // Producer runner: execute the subtree partition, hash-partition the
+    // output by the stage's join keys, write one exchange object. A VM
+    // fallback writes its object too: consumers need every partition.
+    auto producer = [&](const std::vector<PlanPtr>& plans,
+                        const std::vector<const Expr*>& keys) -> TaskRunner {
+      return [&](size_t t, const std::string& path, uint64_t attempt_span,
+                 bool) -> Result<TaskOutcome> {
+        TaskOutcome o;
+        PIXELS_ASSIGN_OR_RETURN(o.fragment,
+                                RunFragment(plans[t], catalog, options,
+                                            kCfWorkerThreads, attempt_span));
+        o.rows = o.fragment.table->num_rows();
+        PIXELS_ASSIGN_OR_RETURN(std::vector<TablePtr> parts,
+                                HashPartitionTable(*o.fragment.table, keys, P));
+        o.fragment.table.reset();
+        PIXELS_ASSIGN_OR_RETURN(ExchangeWriteInfo info,
+                                WriteExchangeObject(store, path, parts));
+        o.object = path;
+        o.exchange_bytes_written = info.bytes_written;
+        o.io_ms = EstimateIoMs(store, info.bytes_written);
+        return o;
+      };
+    };
+    PIXELS_ASSIGN_OR_RETURN(
+        StageOutcome left,
+        RunStage(options, stage(0, "produce-left", left_plans.size()),
+                 producer(left_plans, left_keys), exec));
+    PIXELS_ASSIGN_OR_RETURN(
+        StageOutcome right,
+        RunStage(options, stage(1, "produce-right", right_plans.size()),
+                 producer(right_plans, right_keys), exec));
 
-  // Producer runner: execute the subtree partition, hash-partition the
-  // output by the stage's join keys, write one exchange object.
-  auto make_producer = [&params, P](const std::vector<PlanPtr>* plans,
-                                    std::vector<const Expr*> keys) {
-    return [&params, P, plans, keys](
-               size_t t, const std::string& path,
-               uint64_t attempt_span) -> Result<AttemptOutcome> {
-      ExecContext ctx;
-      ctx.catalog = params.catalog;
-      ctx.parallelism = std::max(params.worker_parallelism, 1);
-      ctx.io = params.io;
-      ctx.tracer = params.tracer;
-      ctx.trace_parent = attempt_span;
-      ctx.runtime_filters = params.runtime_filters;
-      PIXELS_ASSIGN_OR_RETURN(TablePtr table, ExecutePlan((*plans)[t], &ctx));
-      PIXELS_ASSIGN_OR_RETURN(std::vector<TablePtr> parts,
-                              HashPartitionTable(*table, keys, P));
+    // Read every winner object's footer once; consumer tasks share them.
+    // Footer GETs are control-plane reads — their request accounting flows
+    // through the storage stats as usual, but they sit outside the
+    // per-task simulated durations (read before the join stage starts).
+    struct ProducerObject {
+      std::string path;
+      ExchangeFooter footer;
+    };
+    auto collect = [&](const StageOutcome& producers_out)
+        -> Result<std::vector<ProducerObject>> {
+      std::vector<ProducerObject> objs;
+      for (const TaskOutcome& w : producers_out.winners) {
+        ProducerObject po;
+        po.path = w.object;
+        PIXELS_ASSIGN_OR_RETURN(po.footer, ReadExchangeFooter(store, po.path));
+        objs.push_back(std::move(po));
+      }
+      return objs;
+    };
+    PIXELS_ASSIGN_OR_RETURN(std::vector<ProducerObject> left_objs,
+                            collect(left));
+    PIXELS_ASSIGN_OR_RETURN(std::vector<ProducerObject> right_objs,
+                            collect(right));
+
+    // Consumer runner: assemble this partition from every producer object
+    // (one combined ranged GET each), then run the join + the unary chain
+    // above it over the two assembled sides. Its compute is priced on the
+    // exchange bytes it ingests.
+    auto consumer = [&](size_t p, const std::string&, uint64_t attempt_span,
+                        bool) -> Result<TaskOutcome> {
+      TaskOutcome o;
+      auto assemble = [&](const std::vector<ProducerObject>& objs)
+          -> Result<TablePtr> {
+        auto side = std::make_shared<Table>();
+        for (const auto& obj : objs) {
+          if (obj.footer.schema.empty()) continue;  // empty producer output
+          uint64_t got = 0;
+          PIXELS_ASSIGN_OR_RETURN(
+              RowBatchPtr batch,
+              ReadExchangePartition(store, obj.path, obj.footer, p, &got));
+          o.exchange_bytes_read += got;
+          o.io_ms += EstimateIoMs(store, got);
+          side->AddBatch(std::move(batch));
+        }
+        return side;
+      };
+      PIXELS_ASSIGN_OR_RETURN(TablePtr left_side, assemble(left_objs));
+      PIXELS_ASSIGN_OR_RETURN(TablePtr right_side, assemble(right_objs));
       PIXELS_ASSIGN_OR_RETURN(
-          ExchangeWriteInfo info,
-          WriteExchangeObject(params.store, path, parts,
-                              params.shuffle.forced_encoding));
-      AttemptOutcome o;
-      o.bytes_scanned = ctx.bytes_scanned;
-      o.exchange_bytes_written = info.bytes_written;
-      o.rf = RfStats::From(ctx);
-      o.sim_ms = ComputeMs(params, o.bytes_scanned) +
-                 EstimateIoMs(params.store, info.bytes_written) +
-                 SlowMs(params, path);
+          PlanPtr plan, InstantiateConsumer(graph, std::move(left_side),
+                                            std::move(right_side)));
+      PIXELS_ASSIGN_OR_RETURN(o.fragment,
+                              RunFragment(plan, catalog, options,
+                                          kCfWorkerThreads, attempt_span));
+      o.rows = o.fragment.table->num_rows();
       return o;
     };
-  };
-
-  StageOutcome left_stage, right_stage;
-  PIXELS_RETURN_NOT_OK(RunStage(
-      params, /*stage_id=*/0, "produce-left", left_plans.size(),
-      make_producer(&left_plans, left_keys), /*writes_objects=*/true, &commit,
-      tracer, shuffle_span, shuffle_node, &exec, &left_stage));
-  PIXELS_RETURN_NOT_OK(RunStage(
-      params, /*stage_id=*/1, "produce-right", right_plans.size(),
-      make_producer(&right_plans, right_keys), /*writes_objects=*/true,
-      &commit, tracer, shuffle_span, shuffle_node, &exec, &right_stage));
-
-  // Read every winner object's footer once; consumer tasks share them.
-  // Footer GETs are control-plane reads — their request accounting flows
-  // through the storage stats as usual, but they sit outside the per-task
-  // simulated durations (the scheduler reads them before stage J starts).
-  struct ProducerObject {
-    std::string path;
-    ExchangeFooter footer;
-  };
-  auto collect = [&](int stage_id, size_t n,
-                     std::vector<ProducerObject>* objs) -> Status {
-    for (size_t t = 0; t < n; ++t) {
-      ProducerObject po;
-      po.path = commit.Get(stage_id, static_cast<int>(t)).path;
-      PIXELS_ASSIGN_OR_RETURN(po.footer,
-                              ReadExchangeFooter(params.store, po.path));
-      objs->push_back(std::move(po));
-    }
-    return Status::OK();
-  };
-  std::vector<ProducerObject> left_objs, right_objs;
-  PIXELS_RETURN_NOT_OK(collect(0, left_plans.size(), &left_objs));
-  PIXELS_RETURN_NOT_OK(collect(1, right_plans.size(), &right_objs));
-
-  // Consumer runner: assemble this partition from every producer object
-  // (one combined ranged GET each), then run the join + the unary chain
-  // above it over the two assembled sides.
-  auto consumer = [&](size_t p, const std::string& path,
-                      uint64_t attempt_span) -> Result<AttemptOutcome> {
-    AttemptOutcome o;
-    double io_ms = 0;
-    auto assemble = [&](const std::vector<ProducerObject>& objs)
-        -> Result<TablePtr> {
-      auto side = std::make_shared<Table>();
-      for (const auto& obj : objs) {
-        if (obj.footer.schema.empty()) continue;  // empty producer output
-        uint64_t got = 0;
-        PIXELS_ASSIGN_OR_RETURN(
-            RowBatchPtr batch,
-            ReadExchangePartition(params.store, obj.path, obj.footer, p, &got));
-        o.exchange_bytes_read += got;
-        io_ms += EstimateIoMs(params.store, got);
-        side->AddBatch(std::move(batch));
-      }
-      return side;
-    };
-    PIXELS_ASSIGN_OR_RETURN(TablePtr left_side, assemble(left_objs));
-    PIXELS_ASSIGN_OR_RETURN(TablePtr right_side, assemble(right_objs));
     PIXELS_ASSIGN_OR_RETURN(
-        PlanPtr plan,
-        InstantiateConsumer(graph, std::move(left_side),
-                            std::move(right_side)));
-    ExecContext ctx;
-    ctx.catalog = params.catalog;
-    ctx.parallelism = std::max(params.worker_parallelism, 1);
-    ctx.io = params.io;
-    ctx.tracer = params.tracer;
-    ctx.trace_parent = attempt_span;
-    ctx.runtime_filters = params.runtime_filters;
-    PIXELS_ASSIGN_OR_RETURN(o.table, ExecutePlan(plan, &ctx));
-    o.bytes_scanned = ctx.bytes_scanned;  // 0: consumers scan no base table
-    o.rf = RfStats::From(ctx);
-    // Compute proxy: consumers do join/agg work proportional to the
-    // exchange bytes they ingest, priced at the same vCPU throughput.
-    o.sim_ms = ComputeMs(params, o.exchange_bytes_read) + io_ms +
-               SlowMs(params, path);
-    return o;
+        StageOutcome join,
+        RunStage(options, stage(2, "join", static_cast<size_t>(P)), consumer,
+                 exec));
+
+    // DAG timing: both producer stages start at 0; the join stage starts
+    // when the slower one drains.
+    exec->shuffle_stages = 3;
+    exec->shuffle_stage_wall_ms = {left.wall_ms, right.wall_ms, join.wall_ms};
+    exec->shuffle_critical_path_ms =
+        std::max(left.wall_ms, right.wall_ms) + join.wall_ms;
+    return join.ConcatTables();
   };
-  StageOutcome join_stage;
-  PIXELS_RETURN_NOT_OK(RunStage(params, /*stage_id=*/2, "join",
-                                static_cast<size_t>(P), consumer,
-                                /*writes_objects=*/false, &commit, tracer,
-                                shuffle_span, shuffle_node, &exec,
-                                &join_stage));
+  Result<TablePtr> view = run_dag();
 
-  // The view is the stage-J outputs concatenated in partition order —
-  // deterministic regardless of fleet interleaving or hedge outcomes.
-  auto view = std::make_shared<Table>();
-  for (const AttemptOutcome& w : join_stage.winners) {
-    if (w.table == nullptr) continue;
-    for (const auto& batch : w.table->batches()) view->AddBatch(batch);
-  }
-  exec.view = std::move(view);
-
-  // DAG timing: both producer stages start at 0; stage J starts when the
-  // slower one drains.
-  const double produce_ms = std::max(left_stage.wall_ms, right_stage.wall_ms);
-  exec.critical_path_ms = produce_ms + join_stage.wall_ms;
-  exec.final_stage_task_ms = join_stage.completion_ms;
-
-  // GC: the intermediates served their purpose; sweep the whole prefix
-  // (winner and any leaked loser objects alike).
-  exec.objects_swept =
-      SweepExchangePrefix(params.store, params.shuffle.object_prefix);
+  // GC on success and failure alike: sweep the whole prefix (winner and
+  // any leaked loser objects) — a failed query must not leak either.
+  const size_t swept = SweepExchangePrefix(store, prefix);
+  PIXELS_RETURN_NOT_OK(view.status());
+  exec->shuffle_objects_swept = swept;
   if (tracer != nullptr) {
-    tracer->Annotate(shuffle_span, "critical_path_ms",
-                     static_cast<uint64_t>(std::llround(exec.critical_path_ms)));
+    tracer->Annotate(
+        shuffle_span, "critical_path_ms",
+        static_cast<uint64_t>(std::llround(exec->shuffle_critical_path_ms)));
     tracer->Annotate(shuffle_span, "hedges_fired",
-                     static_cast<uint64_t>(exec.hedges_fired));
+                     static_cast<uint64_t>(exec->hedges_fired));
     tracer->Annotate(shuffle_span, "hedges_won",
-                     static_cast<uint64_t>(exec.hedges_won));
-    tracer->Annotate(shuffle_span, "swept",
-                     static_cast<uint64_t>(exec.objects_swept));
+                     static_cast<uint64_t>(exec->hedges_won));
+    tracer->Annotate(shuffle_span, "swept", static_cast<uint64_t>(swept));
   }
-  return exec;
+  return view;
 }
 
 }  // namespace pixels

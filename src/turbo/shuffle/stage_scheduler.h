@@ -1,18 +1,20 @@
-// Stage scheduler for the CF shuffle DAG: launches stages as their
-// inputs complete, re-invokes failed tasks with the PR-4 retry/backoff
-// rules, degrades exhausted tasks to the VM path, and fires hedged
-// duplicate tasks against stragglers (Starling §straggler mitigation).
+// Stage scheduler for CF execution. RunStage is the one place that
+// launches, retries (bounded budget, exponential backoff), degrades to the
+// VM path, hedges (Starling §straggler mitigation) and commits CF tasks.
+// The single-stage fleet (cf_worker.cc) is a one-stage DAG on it; the
+// multi-stage shuffle is three stages: produce-left, produce-right, join.
 //
 // Everything is priced in SIMULATED milliseconds — task duration =
-// compute (scanned bytes / vCPU throughput) + exchange I/O latency +
-// any deterministic per-path slow penalty (FaultInjectingStorage slow
-// rules) + accumulated retry backoff — so hedging decisions are
-// reproducible regardless of thread interleaving or wall-clock noise.
-// Commit is first-writer-wins in simulated time: both attempts of a task
-// may finish physically, but the one with the earlier simulated
-// completion holds the commit slot; the loser's object is deleted and
-// its bytes never reach billing. Results, bytes_scanned, and bills are
-// therefore byte-identical across serial, parallel, and hedged runs.
+// compute (scanned + ingested exchange bytes / vCPU throughput) + exchange
+// I/O latency + any deterministic per-path slow penalty
+// (FaultInjectingStorage slow rules) + accumulated retry backoff — so
+// hedging decisions are reproducible regardless of thread interleaving or
+// wall-clock noise. Commit is first-writer-wins in simulated time: both
+// attempts of a task may finish physically, but the one with the earlier
+// simulated completion holds the commit slot; the loser's object is
+// deleted and its bytes never reach billing. Results, bytes_scanned, and
+// bills are therefore byte-identical across serial, parallel, and hedged
+// runs.
 #pragma once
 
 #include <functional>
@@ -22,42 +24,10 @@
 #include <utility>
 #include <vector>
 
-#include "common/event_log.h"
-#include "common/trace.h"
-#include "exec/profile.h"
-#include "storage/buffer_cache.h"
+#include "turbo/cf_worker.h"
 #include "turbo/shuffle/stage_graph.h"
 
 namespace pixels {
-
-/// Shuffle knobs, threaded from CoordinatorParams via CfWorkerOptions.
-struct ShuffleOptions {
-  /// Master switch (`cf_shuffle`). Off (default) preserves today's
-  /// single-stage CF behavior exactly.
-  bool enabled = false;
-  /// Consumer fan-out: number of hash partitions / stage-J tasks
-  /// (0 = the CF fleet size).
-  int partitions = 0;
-  /// Producer fan-out: tasks per scan stage, clamped by the partitioned
-  /// table's file count (0 = the CF fleet size).
-  int producer_tasks = 0;
-  /// Hedged duplicate invocation of straggler tasks.
-  bool hedging = true;
-  /// Hedge delay quantile (percentile, [0,100]): the hedge cutoff is
-  /// Percentile(primary durations, hedge_quantile) * hedge_delay_factor.
-  /// Tasks still running at the cutoff get a duplicate.
-  double hedge_quantile = 75.0;
-  double hedge_delay_factor = 1.5;
-  /// Path prefix for exchange objects; swept on completion AND failure.
-  /// Empty = derived by the CF driver from its view prefix.
-  std::string object_prefix;
-  /// Forced chunk Encoding id (exchange.h); -1 = heuristic per chunk.
-  int forced_encoding = -1;
-  /// Deterministic per-path slow penalty (simulated ms) added to a task
-  /// attempt's duration — wire to FaultInjectingStorage::PathSlowMs to
-  /// inject whole-task stragglers. Null = no penalty.
-  std::function<double(const std::string&)> path_slow_ms;
-};
 
 /// First-writer-wins commit table for (stage, task) slots, ordered by
 /// simulated completion time (ties break to the lower attempt rank, i.e.
@@ -83,69 +53,75 @@ class ExchangeCommitTable {
   std::map<std::pair<int, int>, Claim> slots_;
 };
 
-/// Everything the scheduler needs from the CF execution context, kept
-/// separate from CfWorkerOptions to avoid a header cycle.
-struct ShuffleRunParams {
-  Catalog* catalog = nullptr;
-  /// Exchange object storage (the catalog's store in production).
+/// One task attempt's output. Only the committed attempt's counters
+/// reach CfExecution; failed and losing attempts are discarded.
+struct TaskOutcome {
+  /// The fragment's table is the task's view rows (single-stage and join
+  /// tasks); producers drop it once their exchange object is written.
+  FragmentRun fragment;
+  uint64_t rows = 0;
+  /// Object this attempt wrote (empty = none); deleted if it loses.
+  std::string object;
+  uint64_t exchange_bytes_written = 0;  // producers
+  uint64_t exchange_bytes_read = 0;     // consumers
+  /// Simulated exchange I/O latency of the attempt.
+  double io_ms = 0;
+};
+
+/// Runs one attempt of task `task`. `attempt_path` is unique per attempt
+/// (<prefix>/s<stage>/t<task>.a<k>, .vm or .h); `vm_fallback` marks the
+/// attempt the coordinator runs inline on the VM path.
+using TaskRunner = std::function<Result<TaskOutcome>(
+    size_t task, const std::string& attempt_path, uint64_t attempt_span,
+    bool vm_fallback)>;
+
+/// One stage of a CF DAG.
+struct StageSpec {
+  int id = 0;
+  std::string name;
+  size_t tasks = 0;
+  /// Attempt-path prefix, and the store losing attempts' objects are
+  /// deleted from (null = attempts write nothing).
+  std::string prefix;
   Storage* store = nullptr;
-  ShuffleOptions shuffle;
-  IoOptions io;
-  /// CF fleet size: default fan-in/fan-out when the knobs are 0.
-  int num_workers = 8;
-  double bytes_per_vcpu_second = 100e6;
-  int fleet_parallelism = 0;
-  int worker_parallelism = 1;
-  int max_task_attempts = 3;
-  double retry_backoff_ms = 200.0;
-  bool vm_fallback = true;
-  bool runtime_filters = true;
-  Tracer* tracer = nullptr;
-  uint64_t trace_parent = 0;
-  QueryProfile* profile = nullptr;
-  /// Audit event log: stage start/commit/done progress events. Emissions
-  /// happen only at deterministic points (stage setup before the parallel
-  /// section; the post-barrier winner-resolution loop, in task order), so
-  /// identical runs export byte-identical logs. Null = off.
-  EventLog* event_log = nullptr;
+  /// Fire hedged duplicates against stragglers.
+  bool hedge = false;
+  uint64_t parent_span = 0;
+  OperatorProfile* parent_node = nullptr;
 };
 
-/// Outcome of a shuffle DAG run.
-struct ShuffleExecution {
-  /// Concatenated stage-J outputs in partition order — the materialized
-  /// view that re-enters the top-level plan.
-  TablePtr view;
-  int stages = 0;
-  /// Committed tasks across stages (excluding VM fallbacks).
-  int tasks = 0;
-  int task_retries = 0;
-  int tasks_recovered = 0;
-  int tasks_fallback = 0;
-  uint64_t fallback_bytes_scanned = 0;
-  int hedges_fired = 0;
-  int hedges_won = 0;
-  /// Scan bytes of committed attempts only (hedge losers un-billed).
-  uint64_t bytes_scanned = 0;
-  uint64_t exchange_bytes_written = 0;  // winner objects only
-  uint64_t exchange_bytes_read = 0;     // consumer combined reads
-  double retry_backoff_simulated_ms = 0;
-  /// Runtime-filter totals of committed attempts (merged in task order).
-  RfStats rf;
-  /// Intermediate objects removed by the end-of-run GC sweep.
-  size_t objects_swept = 0;
-  /// Simulated wall per stage, index-aligned with the DAG (L, R, J).
-  std::vector<double> stage_wall_ms;
-  /// Simulated makespan of the DAG (max(L, R) + J).
-  double critical_path_ms = 0;
-  /// Per-task simulated completion times of the final (J) stage, for
-  /// straggler-recovery analysis in the bench.
-  std::vector<double> final_stage_task_ms;
+/// A stage's committed attempts and timings.
+struct StageOutcome {
+  std::vector<TaskOutcome> winners;  // per task
+  /// Simulated stage wall: the latest committed completion.
+  double wall_ms = 0;
+  /// Measured wall-clock seconds per task (0 for VM fallbacks) and for
+  /// the primary wave as a whole.
+  std::vector<double> task_elapsed_seconds;
+  double elapsed_seconds = 0;
+
+  /// The committed tables concatenated in task order — deterministic
+  /// regardless of fleet interleaving or hedge outcomes. For stages whose
+  /// tasks keep their tables (single-stage fleet, join).
+  TablePtr ConcatTables() const;
 };
 
-/// Runs the three-stage shuffle DAG for `graph`. The exchange prefix
-/// (`params.shuffle.object_prefix`) is swept before returning on success;
-/// callers must also sweep on failure paths (SweepExchangePrefix).
-Result<ShuffleExecution> ExecuteShuffleDag(const StageGraph& graph,
-                                           const ShuffleRunParams& params);
+/// Runs one stage: the primary wave with retry/backoff, then the VM
+/// fallbacks serially in task order, then (if `stage.hedge`) the hedge
+/// wave, then first-writer-wins resolution. The committed attempts'
+/// counters are merged into `exec` on the calling thread, in task order;
+/// DAG-level counters (shuffle_stages, stage walls) are the caller's.
+Result<StageOutcome> RunStage(const CfWorkerOptions& options,
+                              const StageSpec& stage, const TaskRunner& run,
+                              CfExecution* exec);
+
+/// Runs the three-stage shuffle DAG for `graph` with its exchange objects
+/// under `options.view_prefix + ".shuffle"`, filling the counters of
+/// `exec`. The exchange prefix is swept before returning, on success and
+/// on failure alike. Returns the view: the join stage's outputs
+/// concatenated in partition order.
+Result<TablePtr> ExecuteShuffleDag(const StageGraph& graph, Catalog* catalog,
+                                   const CfWorkerOptions& options,
+                                   CfExecution* exec);
 
 }  // namespace pixels

@@ -35,6 +35,14 @@ struct EncodingCase {
   double null_fraction;
 };
 
+// gtest_discover_tests names each case after its printed parameter. Without
+// this, gtest prints the struct's raw bytes, padding included, and the
+// padding holds stack garbage that can change from build to build.
+void PrintTo(const EncodingCase& c, std::ostream* os) {
+  *os << TypeName(c.type) << "_" << EncodingName(c.encoding) << "_nulls"
+      << c.null_fraction;
+}
+
 class EncodingRoundTripTest : public ::testing::TestWithParam<EncodingCase> {};
 
 TEST_P(EncodingRoundTripTest, RandomDataRoundTrips) {

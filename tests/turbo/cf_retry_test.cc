@@ -3,6 +3,7 @@
 // the query when fallback is off); permanent errors fail immediately.
 #include <gtest/gtest.h>
 
+#include "common/event_log.h"
 #include "exec/executor.h"
 #include "plan/binder.h"
 #include "plan/optimizer.h"
@@ -65,6 +66,16 @@ class CfRetryTest : public ::testing::Test {
     return options;
   }
 
+  /// The serial fleet with the shuffle DAG on: 4 producer tasks per scan
+  /// stage and 4 join partitions.
+  CfWorkerOptions ShuffleFleetOptions() {
+    CfWorkerOptions options = FleetOptions();
+    options.shuffle.enabled = true;
+    options.shuffle.partitions = 4;
+    options.shuffle.producer_tasks = 4;
+    return options;
+  }
+
   static FaultInjectionParams FailFirstReads(int n) {
     FaultInjectionParams params;
     FaultRule rule;
@@ -76,6 +87,10 @@ class CfRetryTest : public ::testing::Test {
   const std::string sql_ =
       "SELECT l_returnflag, sum(l_extendedprice) AS rev, count(*) AS n "
       "FROM lineitem GROUP BY l_returnflag ORDER BY l_returnflag";
+  const std::string join_sql_ =
+      "SELECT o_orderpriority, count(*) AS n, sum(l_extendedprice) AS rev "
+      "FROM lineitem l JOIN orders o ON l.l_orderkey = o.o_orderkey "
+      "GROUP BY o_orderpriority ORDER BY o_orderpriority";
 
   std::shared_ptr<MemoryStore> mem_;
   std::shared_ptr<SwitchableStorage> switchable_;
@@ -213,6 +228,76 @@ TEST_F(CfRetryTest, CoordinatorDegradesToVmPricingOnFullFallback) {
   EXPECT_GT(rec->result->num_rows(), 0u);
   EXPECT_GT(rec->compute_cost_usd, 0.0);
   EXPECT_EQ(coord.metrics().Counter("cf_fleet_degraded_queries"), 1.0);
+}
+
+TEST_F(CfRetryTest, ShuffleProducerExhaustedDegradesToVmPath) {
+  auto clean = ExecuteWithCfPushdown(Plan(join_sql_), catalog_.get(),
+                                     ShuffleFleetOptions());
+  ASSERT_TRUE(clean.ok()) << clean.status().ToString();
+  ASSERT_TRUE(clean->shuffle_used);
+
+  // Budget of 2 attempts; the serial fleet's first task (stage 0, task 0)
+  // takes both injected faults, so exactly that producer falls back. Its
+  // VM attempt runs after the wave, fault-free, and still writes the
+  // exchange object the join stage reads.
+  InjectFaults(FailFirstReads(2));
+  auto options = ShuffleFleetOptions();
+  options.max_worker_attempts = 2;
+  EventLog log;
+  options.event_log = &log;
+  auto exec = ExecuteWithCfPushdown(Plan(join_sql_), catalog_.get(), options);
+  ASSERT_TRUE(exec.ok()) << exec.status().ToString();
+  ASSERT_TRUE(exec->shuffle_used);
+  EXPECT_EQ(exec->workers_fallback, 1);
+  EXPECT_EQ(exec->worker_retries, 1);
+  EXPECT_EQ(exec->workers_used, clean->workers_used - 1);
+  EXPECT_GT(exec->fallback_bytes_scanned, 0u);
+  EXPECT_EQ(Rows(*clean->result), Rows(*exec->result));
+  EXPECT_EQ(clean->bytes_scanned, exec->bytes_scanned);
+
+  std::string winner;
+  for (const auto& e : log.OfType("shuffle.task_commit")) {
+    if (e.fields.Get("stage").AsInt() == 0 &&
+        e.fields.Get("task").AsInt() == 0) {
+      winner = e.fields.Get("winner").AsString();
+    }
+  }
+  EXPECT_EQ(winner, "vm-fallback");
+}
+
+TEST_F(CfRetryTest, ShuffleTaskTransientFailureRecovers) {
+  auto clean = ExecuteWithCfPushdown(Plan(join_sql_), catalog_.get(),
+                                     ShuffleFleetOptions());
+  ASSERT_TRUE(clean.ok()) << clean.status().ToString();
+
+  InjectFaults(FailFirstReads(1));
+  auto exec = ExecuteWithCfPushdown(Plan(join_sql_), catalog_.get(),
+                                    ShuffleFleetOptions());
+  ASSERT_TRUE(exec.ok()) << exec.status().ToString();
+  ASSERT_TRUE(exec->shuffle_used);
+  EXPECT_EQ(exec->worker_retries, 1);
+  EXPECT_EQ(exec->workers_recovered, 1);
+  EXPECT_EQ(exec->workers_fallback, 0);
+  EXPECT_GT(exec->retry_backoff_simulated_ms, 0.0);
+  EXPECT_EQ(Rows(*clean->result), Rows(*exec->result));
+  EXPECT_EQ(clean->bytes_scanned, exec->bytes_scanned);
+  EXPECT_EQ(clean->workers_used, exec->workers_used);
+}
+
+TEST_F(CfRetryTest, SingleStageFleetEmitsStageEvents) {
+  // The single-stage fleet is a one-stage DAG: it reports progress with
+  // the same events as every shuffle stage.
+  EventLog log;
+  auto options = FleetOptions();
+  options.event_log = &log;
+  auto exec = ExecuteWithCfPushdown(Plan(sql_), catalog_.get(), options);
+  ASSERT_TRUE(exec.ok()) << exec.status().ToString();
+  ASSERT_FALSE(exec->shuffle_used);
+  ASSERT_GT(exec->workers_used, 1);
+  EXPECT_EQ(log.CountOfType("shuffle.stage_start"), 1u);
+  EXPECT_EQ(log.CountOfType("shuffle.task_commit"),
+            static_cast<size_t>(exec->workers_used));
+  EXPECT_EQ(log.CountOfType("shuffle.stage_done"), 1u);
 }
 
 TEST_F(CfRetryTest, CoordinatorRecordsWorkerRetries) {
