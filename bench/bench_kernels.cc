@@ -2,11 +2,13 @@
 // and typed hash join/aggregation.
 //
 // Five measurements over real engine paths:
-//   1. Predicate kernels: CompiledPredicate::Select vs the row-at-a-time
-//      reference evaluator on an in-memory batch, swept over selectivity.
+//   1. Predicate kernels: FilterOperator's selection (EvaluateExpr, then
+//      TruthSelect) vs the row-at-a-time reference evaluator on an
+//      in-memory batch, swept over selectivity.
 //   2. Fused decode+filter: PixelsReader::ReadRowGroupFiltered vs
-//      ReadRowGroup plus a kernel filter over every row group of a fact
-//      file (same rows, same ScanStats bytes, fewer rows materialized).
+//      ReadRowGroup plus the same EvaluateExpr filter over every row
+//      group of a fact file (same rows, same ScanStats bytes, fewer rows
+//      materialized).
 //   3. Runtime filters: a clustered fact ⋈ small dim join with filters
 //      on vs off — identical results, measurably fewer billed bytes,
 //      and the exact audit bytes_off == bytes_on + rf_skipped_bytes.
@@ -97,6 +99,13 @@ SelectionVector ScalarSelect(const Expr& pred, const RowBatch& batch) {
   return sel;
 }
 
+/// FilterOperator's selection over a dense batch: the predicate's
+/// EvaluateExpr column, then its non-null true rows.
+Result<SelectionVector> FilterSelect(const Expr& pred, const RowBatch& batch) {
+  PIXELS_ASSIGN_OR_RETURN(ColumnVectorPtr truth, EvaluateExpr(pred, batch));
+  return TruthSelect(*truth, nullptr);
+}
+
 struct SweepPoint {
   double selectivity;
   double scalar_ms;
@@ -113,13 +122,12 @@ std::vector<SweepPoint> RunKernelSweep(size_t rows, int reps) {
     const std::string text = "a < " + std::to_string(threshold);
     auto pred = ParseExpression(text);
     if (!pred.ok()) continue;
-    auto compiled = CompiledPredicate::Compile(**pred);
 
     SelectionVector scalar_sel, kernel_sel;
     const double scalar_ms =
         TimeMs(reps, [&] { scalar_sel = ScalarSelect(**pred, *batch); });
     const double kernel_ms = TimeMs(reps, [&] {
-      auto r = compiled.Select(*batch);
+      auto r = FilterSelect(**pred, *batch);
       if (r.ok()) kernel_sel = std::move(*r);
     });
     points.push_back({target, scalar_ms, kernel_ms,
@@ -459,7 +467,7 @@ std::vector<FusedPoint> RunFusedSweep(Catalog* catalog, int reps) {
   // Predicate on `v` (uniform across row groups, so zone maps cannot
   // prune): ReadRowGroupFiltered filters the encoded chunks and
   // materializes only survivors; the baseline decodes every row, then
-  // runs the same predicate as a kernel filter.
+  // runs the same predicate through FilterOperator's EvaluateExpr path.
   for (double target : {0.001, 0.01, 0.1}) {
     const int64_t threshold = static_cast<int64_t>(1000 * target);
     const std::vector<ScanPredicate> preds = {
@@ -467,7 +475,6 @@ std::vector<FusedPoint> RunFusedSweep(Catalog* catalog, int reps) {
     auto expr = ParseExpression("v < " + std::to_string(threshold) +
                                 " AND tag <> 'red'");
     Check(expr.status());
-    const CompiledPredicate filter = CompiledPredicate::Compile(**expr);
     auto scan = [&](bool fused, std::vector<std::string>* rows) {
       ScanStats stats;
       rows->clear();
@@ -480,7 +487,7 @@ std::vector<FusedPoint> RunFusedSweep(Catalog* catalog, int reps) {
         } else {
           auto r = (*reader)->ReadRowGroup(rg, columns, &stats);
           Check(r.status());
-          auto sel = filter.Select(**r);
+          auto sel = FilterSelect(**expr, **r);
           Check(sel.status());
           batch = (*r)->Gather(*sel);
         }

@@ -113,8 +113,9 @@ Result<TablePtr> ExecutePlan(const PlanPtr& plan, ExecContext* ctx) {
   PIXELS_RETURN_NOT_OK(root->Open());
   auto table = std::make_shared<Table>();
   while (true) {
-    PIXELS_ASSIGN_OR_RETURN(RowBatchPtr batch, root->Next());
-    if (batch == nullptr) break;
+    PIXELS_ASSIGN_OR_RETURN(SelBatch in, root->Next());
+    if (in.batch == nullptr) break;
+    RowBatchPtr batch = in.Materialize();
     if (batch->num_rows() > 0 || table->batches().empty()) {
       table->AddBatch(std::move(batch));
     }

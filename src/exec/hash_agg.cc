@@ -126,21 +126,12 @@ void HashAggOperator::AggState::Update(const Value& v, bool distinct) {
 }
 
 Status HashAggOperator::PrepareTypedBatch(TypedBatch* tb) const {
-  const RowBatch& batch = *tb->batch;
-  for (const auto& g : plan_.group_exprs) {
-    PIXELS_ASSIGN_OR_RETURN(ColumnVectorPtr col, EvaluateExpr(*g, batch));
-    tb->key_cols.push_back(std::move(col));
-  }
-  tb->arg_cols.resize(plan_.agg_exprs.size());
-  for (size_t a = 0; a < plan_.agg_exprs.size(); ++a) {
-    const Expr& call = *plan_.agg_exprs[a];
-    if (call.args.empty() || call.args[0]->kind == Expr::Kind::kStar) {
-      continue;  // COUNT(*): no argument
-    }
-    PIXELS_ASSIGN_OR_RETURN(tb->arg_cols[a],
-                            EvaluateExpr(*call.args[0], batch));
-  }
-  tb->hashes = HashKeyColumns(tb->key_cols, batch.num_rows(), nullptr);
+  std::vector<ColumnVectorPtr> cols;
+  PIXELS_ASSIGN_OR_RETURN(tb->in, tb->in.Evaluate(inputs_, &cols));
+  const auto args = cols.begin() + plan_.group_exprs.size();
+  tb->key_cols.assign(cols.begin(), args);
+  tb->arg_cols.assign(args, cols.end());
+  tb->hashes = HashKeyColumns(tb->key_cols, tb->in.batch->num_rows(), nullptr);
   return Status::OK();
 }
 
@@ -157,12 +148,12 @@ Status HashAggOperator::ApplyTypedBatch(TypedPart* part, const TypedBatch& tb,
     rows.push_back(r);
     gids.push_back(part->table.FindOrInsert(tb.hashes[r], tb.key_cols, r));
   };
-  if (tb.sel != nullptr) {
-    rows.reserve(tb.sel->size());
-    gids.reserve(tb.sel->size());
-    for (uint32_t r : *tb.sel) take(r);
+  if (tb.in.sel != nullptr) {
+    rows.reserve(tb.in.sel->size());
+    gids.reserve(tb.in.sel->size());
+    for (uint32_t r : *tb.in.sel) take(r);
   } else {
-    const uint32_t n = static_cast<uint32_t>(tb.batch->num_rows());
+    const uint32_t n = static_cast<uint32_t>(tb.in.batch->num_rows());
     rows.reserve(n);
     gids.reserve(n);
     for (uint32_t r = 0; r < n; ++r) take(r);
@@ -361,32 +352,24 @@ Status HashAggOperator::Consume(int par) {
     return part;
   };
 
-  // Whether key/argument expressions may be evaluated over a batch's
-  // deselected rows; if not, gather before evaluating.
-  bool safe = true;
-  for (const auto& g : plan_.group_exprs) {
-    safe = safe && ExprSafeToEvalUnselected(*g);
-  }
+  // Key then argument expressions (null for COUNT(*)), evaluated per
+  // batch through SelBatch::Evaluate.
+  inputs_.clear();
+  for (const auto& g : plan_.group_exprs) inputs_.push_back(g.get());
   for (const auto& call : plan_.agg_exprs) {
-    if (!call->args.empty() && call->args[0]->kind != Expr::Kind::kStar) {
-      safe = safe && ExprSafeToEvalUnselected(*call->args[0]);
-    }
+    const bool has_arg =
+        !call->args.empty() && call->args[0]->kind != Expr::Kind::kStar;
+    inputs_.push_back(has_arg ? call->args[0].get() : nullptr);
   }
 
   if (par <= 1) {
     // Streaming: one batch resident at a time.
     typed_parts_.push_back(make_part());
     while (true) {
-      PIXELS_ASSIGN_OR_RETURN(SelBatch in, child_->NextSel());
-      if (in.batch == nullptr) break;
-      if (in.num_selected() == 0) continue;
       TypedBatch tb;
-      if (in.sel != nullptr && !safe) {
-        tb.batch = in.Materialize();
-      } else {
-        tb.batch = std::move(in.batch);
-        tb.sel = std::move(in.sel);
-      }
+      PIXELS_ASSIGN_OR_RETURN(tb.in, child_->Next());
+      if (tb.in.batch == nullptr) break;
+      if (tb.in.num_selected() == 0) continue;
       PIXELS_RETURN_NOT_OK(PrepareTypedBatch(&tb));
       PIXELS_RETURN_NOT_OK(ApplyTypedBatch(&typed_parts_[0], tb, 0, 1));
     }
@@ -399,17 +382,11 @@ Status HashAggOperator::Consume(int par) {
   std::vector<TypedBatch> inputs;
   size_t total_rows = 0;
   while (true) {
-    PIXELS_ASSIGN_OR_RETURN(SelBatch in, child_->NextSel());
-    if (in.batch == nullptr) break;
-    if (in.num_selected() == 0) continue;
     TypedBatch tb;
-    if (in.sel != nullptr && !safe) {
-      tb.batch = in.Materialize();
-    } else {
-      tb.batch = std::move(in.batch);
-      tb.sel = std::move(in.sel);
-    }
-    total_rows += tb.sel != nullptr ? tb.sel->size() : tb.batch->num_rows();
+    PIXELS_ASSIGN_OR_RETURN(tb.in, child_->Next());
+    if (tb.in.batch == nullptr) break;
+    if (tb.in.num_selected() == 0) continue;
+    total_rows += tb.in.num_selected();
     inputs.push_back(std::move(tb));
   }
   ThreadPool* pool = ctx_->EffectivePool();
@@ -441,8 +418,9 @@ Status HashAggOperator::Consume(int par) {
 
 Status HashAggOperator::ConsumeMerge() {
   while (true) {
-    PIXELS_ASSIGN_OR_RETURN(RowBatchPtr batch, child_->Next());
-    if (batch == nullptr) break;
+    PIXELS_ASSIGN_OR_RETURN(SelBatch in, child_->Next());
+    if (in.batch == nullptr) break;
+    RowBatchPtr batch = in.Materialize();
     if (batch->num_rows() == 0) continue;
     // Locate group columns and state columns by name.
     std::vector<int> key_idx;
@@ -688,10 +666,12 @@ Result<RowBatchPtr> HashAggOperator::TypedEmit() {
   return out;
 }
 
-Result<RowBatchPtr> HashAggOperator::Next() {
-  if (emitted_) return RowBatchPtr(nullptr);
+Result<SelBatch> HashAggOperator::Next() {
+  if (emitted_) return SelBatch{};
   emitted_ = true;
-  return plan_.merge_partials ? Emit() : TypedEmit();
+  PIXELS_ASSIGN_OR_RETURN(RowBatchPtr out,
+                          plan_.merge_partials ? Emit() : TypedEmit());
+  return SelBatch{std::move(out)};
 }
 
 }  // namespace pixels

@@ -15,7 +15,8 @@ namespace pixels {
 /// Groups live in typed open-addressing tables keyed on batch-
 /// precomputed hashes (exec/hash_table.h), and SUM/COUNT/MIN/MAX update as
 /// typed flat loops over the child's selection vector (no Value boxing,
-/// per-row key serialization, or gather after a Filter). At parallelism 1
+/// per-row key serialization, or gather after a Filter unless
+/// SelBatch::Evaluate's seam rule asks for one). At parallelism 1
 /// the input is consumed streaming (one batch resident at a time). At
 /// parallelism N, input batches are collected, key/argument expressions
 /// are evaluated batch-parallel, and groups are built partition-parallel
@@ -29,7 +30,7 @@ class HashAggOperator : public Operator {
       : child_(std::move(child)), plan_(plan), ctx_(ctx) {}
 
   Status Open() override;
-  Result<RowBatchPtr> Next() override;
+  Result<SelBatch> Next() override;
   void Close() override { child_->Close(); }
 
   /// Running state of one aggregate within one group (public so the
@@ -87,10 +88,10 @@ class HashAggOperator : public Operator {
     std::vector<AggState> states;               // kGeneral slots only
   };
   /// A batch prepared for typed aggregation: evaluated key/argument
-  /// columns and per-row key hashes, plus the upstream selection.
+  /// columns and per-row key hashes, lined up with `in` (the upstream
+  /// batch, or its gather when SelBatch::Evaluate gathered).
   struct TypedBatch {
-    RowBatchPtr batch;
-    std::shared_ptr<SelectionVector> sel;  // null = all rows
+    SelBatch in;
     std::vector<ColumnVectorPtr> key_cols;
     std::vector<ColumnVectorPtr> arg_cols;
     std::vector<uint64_t> hashes;
@@ -124,6 +125,8 @@ class HashAggOperator : public Operator {
   std::map<std::string, size_t> group_index_;
   std::vector<Group> groups_;
   std::vector<TypedPart> typed_parts_;
+  /// Group keys, then one argument per aggregate (null for COUNT(*)).
+  std::vector<const Expr*> inputs_;
   bool emitted_ = false;
 };
 

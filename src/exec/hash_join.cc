@@ -64,6 +64,7 @@ Status HashJoinOperator::ExtractKeys(const RowBatch&, const RowBatch&) {
     residual_conjuncts.push_back(std::move(conjunct));
   }
   residual_ = CombineConjuncts(std::move(residual_conjuncts));
+  for (const auto& k : left_keys_) probe_keys_.push_back(k.get());
   use_hash_ = !left_keys_.empty();
   if (plan_.join_type == JoinClause::Type::kLeft &&
       (!use_hash_ || residual_ != nullptr)) {
@@ -75,8 +76,9 @@ Status HashJoinOperator::ExtractKeys(const RowBatch&, const RowBatch&) {
 
 Status HashJoinOperator::BuildSide() {
   while (true) {
-    PIXELS_ASSIGN_OR_RETURN(RowBatchPtr batch, right_->Next());
-    if (batch == nullptr) break;
+    PIXELS_ASSIGN_OR_RETURN(SelBatch in, right_->Next());
+    if (in.batch == nullptr) break;
+    RowBatchPtr batch = in.Materialize();
     if (batch->num_rows() == 0) continue;
     if (right_names_.empty()) {
       for (size_t c = 0; c < batch->num_columns(); ++c) {
@@ -92,9 +94,6 @@ Status HashJoinOperator::BuildSide() {
     right_types_.assign(right_names_.size(), TypeId::kInt64);
   }
   if (!use_hash_) return Status::OK();
-  for (const auto& k : left_keys_) {
-    probe_safe_ = probe_safe_ && ExprSafeToEvalUnselected(*k);
-  }
 
   // Phase 1 (batch-parallel): key columns + hashes per batch, computed
   // by HashKeyColumns' typed flat loops.
@@ -238,12 +237,7 @@ Result<RowBatchPtr> HashJoinOperator::CombineAndFilter(
   if (filter != nullptr && combined->num_rows() > 0) {
     PIXELS_ASSIGN_OR_RETURN(ColumnVectorPtr mask,
                             EvaluateExpr(*filter, *combined));
-    std::vector<uint32_t> sel;
-    for (size_t i = 0; i < mask->size(); ++i) {
-      if (!mask->IsNull(i) && mask->GetValue(i).AsBool()) {
-        sel.push_back(static_cast<uint32_t>(i));
-      }
-    }
+    const SelectionVector sel = TruthSelect(*mask, nullptr);
     if (sel.empty()) return RowBatchPtr(nullptr);
     combined = combined->Gather(sel);
   }
@@ -251,30 +245,22 @@ Result<RowBatchPtr> HashJoinOperator::CombineAndFilter(
   return combined;
 }
 
-Result<RowBatchPtr> HashJoinOperator::Next() {
+Result<SelBatch> HashJoinOperator::Next() {
   std::vector<uint64_t> matches;
   while (true) {
-    PIXELS_ASSIGN_OR_RETURN(SelBatch in, left_->NextSel());
-    if (in.batch == nullptr) return RowBatchPtr(nullptr);
+    PIXELS_ASSIGN_OR_RETURN(SelBatch in, left_->Next());
+    if (in.batch == nullptr) return SelBatch{};
     if (in.num_selected() == 0) continue;
-    RowBatchPtr probe = in.batch;
-    std::shared_ptr<SelectionVector> sel = in.sel;
-    if (sel != nullptr && !probe_safe_) {
-      probe = in.Materialize();
-      sel = nullptr;
-    }
 
     std::vector<ColumnVectorPtr> key_cols;
     std::vector<uint8_t> any_null;
     std::vector<uint64_t> hashes;
     if (use_hash_) {
-      for (const auto& k : left_keys_) {
-        PIXELS_ASSIGN_OR_RETURN(ColumnVectorPtr col,
-                                EvaluateExpr(*k, *probe));
-        key_cols.push_back(std::move(col));
-      }
-      hashes = HashKeyColumns(key_cols, probe->num_rows(), &any_null);
+      PIXELS_ASSIGN_OR_RETURN(in, in.Evaluate(probe_keys_, &key_cols));
+      hashes = HashKeyColumns(key_cols, in.batch->num_rows(), &any_null);
     }
+    const RowBatchPtr& probe = in.batch;
+    const SelectionVector* sel = in.sel.get();
 
     std::vector<uint32_t> probe_sel;
     std::vector<ColumnVectorPtr> build_out;
@@ -328,7 +314,7 @@ Result<RowBatchPtr> HashJoinOperator::Next() {
     PIXELS_ASSIGN_OR_RETURN(RowBatchPtr out,
                             CombineAndFilter(probe, probe_sel, build_out));
     if (out == nullptr) continue;  // residual filtered everything out
-    return out;
+    return SelBatch{std::move(out)};
   }
 }
 

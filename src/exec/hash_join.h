@@ -12,8 +12,9 @@ namespace pixels {
 ///
 /// Equi-joins build typed open-addressing tables (exec/hash_table.h)
 /// keyed on batch-precomputed hashes and pre-sized from the exact build
-/// row count, and the probe iterates the child's selection vector
-/// directly (no Value boxing, key serialization, or post-Filter gather).
+/// row count, and the probe evaluates its keys through
+/// SelBatch::Evaluate and iterates the selection it returns (no Value
+/// boxing, key serialization, or post-Filter gather).
 /// The build side is partitioned by key hash: key expressions are
 /// evaluated batch-parallel, then each of the P partitions builds its own
 /// table in parallel (P = the query's parallelism degree). Insertion
@@ -31,7 +32,7 @@ class HashJoinOperator : public Operator {
         ctx_(ctx) {}
 
   Status Open() override;
-  Result<RowBatchPtr> Next() override;
+  Result<SelBatch> Next() override;
   void Close() override;
 
  private:
@@ -59,10 +60,9 @@ class HashJoinOperator : public Operator {
   std::vector<RowBatchPtr> build_batches_;
   /// Build tables, partitioned by key hash % size.
   std::vector<JoinTable> tables_;
-  /// Probe keys may be evaluated over deselected rows (total exprs).
-  bool probe_safe_ = true;
   bool keys_extracted_ = false;
   std::vector<ExprPtr> left_keys_;
+  std::vector<const Expr*> probe_keys_;  // left_keys_, for SelBatch::Evaluate
   std::vector<ExprPtr> right_keys_;
   ExprPtr residual_;  // non-equi parts of the condition (may be null)
   bool use_hash_ = false;

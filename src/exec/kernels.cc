@@ -1,298 +1,6 @@
 #include "exec/kernels.h"
 
-#include "exec/expression.h"
-#include "plan/optimizer.h"
-
 namespace pixels {
-
-namespace {
-
-bool IsLit(const Expr& e) { return e.kind == Expr::Kind::kLiteral; }
-bool IsCol(const Expr& e) { return e.kind == Expr::Kind::kColumnRef; }
-
-}  // namespace
-
-CompiledPredicate CompiledPredicate::Compile(const Expr& predicate) {
-  CompiledPredicate p;
-  std::vector<ExprPtr> residual;
-  for (auto& c : SplitConjuncts(predicate)) {
-    const Expr& e = *c;
-    Step s;
-    bool lowered = false;
-    switch (e.kind) {
-      case Expr::Kind::kBinary: {
-        auto op = ParseCmpOp(e.op);
-        if (op && e.args.size() == 2) {
-          if (IsCol(*e.args[0]) && IsLit(*e.args[1])) {
-            s.kind = Step::Kind::kCompare;
-            s.column = e.args[0]->QualifiedName();
-            s.op = *op;
-            s.lit = e.args[1]->literal;
-            lowered = true;
-          } else if (IsLit(*e.args[0]) && IsCol(*e.args[1])) {
-            s.kind = Step::Kind::kCompare;
-            s.column = e.args[1]->QualifiedName();
-            s.op = FlipCmpOp(*op);
-            s.lit = e.args[0]->literal;
-            lowered = true;
-          }
-          if (lowered && s.lit.is_null()) {
-            p.never_matches_ = true;  // comparison with null is never true
-            return p;
-          }
-        }
-        break;
-      }
-      case Expr::Kind::kBetween:
-        if (IsCol(*e.args[0]) && IsLit(*e.args[1]) && IsLit(*e.args[2])) {
-          if (e.args[1]->literal.is_null() || e.args[2]->literal.is_null()) {
-            p.never_matches_ = true;  // null bound: result is Null for all rows
-            return p;
-          }
-          s.kind = Step::Kind::kBetween;
-          s.column = e.args[0]->QualifiedName();
-          s.lo = e.args[1]->literal;
-          s.hi = e.args[2]->literal;
-          s.negated = e.negated;
-          lowered = true;
-        }
-        break;
-      case Expr::Kind::kInList: {
-        bool all_lit = IsCol(*e.args[0]);
-        for (size_t i = 1; all_lit && i < e.args.size(); ++i) {
-          all_lit = IsLit(*e.args[i]);
-        }
-        if (all_lit) {
-          s.kind = Step::Kind::kInList;
-          s.column = e.args[0]->QualifiedName();
-          for (size_t i = 1; i < e.args.size(); ++i) {
-            // Null items can never equal the probe; dropping them here
-            // matches the scalar evaluator, which skips them.
-            if (!e.args[i]->literal.is_null()) {
-              s.in_list.push_back(e.args[i]->literal);
-            }
-          }
-          s.negated = e.negated;
-          lowered = true;
-        }
-        break;
-      }
-      case Expr::Kind::kIsNull:
-        if (IsCol(*e.args[0])) {
-          s.kind = Step::Kind::kIsNull;
-          s.column = e.args[0]->QualifiedName();
-          s.negated = e.negated;
-          lowered = true;
-        }
-        break;
-      case Expr::Kind::kColumnRef:
-        s.kind = Step::Kind::kTruthy;
-        s.column = e.QualifiedName();
-        lowered = true;
-        break;
-      case Expr::Kind::kUnary:
-        if (e.op == "NOT" && IsCol(*e.args[0])) {
-          s.kind = Step::Kind::kTruthy;
-          s.column = e.args[0]->QualifiedName();
-          s.negated = true;
-          lowered = true;
-        }
-        break;
-      default:
-        break;
-    }
-    if (lowered) {
-      p.steps_.push_back(std::move(s));
-    } else {
-      residual.push_back(std::move(c));
-    }
-  }
-  if (!residual.empty()) p.residual_ = CombineConjuncts(std::move(residual));
-  return p;
-}
-
-Status CompiledPredicate::EvalStep(const Step& s, const RowBatch& batch,
-                                   const SelectionVector* in,
-                                   SelectionVector* out) const {
-  int idx = batch.FindColumn(s.column);
-  if (idx < 0) {
-    return Status::InvalidArgument("column not found at execution: " +
-                                   s.column);
-  }
-  const ColumnVector& col = *batch.column(static_cast<size_t>(idx));
-  const uint32_t n = static_cast<uint32_t>(batch.num_rows());
-  const uint8_t* ok = col.valid_data();
-
-  // Runs `match` over the candidate rows (all rows on the first step, the
-  // incoming selection afterwards) and emits survivors.
-  auto drive = [&](auto&& match) {
-    if (in == nullptr) {
-      for (uint32_t i = 0; i < n; ++i) {
-        if (match(i)) out->push_back(i);
-      }
-    } else {
-      for (uint32_t i : *in) {
-        if (match(i)) out->push_back(i);
-      }
-    }
-  };
-
-  switch (s.kind) {
-    case Step::Kind::kCompare: {
-      const TypedPredicate p = TypedPredicate::Make(col.type(), s.op, s.lit);
-      switch (PayloadClassOf(col.type())) {
-        case PayloadClass::kInt: {
-          const int64_t* v = col.ints_data();
-          drive([&](uint32_t i) { return ok[i] && p.MatchInt(v[i]); });
-          break;
-        }
-        case PayloadClass::kDouble: {
-          const double* v = col.doubles_data();
-          drive([&](uint32_t i) { return ok[i] && p.MatchDouble(v[i]); });
-          break;
-        }
-        case PayloadClass::kString: {
-          const std::string* v = col.strings_data();
-          drive([&](uint32_t i) { return ok[i] && p.MatchString(v[i]); });
-          break;
-        }
-      }
-      break;
-    }
-    case Step::Kind::kBetween: {
-      const TypedPredicate ge = TypedPredicate::Make(col.type(), CmpOp::kGe, s.lo);
-      const TypedPredicate le = TypedPredicate::Make(col.type(), CmpOp::kLe, s.hi);
-      const bool neg = s.negated;
-      switch (PayloadClassOf(col.type())) {
-        case PayloadClass::kInt: {
-          const int64_t* v = col.ints_data();
-          drive([&](uint32_t i) {
-            return ok[i] && ((ge.MatchInt(v[i]) && le.MatchInt(v[i])) != neg);
-          });
-          break;
-        }
-        case PayloadClass::kDouble: {
-          const double* v = col.doubles_data();
-          drive([&](uint32_t i) {
-            return ok[i] &&
-                   ((ge.MatchDouble(v[i]) && le.MatchDouble(v[i])) != neg);
-          });
-          break;
-        }
-        case PayloadClass::kString: {
-          const std::string* v = col.strings_data();
-          drive([&](uint32_t i) {
-            return ok[i] &&
-                   ((ge.MatchString(v[i]) && le.MatchString(v[i])) != neg);
-          });
-          break;
-        }
-      }
-      break;
-    }
-    case Step::Kind::kInList: {
-      std::vector<TypedPredicate> eqs;
-      eqs.reserve(s.in_list.size());
-      for (const Value& item : s.in_list) {
-        eqs.push_back(TypedPredicate::Make(col.type(), CmpOp::kEq, item));
-      }
-      const bool neg = s.negated;
-      auto any = [&](auto&& one) {
-        for (const TypedPredicate& p : eqs) {
-          if (one(p)) return true;
-        }
-        return false;
-      };
-      switch (PayloadClassOf(col.type())) {
-        case PayloadClass::kInt: {
-          const int64_t* v = col.ints_data();
-          drive([&](uint32_t i) {
-            return ok[i] && (any([&](const TypedPredicate& p) {
-                              return p.MatchInt(v[i]);
-                            }) != neg);
-          });
-          break;
-        }
-        case PayloadClass::kDouble: {
-          const double* v = col.doubles_data();
-          drive([&](uint32_t i) {
-            return ok[i] && (any([&](const TypedPredicate& p) {
-                              return p.MatchDouble(v[i]);
-                            }) != neg);
-          });
-          break;
-        }
-        case PayloadClass::kString: {
-          const std::string* v = col.strings_data();
-          drive([&](uint32_t i) {
-            return ok[i] && (any([&](const TypedPredicate& p) {
-                              return p.MatchString(v[i]);
-                            }) != neg);
-          });
-          break;
-        }
-      }
-      break;
-    }
-    case Step::Kind::kIsNull: {
-      const bool neg = s.negated;
-      drive([&](uint32_t i) { return neg ? ok[i] != 0 : ok[i] == 0; });
-      break;
-    }
-    case Step::Kind::kTruthy: {
-      const bool neg = s.negated;
-      switch (PayloadClassOf(col.type())) {
-        case PayloadClass::kInt: {
-          const int64_t* v = col.ints_data();
-          drive([&](uint32_t i) { return ok[i] && ((v[i] != 0) != neg); });
-          break;
-        }
-        case PayloadClass::kDouble: {
-          const double* v = col.doubles_data();
-          drive([&](uint32_t i) { return ok[i] && ((v[i] != 0) != neg); });
-          break;
-        }
-        case PayloadClass::kString: {
-          // Value::AsBool on a string inspects the (zero) int payload.
-          drive([&](uint32_t i) { return ok[i] && neg; });
-          break;
-        }
-      }
-      break;
-    }
-  }
-  return Status::OK();
-}
-
-Result<SelectionVector> CompiledPredicate::Select(
-    const RowBatch& batch, const SelectionVector* in) const {
-  SelectionVector sel;
-  const size_t n = batch.num_rows();
-  if (never_matches_ || n == 0 || (in != nullptr && in->empty())) return sel;
-  bool have = in != nullptr;
-  if (have) sel = *in;
-  for (const Step& s : steps_) {
-    SelectionVector next;
-    PIXELS_RETURN_NOT_OK(EvalStep(s, batch, have ? &sel : nullptr, &next));
-    sel = std::move(next);
-    have = true;
-    if (sel.empty()) return sel;
-  }
-  if (!have) {
-    sel.resize(n);
-    for (size_t i = 0; i < n; ++i) sel[i] = static_cast<uint32_t>(i);
-  }
-  if (residual_ != nullptr) {
-    SelectionVector out;
-    out.reserve(sel.size());
-    for (uint32_t i : sel) {
-      PIXELS_ASSIGN_OR_RETURN(Value v, EvaluateExprRow(*residual_, batch, i));
-      if (!v.is_null() && v.AsBool()) out.push_back(i);
-    }
-    sel = std::move(out);
-  }
-  return sel;
-}
 
 std::vector<uint64_t> RfHashColumn(const ColumnVector& col) {
   const size_t n = col.size();
@@ -375,6 +83,7 @@ bool ExprSafeToEvalUnselected(const Expr& expr) {
       return true;
     case Expr::Kind::kStar:
     case Expr::Kind::kFunction:  // length()/substr() type-check per row
+    case Expr::Kind::kCase:      // the output type follows the rows
       return false;
     case Expr::Kind::kUnary:
       if (expr.op != "NOT" && expr.op != "-") return false;
@@ -394,7 +103,6 @@ bool ExprSafeToEvalUnselected(const Expr& expr) {
     case Expr::Kind::kBetween:
     case Expr::Kind::kInList:
     case Expr::Kind::kIsNull:
-    case Expr::Kind::kCase:
       break;
   }
   for (const auto& arg : expr.args) {
@@ -403,25 +111,59 @@ bool ExprSafeToEvalUnselected(const Expr& expr) {
   return true;
 }
 
+namespace {
+
+/// The rows of `sel` (all `n` rows when null) for which `keep` holds, in
+/// one branch-free pass.
+template <typename Keep>
+SelectionVector SelectRows(size_t n, const SelectionVector* sel, Keep&& keep) {
+  SelectionVector out(sel != nullptr ? sel->size() : n);
+  size_t k = 0;
+  if (sel == nullptr) {
+    for (uint32_t i = 0; i < n; ++i) {
+      out[k] = i;
+      k += keep(i);
+    }
+  } else {
+    for (uint32_t i : *sel) {
+      out[k] = i;
+      k += keep(i);
+    }
+  }
+  out.resize(k);
+  return out;
+}
+
+}  // namespace
+
 SelectionVector BloomFilterSelect(const ColumnVector& col,
                                   const BloomFilter& bloom,
                                   const SelectionVector* sel) {
   const std::vector<uint64_t> hashes = RfHashColumn(col);
   const uint8_t* ok = col.valid_data();
-  SelectionVector out;
-  if (sel == nullptr) {
-    const uint32_t n = static_cast<uint32_t>(col.size());
-    out.reserve(n);
-    for (uint32_t i = 0; i < n; ++i) {
-      if (ok[i] && bloom.MayContain(hashes[i])) out.push_back(i);
+  return SelectRows(col.size(), sel, [&](uint32_t i) {
+    return ok[i] && bloom.MayContain(hashes[i]);
+  });
+}
+
+SelectionVector TruthSelect(const ColumnVector& col,
+                            const SelectionVector* sel) {
+  const uint8_t* ok = col.valid_data();
+  switch (PayloadClassOf(col.type())) {
+    case PayloadClass::kInt: {
+      const int64_t* v = col.ints_data();
+      return SelectRows(col.size(), sel,
+                        [&](uint32_t i) { return ok[i] & (v[i] != 0); });
     }
-  } else {
-    out.reserve(sel->size());
-    for (uint32_t i : *sel) {
-      if (ok[i] && bloom.MayContain(hashes[i])) out.push_back(i);
+    case PayloadClass::kDouble: {
+      const double* v = col.doubles_data();
+      return SelectRows(col.size(), sel,
+                        [&](uint32_t i) { return ok[i] & (v[i] != 0); });
     }
+    case PayloadClass::kString:
+      break;  // Value::AsBool reads a string's zero int payload
   }
-  return out;
+  return {};
 }
 
 }  // namespace pixels

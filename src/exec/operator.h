@@ -1,4 +1,5 @@
-// Pull-based (Volcano-style, vectorized) physical operator interface.
+// Pull-based (Volcano-style, vectorized) physical operator interface: one
+// batch method, `Next()`, returning a batch plus an optional selection.
 #pragma once
 
 #include <atomic>
@@ -12,6 +13,7 @@
 
 namespace pixels {
 
+struct Expr;
 class MvStore;
 class Tracer;
 class QueryProfile;
@@ -110,13 +112,16 @@ struct RfStats {
 };
 
 /// A batch plus an optional selection vector: when `sel` is non-null,
-/// only the listed rows (ascending) are logically present. Filter
-/// produces these without gathering; selection-aware consumers (Project,
-/// HashAgg consume, HashJoin probe) iterate `sel` directly, and
-/// everything else materializes at the seam via `Materialize()`.
+/// only the listed rows (ascending) are logically present. Every operator
+/// produces these; a dense producer returns `{batch, nullptr}`. Filter,
+/// Distinct and Limit select without gathering, expression consumers
+/// (Project, Filter, HashAgg, the HashJoin probe) evaluate through
+/// `Evaluate()`, and consumers that need rows in place (Sort, the
+/// HashJoin build, the HashAgg merge, the query result) call
+/// `Materialize()`.
 struct SelBatch {
-  RowBatchPtr batch;                     // null = end of stream
-  std::shared_ptr<SelectionVector> sel;  // null = every row selected
+  RowBatchPtr batch = nullptr;                     // null = end of stream
+  std::shared_ptr<SelectionVector> sel = nullptr;  // null = every row selected
 
   size_t num_selected() const {
     if (batch == nullptr) return 0;
@@ -130,9 +135,20 @@ struct SelBatch {
     if (sel->size() == batch->num_rows()) return batch;
     return batch->Gather(*sel);
   }
+
+  /// The seam rule: evaluates `exprs` (a null entry yields a null column)
+  /// for the selected rows, into `cols`, and returns the SelBatch the
+  /// columns line up with. That is `*this` when every expression is
+  /// ExprSafeToEvalUnselected and at least a quarter of the rows are
+  /// selected; otherwise the selected rows are gathered into a dense
+  /// batch first. Output types never depend on deselected rows: a
+  /// computed column with no non-null selected row is typed kInt64, as
+  /// the gathered evaluation types it.
+  Result<SelBatch> Evaluate(const std::vector<const Expr*>& exprs,
+                            std::vector<ColumnVectorPtr>* cols) const;
 };
 
-/// A physical operator producing a stream of row batches.
+/// A physical operator producing a stream of (selected) row batches.
 class Operator {
  public:
   virtual ~Operator() = default;
@@ -140,18 +156,8 @@ class Operator {
   /// Prepares the operator (recursively opens children).
   virtual Status Open() = 0;
 
-  /// Produces the next batch, or nullptr at end of stream.
-  virtual Result<RowBatchPtr> Next() = 0;
-
-  /// Produces the next batch together with an optional selection vector.
-  /// Selection-aware producers override this to skip the gather; the
-  /// default wraps Next() with an all-rows selection. End of stream is a
-  /// null batch, exactly like Next().
-  virtual Result<SelBatch> NextSel() {
-    Result<RowBatchPtr> batch = Next();
-    if (!batch.ok()) return batch.status();
-    return SelBatch{std::move(*batch), nullptr};
-  }
+  /// Produces the next batch; a null `batch` is end of stream.
+  virtual Result<SelBatch> Next() = 0;
 
   /// Releases resources.
   virtual void Close() {}

@@ -1,5 +1,7 @@
 #include "exec/operators.h"
 
+#include <algorithm>
+
 #include "common/bytes.h"
 #include "exec/expression.h"
 #include "format/stats.h"
@@ -64,21 +66,14 @@ Status ScanOperator::Open() {
 Result<RowBatchPtr> ScanOperator::DecodeMorsel(const Morsel& morsel,
                                                ScanStats* stats) const {
   const PixelsReader& reader = *readers_[morsel.reader_index];
-  RowBatchPtr batch;
-  if (!plan_.pushed.empty()) {
-    // Fused decode+filter: pushed predicates are evaluated on the encoded
-    // chunks and only surviving rows materialize. Billing and
-    // rows_scanned equal a full ReadRowGroup's (all projected chunk
-    // bytes are charged, all row-group rows counted).
-    PIXELS_ASSIGN_OR_RETURN(
-        batch, reader.ReadRowGroupFiltered(morsel.row_group, columns_,
-                                           plan_.pushed, stats));
-    stats->rows_read += reader.RowGroupRows(morsel.row_group);
-  } else {
-    PIXELS_ASSIGN_OR_RETURN(
-        batch, reader.ReadRowGroup(morsel.row_group, columns_, stats));
-    stats->rows_read += batch->num_rows();
-  }
+  // Fused decode+filter: pushed predicates are evaluated on the encoded
+  // chunks and only surviving rows materialize. Billing and rows_scanned
+  // are those of the whole row group (every projected chunk byte is
+  // charged, every row counted).
+  PIXELS_ASSIGN_OR_RETURN(
+      RowBatchPtr batch, reader.ReadRowGroupFiltered(
+                             morsel.row_group, columns_, plan_.pushed, stats));
+  stats->rows_read += reader.RowGroupRows(morsel.row_group);
   // Qualify column names with the scan alias.
   auto qualified = std::make_shared<RowBatch>();
   for (size_t c = 0; c < batch->num_columns(); ++c) {
@@ -237,12 +232,12 @@ void ScanOperator::WaitPrefetch() {
   prefetch_cv_.wait(lock, [this] { return !prefetch_inflight_; });
 }
 
-Result<RowBatchPtr> ScanOperator::Next() {
+Result<SelBatch> ScanOperator::Next() {
   if (window_pos_ >= window_.size()) {
     PIXELS_RETURN_NOT_OK(RefillWindow());
-    if (window_.empty()) return RowBatchPtr(nullptr);
+    if (window_.empty()) return SelBatch{};
   }
-  return window_[window_pos_++];
+  return SelBatch{window_[window_pos_++]};
 }
 
 void ScanOperator::Close() {
@@ -252,99 +247,106 @@ void ScanOperator::Close() {
   morsels_.clear();
 }
 
-Status FilterOperator::Open() {
-  // One-time predicate compilation: conjuncts lower into typed kernel
-  // steps; whatever cannot lower stays as a scalar residual.
-  compiled_ = CompiledPredicate::Compile(predicate_);
-  return child_->Open();
+Result<SelBatch> SelBatch::Evaluate(const std::vector<const Expr*>& exprs,
+                                    std::vector<ColumnVectorPtr>* cols) const {
+  SelBatch in = *this;
+  if (sel != nullptr) {
+    // In place only when no deselected row can change a status or a
+    // type, and when evaluating the deselected rows costs less than one
+    // gather (a quarter of the rows or more selected).
+    bool in_place = sel->size() * 4 >= batch->num_rows();
+    for (const Expr* e : exprs) {
+      in_place = in_place && (e == nullptr || ExprSafeToEvalUnselected(*e));
+    }
+    if (!in_place) in = SelBatch{Materialize()};
+  }
+  cols->clear();
+  for (const Expr* e : exprs) {
+    if (e == nullptr) {
+      cols->push_back(nullptr);
+      continue;
+    }
+    PIXELS_ASSIGN_OR_RETURN(ColumnVectorPtr col, EvaluateExpr(*e, *in.batch));
+    // A computed column whose values all sit on deselected rows is
+    // all-null over the selection, which EvaluateExpr types kInt64 (a
+    // bare column reference keeps its type either way).
+    if (in.sel != nullptr && e->kind != Expr::Kind::kColumnRef &&
+        col->type() != TypeId::kInt64 &&
+        std::none_of(in.sel->begin(), in.sel->end(),
+                     [&](uint32_t i) { return !col->IsNull(i); })) {
+      col = MakeVector(TypeId::kInt64);
+      col->Resize(in.batch->num_rows());
+    }
+    cols->push_back(std::move(col));
+  }
+  return in;
 }
 
-Result<RowBatchPtr> FilterOperator::Next() {
-  PIXELS_ASSIGN_OR_RETURN(SelBatch out, NextSel());
-  return out.Materialize();
-}
-
-Result<SelBatch> FilterOperator::NextSel() {
+Result<SelBatch> FilterOperator::Next() {
   while (true) {
-    PIXELS_ASSIGN_OR_RETURN(SelBatch in, child_->NextSel());
+    PIXELS_ASSIGN_OR_RETURN(SelBatch in, child_->Next());
     if (in.batch == nullptr) return SelBatch{};
     if (in.num_selected() == 0) continue;
-    PIXELS_ASSIGN_OR_RETURN(SelectionVector sel,
-                            compiled_.Select(*in.batch, in.sel.get()));
+    std::vector<ColumnVectorPtr> truth;
+    PIXELS_ASSIGN_OR_RETURN(in, in.Evaluate({&predicate_}, &truth));
+    SelectionVector sel = TruthSelect(*truth[0], in.sel.get());
     if (sel.empty()) continue;
+    if (sel.size() == in.batch->num_rows()) return SelBatch{in.batch};
     return SelBatch{std::move(in.batch),
                     std::make_shared<SelectionVector>(std::move(sel))};
   }
 }
 
-Status ProjectOperator::Open() {
-  selvec_safe_ = true;
-  for (const auto& e : exprs_) {
-    selvec_safe_ = selvec_safe_ && ExprSafeToEvalUnselected(*e);
-  }
-  return child_->Open();
-}
-
-Result<RowBatchPtr> ProjectOperator::Next() {
-  PIXELS_ASSIGN_OR_RETURN(SelBatch out, NextSel());
-  return out.Materialize();
-}
-
-Result<SelBatch> ProjectOperator::NextSel() {
-  PIXELS_ASSIGN_OR_RETURN(SelBatch in, child_->NextSel());
+Result<SelBatch> ProjectOperator::Next() {
+  PIXELS_ASSIGN_OR_RETURN(SelBatch in, child_->Next());
   if (in.batch == nullptr) return SelBatch{};
-  // Project the full batch and forward the selection only when that is
-  // semantically safe AND not wasteful: a sparse selection (< 1/4 of the
-  // rows) makes gathering once cheaper than evaluating deselected rows.
-  RowBatchPtr input = in.batch;
-  std::shared_ptr<SelectionVector> sel = in.sel;
-  if (sel != nullptr &&
-      (!selvec_safe_ || sel->size() * 4 < in.batch->num_rows())) {
-    input = in.Materialize();
-    sel = nullptr;
-  }
+  std::vector<ColumnVectorPtr> cols;
+  PIXELS_ASSIGN_OR_RETURN(in, in.Evaluate(exprs_, &cols));
   auto out = std::make_shared<RowBatch>();
-  for (size_t i = 0; i < exprs_.size(); ++i) {
-    PIXELS_ASSIGN_OR_RETURN(ColumnVectorPtr col,
-                            EvaluateExpr(*exprs_[i], *input));
-    out->AddColumn(names_[i], std::move(col));
+  for (size_t i = 0; i < cols.size(); ++i) {
+    out->AddColumn(names_[i], std::move(cols[i]));
   }
-  return SelBatch{std::move(out), std::move(sel)};
+  return SelBatch{std::move(out), std::move(in.sel)};
 }
 
-Result<RowBatchPtr> LimitOperator::Next() {
-  if (remaining_ <= 0) return RowBatchPtr(nullptr);
-  PIXELS_ASSIGN_OR_RETURN(RowBatchPtr batch, child_->Next());
-  if (batch == nullptr) return RowBatchPtr(nullptr);
-  if (static_cast<int64_t>(batch->num_rows()) <= remaining_) {
-    remaining_ -= static_cast<int64_t>(batch->num_rows());
-    return batch;
+Result<SelBatch> LimitOperator::Next() {
+  if (remaining_ <= 0) return SelBatch{};
+  PIXELS_ASSIGN_OR_RETURN(SelBatch in, child_->Next());
+  if (in.batch == nullptr) return SelBatch{};
+  const int64_t n = static_cast<int64_t>(in.num_selected());
+  if (n <= remaining_) {
+    remaining_ -= n;
+    return in;
   }
-  std::vector<uint32_t> sel;
-  for (int64_t i = 0; i < remaining_; ++i) {
-    sel.push_back(static_cast<uint32_t>(i));
+  auto sel = std::make_shared<SelectionVector>();
+  for (uint32_t i = 0; i < remaining_; ++i) {
+    sel->push_back(in.sel != nullptr ? (*in.sel)[i] : i);
   }
   remaining_ = 0;
-  return batch->Gather(sel);
+  return SelBatch{std::move(in.batch), std::move(sel)};
 }
 
-Result<RowBatchPtr> DistinctOperator::Next() {
+Result<SelBatch> DistinctOperator::Next() {
   while (true) {
-    PIXELS_ASSIGN_OR_RETURN(RowBatchPtr batch, child_->Next());
-    if (batch == nullptr) return RowBatchPtr(nullptr);
+    PIXELS_ASSIGN_OR_RETURN(SelBatch in, child_->Next());
+    if (in.batch == nullptr) return SelBatch{};
+    const RowBatch& batch = *in.batch;
     std::vector<int> all_cols;
-    for (size_t c = 0; c < batch->num_columns(); ++c) {
+    for (size_t c = 0; c < batch.num_columns(); ++c) {
       all_cols.push_back(static_cast<int>(c));
     }
-    std::vector<uint32_t> sel;
-    for (size_t r = 0; r < batch->num_rows(); ++r) {
-      if (seen_.insert(RowKey(*batch, r, all_cols)).second) {
-        sel.push_back(static_cast<uint32_t>(r));
-      }
+    auto sel = std::make_shared<SelectionVector>();
+    auto visit = [&](uint32_t r) {
+      if (seen_.insert(RowKey(batch, r, all_cols)).second) sel->push_back(r);
+    };
+    if (in.sel != nullptr) {
+      for (uint32_t r : *in.sel) visit(r);
+    } else {
+      for (uint32_t r = 0; r < batch.num_rows(); ++r) visit(r);
     }
-    if (sel.empty()) continue;
-    if (sel.size() == batch->num_rows()) return batch;
-    return batch->Gather(sel);
+    if (sel->empty()) continue;
+    if (sel->size() == batch.num_rows()) return SelBatch{std::move(in.batch)};
+    return SelBatch{std::move(in.batch), std::move(sel)};
   }
 }
 
@@ -356,10 +358,10 @@ Status ViewOperator::Open() {
   return Status::OK();
 }
 
-Result<RowBatchPtr> ViewOperator::Next() {
+Result<SelBatch> ViewOperator::Next() {
   const auto& batches = plan_.view->batches();
-  if (next_ >= batches.size()) return RowBatchPtr(nullptr);
-  return batches[next_++];
+  if (next_ >= batches.size()) return SelBatch{};
+  return SelBatch{batches[next_++]};
 }
 
 }  // namespace pixels

@@ -1,6 +1,8 @@
 // Basic physical operators: scan, filter, project, limit, distinct, and
 // materialized-view iteration. Join / aggregate / sort live in their own
-// translation units.
+// translation units. Scan and View produce dense batches; Filter,
+// Distinct and Limit narrow a selection without gathering; Project and
+// Filter evaluate through SelBatch::Evaluate.
 #pragma once
 
 #include <condition_variable>
@@ -27,7 +29,7 @@ class ScanOperator : public Operator {
       : plan_(scan), ctx_(ctx) {}
 
   Status Open() override;
-  Result<RowBatchPtr> Next() override;
+  Result<SelBatch> Next() override;
   void Close() override;
 
  private:
@@ -74,49 +76,42 @@ class ScanOperator : public Operator {
   bool prefetch_inflight_ = false;
 };
 
-/// Emits only rows whose predicate evaluates to true (SQL semantics:
-/// null is not true). The predicate is compiled once at Open into a
-/// kernel program (typed flat loops over payload arrays); conjuncts the
-/// compiler cannot lower fall back to the scalar evaluator per row.
+/// Selects the rows whose predicate is non-null and true (Value::AsBool).
+/// The predicate is evaluated by EvaluateExpr, the one typed column
+/// evaluator, and the child's batch passes through with a narrowed
+/// selection, so downstream consumers never pay a gather.
 class FilterOperator : public Operator {
  public:
   FilterOperator(OperatorPtr child, const Expr& predicate)
       : child_(std::move(child)), predicate_(predicate) {}
 
-  Status Open() override;
-  Result<RowBatchPtr> Next() override;
-  /// Selection-aware path: hands the child's batch through untouched
-  /// with a refined selection vector, so downstream selection-aware
-  /// consumers never pay the gather.
-  Result<SelBatch> NextSel() override;
+  Status Open() override { return child_->Open(); }
+  Result<SelBatch> Next() override;
   void Close() override { child_->Close(); }
 
  private:
   OperatorPtr child_;
   const Expr& predicate_;
-  CompiledPredicate compiled_;
 };
 
-/// Computes one output column per expression.
+/// Computes one output column per expression and forwards the input's
+/// selection when SelBatch::Evaluate did not gather.
 class ProjectOperator : public Operator {
  public:
   ProjectOperator(OperatorPtr child, const std::vector<ExprPtr>& exprs,
                   const std::vector<std::string>& names)
-      : child_(std::move(child)), exprs_(exprs), names_(names) {}
+      : child_(std::move(child)), names_(names) {
+    for (const auto& e : exprs) exprs_.push_back(e.get());
+  }
 
-  Status Open() override;
-  Result<RowBatchPtr> Next() override;
-  /// Selection-aware path: when every expression is total (cannot error
-  /// on a deselected row) and the selection is not too sparse, projects
-  /// the full batch and forwards the selection; otherwise gathers first.
-  Result<SelBatch> NextSel() override;
+  Status Open() override { return child_->Open(); }
+  Result<SelBatch> Next() override;
   void Close() override { child_->Close(); }
 
  private:
   OperatorPtr child_;
-  const std::vector<ExprPtr>& exprs_;
+  std::vector<const Expr*> exprs_;
   const std::vector<std::string>& names_;
-  bool selvec_safe_ = false;
 };
 
 /// Truncates the stream after n rows.
@@ -126,7 +121,7 @@ class LimitOperator : public Operator {
       : child_(std::move(child)), remaining_(limit) {}
 
   Status Open() override { return child_->Open(); }
-  Result<RowBatchPtr> Next() override;
+  Result<SelBatch> Next() override;
   void Close() override { child_->Close(); }
 
  private:
@@ -140,7 +135,7 @@ class DistinctOperator : public Operator {
   explicit DistinctOperator(OperatorPtr child) : child_(std::move(child)) {}
 
   Status Open() override { return child_->Open(); }
-  Result<RowBatchPtr> Next() override;
+  Result<SelBatch> Next() override;
   void Close() override { child_->Close(); }
 
  private:
@@ -154,7 +149,7 @@ class ViewOperator : public Operator {
   explicit ViewOperator(const LogicalPlan& view) : plan_(view) {}
 
   Status Open() override;
-  Result<RowBatchPtr> Next() override;
+  Result<SelBatch> Next() override;
 
  private:
   const LogicalPlan& plan_;

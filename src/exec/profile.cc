@@ -166,31 +166,14 @@ Status ProfilingOperator::Open() {
   return child_->Open();
 }
 
-Result<RowBatchPtr> ProfilingOperator::Next() {
+Result<SelBatch> ProfilingOperator::Next() {
   ScopedWall wall(node_);
-  Result<RowBatchPtr> result = [&] {
+  Result<SelBatch> result = [&] {
     if (node_->measures_io) {
       ScopedIoDelta io(node_, ctx_);
       return child_->Next();
     }
     return child_->Next();
-  }();
-  if (result.ok() && *result != nullptr) {
-    node_->rows_out.fetch_add((*result)->num_rows(),
-                              std::memory_order_relaxed);
-    node_->batches_out.fetch_add(1, std::memory_order_relaxed);
-  }
-  return result;
-}
-
-Result<SelBatch> ProfilingOperator::NextSel() {
-  ScopedWall wall(node_);
-  Result<SelBatch> result = [&] {
-    if (node_->measures_io) {
-      ScopedIoDelta io(node_, ctx_);
-      return child_->NextSel();
-    }
-    return child_->NextSel();
   }();
   if (result.ok() && result->batch != nullptr) {
     node_->rows_out.fetch_add(result->num_selected(),

@@ -99,11 +99,9 @@ class ProfilingOperator : public Operator {
       : child_(std::move(child)), node_(node), ctx_(ctx) {}
 
   Status Open() override;
-  Result<RowBatchPtr> Next() override;
-  /// Forwards the wrapped operator's selection-aware path so profiling
-  /// never forces a gather; rows_out counts selected (logical) rows,
-  /// identical to what Next() would have produced.
-  Result<SelBatch> NextSel() override;
+  /// Forwards the wrapped operator's batches untouched, so profiling
+  /// never forces a gather; rows_out counts selected (logical) rows.
+  Result<SelBatch> Next() override;
   void Close() override { child_->Close(); }
 
  private:

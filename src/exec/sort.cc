@@ -11,8 +11,9 @@ Status SortOperator::Open() {
   // Materialize all input into one combined batch.
   std::vector<RowBatchPtr> batches;
   while (true) {
-    PIXELS_ASSIGN_OR_RETURN(RowBatchPtr b, child_->Next());
-    if (b == nullptr) break;
+    PIXELS_ASSIGN_OR_RETURN(SelBatch in, child_->Next());
+    if (in.batch == nullptr) break;
+    RowBatchPtr b = in.Materialize();
     if (b->num_rows() > 0) batches.push_back(std::move(b));
   }
   if (batches.empty()) {
@@ -60,10 +61,10 @@ Status SortOperator::Open() {
   return Status::OK();
 }
 
-Result<RowBatchPtr> SortOperator::Next() {
-  if (emitted_ || sorted_ == nullptr) return RowBatchPtr(nullptr);
+Result<SelBatch> SortOperator::Next() {
+  if (emitted_ || sorted_ == nullptr) return SelBatch{};
   emitted_ = true;
-  return sorted_;
+  return SelBatch{sorted_};
 }
 
 }  // namespace pixels

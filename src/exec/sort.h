@@ -14,7 +14,7 @@ class SortOperator : public Operator {
       : child_(std::move(child)), plan_(plan) {}
 
   Status Open() override;
-  Result<RowBatchPtr> Next() override;
+  Result<SelBatch> Next() override;
   void Close() override { child_->Close(); }
 
  private:

@@ -171,29 +171,7 @@ Result<RowBatchPtr> PixelsReader::ReadRowGroup(
 Result<RowBatchPtr> PixelsReader::ReadRowGroup(
     size_t index, const std::vector<std::string>& columns,
     ScanStats* stats) const {
-  if (index >= footer_->row_groups.size()) {
-    return Status::InvalidArgument("row group index out of range");
-  }
-  const RowGroupMeta& rg = footer_->row_groups[index];
-  PIXELS_ASSIGN_OR_RETURN(std::vector<int> col_indexes,
-                          ResolveColumns(columns));
-  PIXELS_ASSIGN_OR_RETURN(std::vector<BufferCache::Buffer> buffers,
-                          FetchChunks(rg, col_indexes, stats));
-  auto batch = std::make_shared<RowBatch>();
-  for (size_t i = 0; i < col_indexes.size(); ++i) {
-    const size_t idx = static_cast<size_t>(col_indexes[i]);
-    const ChunkMeta& chunk = rg.chunks[idx];
-    // Cache hits bill identically to fetches: the query consumed the
-    // chunk either way.
-    stats->bytes_scanned += buffers[i]->size();
-    ByteReader reader(*buffers[i]);
-    PIXELS_ASSIGN_OR_RETURN(
-        ColumnVectorPtr col,
-        DecodeColumn(footer_->schema[idx].type, chunk.encoding, &reader,
-                     rg.num_rows));
-    batch->AddColumn(footer_->schema[idx].name, std::move(col));
-  }
-  return batch;
+  return ReadRowGroupFiltered(index, columns, {}, stats);
 }
 
 Result<RowBatchPtr> PixelsReader::ReadRowGroupFiltered(
@@ -207,8 +185,9 @@ Result<RowBatchPtr> PixelsReader::ReadRowGroupFiltered(
                           ResolveColumns(columns));
   PIXELS_ASSIGN_OR_RETURN(std::vector<BufferCache::Buffer> buffers,
                           FetchChunks(rg, col_indexes, stats));
-  // Billing is identical to ReadRowGroup: every projected chunk is
-  // charged up front, selected rows or not.
+  // Every projected chunk is charged up front, selected rows or not, and
+  // a cache hit bills like a fetch: the query consumed the chunk either
+  // way.
   for (size_t i = 0; i < col_indexes.size(); ++i) {
     stats->bytes_scanned += buffers[i]->size();
   }

@@ -83,14 +83,15 @@ class PixelsReader {
 
   /// Thread-safe variant: accumulates into the caller-supplied `stats`
   /// instead of the reader's internal counters. Concurrent calls with
-  /// distinct `stats` objects are safe (this is the morsel entry point of
-  /// the parallel scan path). Projected chunks missing from the chunk
-  /// cache are fetched in one gap-coalesced `ReadRanges` call.
+  /// distinct `stats` objects are safe. Projected chunks missing from the
+  /// chunk cache are fetched in one gap-coalesced `ReadRanges` call.
+  /// Same as ReadRowGroupFiltered with no predicates.
   Result<RowBatchPtr> ReadRowGroup(size_t index,
                                    const std::vector<std::string>& columns,
                                    ScanStats* stats) const;
 
-  /// Fused decode+filter variant of the thread-safe ReadRowGroup: lowers
+  /// Fused decode+filter variant of the thread-safe ReadRowGroup, and the
+  /// morsel entry point of the scan (serial and parallel): lowers
   /// the comparison `predicates` that name projected columns into typed
   /// predicates, evaluates them on the encoded chunks (once per
   /// dictionary entry / RLE run), and materializes only the selected

@@ -1,4 +1,4 @@
-// Kernel-vs-reference equivalence: CompiledPredicate::Select and the
+// Kernel-vs-reference equivalence: FilterOperator's selection and the
 // column-kernel EvaluateExpr must agree with the row-at-a-time reference
 // (testing/reference_eval.h) on randomized, empty and all-null batches
 // for every shape, falling back (not failing) outside the kernel set and
@@ -7,8 +7,11 @@
 
 #include <gtest/gtest.h>
 
+#include <utility>
+
 #include "common/random.h"
 #include "exec/expression.h"
+#include "exec/operators.h"
 #include "sql/parser.h"
 #include "testing/reference_eval.h"
 
@@ -54,8 +57,8 @@ RowBatchPtr NullBatch(int rows) {
   return batch;
 }
 
-// FilterOperator's scalar semantics: a row passes when the predicate
-// evaluates to non-null true.
+// The filter reference: a row passes when the predicate evaluates to
+// non-null true.
 SelectionVector ScalarSelect(const Expr& pred, const RowBatch& batch) {
   auto col = ReferenceEvaluate(pred, batch);
   EXPECT_TRUE(col.ok()) << col.status().ToString();
@@ -74,71 +77,113 @@ ExprPtr Parse(const std::string& text) {
   return e.ok() ? std::move(*e) : nullptr;
 }
 
-class CompiledPredicateTest : public ::testing::TestWithParam<const char*> {};
+// Emits one batch, then end of stream.
+class OneBatch : public Operator {
+ public:
+  explicit OneBatch(SelBatch batch) : batch_(std::move(batch)) {}
+  Status Open() override { return Status::OK(); }
+  Result<SelBatch> Next() override { return std::exchange(batch_, {}); }
 
-TEST_P(CompiledPredicateTest, SelectMatchesScalarEvaluator) {
+ private:
+  SelBatch batch_;
+};
+
+std::vector<std::string> RowsOf(const RowBatch& batch,
+                                const SelectionVector& sel) {
+  std::vector<std::string> rows;
+  for (uint32_t i : sel) rows.push_back(batch.RowToString(i));
+  return rows;
+}
+
+// The rows a FilterOperator over `batch` (restricted to `in` when set)
+// emits, rendered one string per row.
+Result<std::vector<std::string>> FilterRows(const Expr& pred,
+                                            const RowBatchPtr& batch,
+                                            const SelectionVector* in) {
+  SelBatch input{batch};
+  if (in != nullptr) input.sel = std::make_shared<SelectionVector>(*in);
+  FilterOperator filter(std::make_unique<OneBatch>(std::move(input)), pred);
+  PIXELS_RETURN_NOT_OK(filter.Open());
+  std::vector<std::string> rows;
+  while (true) {
+    PIXELS_ASSIGN_OR_RETURN(SelBatch out, filter.Next());
+    if (out.batch == nullptr) break;
+    RowBatchPtr kept = out.Materialize();
+    for (size_t i = 0; i < kept->num_rows(); ++i) {
+      rows.push_back(kept->RowToString(i));
+    }
+  }
+  return rows;
+}
+
+const char* const kPredicateShapes[] = {
+    // Single comparisons, ranges, lists and null tests.
+    "a > 3", "a >= 3", "a < 3", "a <= 3", "a = 3", "a <> 3",
+    "b > 0.5", "b <= -1.0", "s = 'banana'", "s <> 'apple'",
+    "s < 'cherry'", "t.a > 0", "3 < a",
+    "a BETWEEN -5 AND 5", "a NOT BETWEEN -5 AND 5",
+    "s IN ('apple', 'cherry')", "s NOT IN ('apple', 'cherry')",
+    "a IS NULL", "a IS NOT NULL", "flag", "NOT flag",
+    // Conjunctions.
+    "a > 0 AND b < 1.0", "a > -10 AND a < 10 AND s <> 'date'",
+    "flag AND a IS NOT NULL AND b > 0.0",
+    // Type widening and cross-kind comparisons.
+    "a > 1.5", "b = 2", "s > 5", "a = 'x'",
+    // Constant-folding shapes.
+    "a = NULL", "a BETWEEN 1 AND NULL",
+    // Arithmetic, disjunction and negation over comparisons.
+    "a + b > 0", "a * 2 < b", "a > 0 OR b > 0",
+    "a > 0 AND a + b > 0", "NOT (a > 0)"};
+
+class FilterPredicateTest : public ::testing::TestWithParam<const char*> {};
+
+TEST_P(FilterPredicateTest, SelectMatchesScalarEvaluator) {
   const std::string text = GetParam();
   auto pred = Parse(text);
   ASSERT_NE(pred, nullptr);
-  auto compiled = CompiledPredicate::Compile(*pred);
   for (uint64_t seed : {1u, 7u, 42u}) {
     auto batch = RandomBatch(seed, 503);
-    auto got = compiled.Select(*batch);
+    auto got = FilterRows(*pred, batch, nullptr);
     ASSERT_TRUE(got.ok()) << text << ": " << got.status().ToString();
-    EXPECT_EQ(*got, ScalarSelect(*pred, *batch))
-        << text << " seed=" << seed
-        << " kernel_steps=" << compiled.num_kernel_steps()
-        << " residual=" << compiled.has_residual();
+    EXPECT_EQ(*got, RowsOf(*batch, ScalarSelect(*pred, *batch)))
+        << text << " seed=" << seed;
   }
 }
 
-INSTANTIATE_TEST_SUITE_P(
-    Shapes, CompiledPredicateTest,
-    ::testing::Values(
-        // Kernel-shaped conjuncts.
-        "a > 3", "a >= 3", "a < 3", "a <= 3", "a = 3", "a <> 3",
-        "b > 0.5", "b <= -1.0", "s = 'banana'", "s <> 'apple'",
-        "s < 'cherry'", "t.a > 0", "3 < a",
-        "a BETWEEN -5 AND 5", "a NOT BETWEEN -5 AND 5",
-        "s IN ('apple', 'cherry')", "s NOT IN ('apple', 'cherry')",
-        "a IS NULL", "a IS NOT NULL", "flag", "NOT flag",
-        // Conjunctions, mixed kernel shapes.
-        "a > 0 AND b < 1.0", "a > -10 AND a < 10 AND s <> 'date'",
-        "flag AND a IS NOT NULL AND b > 0.0",
-        // Type widening and cross-kind comparisons.
-        "a > 1.5", "b = 2", "s > 5", "a = 'x'",
-        // Constant-folding shapes.
-        "a = NULL", "a BETWEEN 1 AND NULL",
-        // Residual shapes (not kernel-lowerable) and mixes.
-        "a + b > 0", "a * 2 < b", "a > 0 OR b > 0",
-        "a > 0 AND a + b > 0", "NOT (a > 0)"));
+INSTANTIATE_TEST_SUITE_P(Shapes, FilterPredicateTest,
+                         ::testing::ValuesIn(kPredicateShapes));
 
-TEST(CompiledPredicateTest, KernelShapesActuallyLower) {
-  auto pred = Parse("a > 3 AND s = 'x' AND b BETWEEN 0 AND 1");
-  auto compiled = CompiledPredicate::Compile(*pred);
-  EXPECT_EQ(compiled.num_kernel_steps(), 3u);
-  EXPECT_FALSE(compiled.has_residual());
+TEST(FilterPredicateTest, IncomingSelectionMatchesGatheredReference) {
+  auto batch = RandomBatch(5, 503);
+  // Every other row is evaluated in place; every tenth row is gathered
+  // first (SelBatch::Evaluate's sparse rule).
+  for (uint32_t step : {2u, 10u}) {
+    SelectionVector in;
+    for (uint32_t i = 1; i < batch->num_rows(); i += step) in.push_back(i);
+    const RowBatchPtr gathered = batch->Gather(in);
+    for (const char* text : kPredicateShapes) {
+      auto pred = Parse(text);
+      ASSERT_NE(pred, nullptr);
+      auto got = FilterRows(*pred, batch, &in);
+      ASSERT_TRUE(got.ok()) << text << ": " << got.status().ToString();
+      EXPECT_EQ(*got, RowsOf(*gathered, ScalarSelect(*pred, *gathered)))
+          << text << " step=" << step;
+    }
+  }
 }
 
-TEST(CompiledPredicateTest, NonKernelShapeBecomesResidual) {
-  auto pred = Parse("a + b > 0");
-  auto compiled = CompiledPredicate::Compile(*pred);
-  EXPECT_EQ(compiled.num_kernel_steps(), 0u);
-  EXPECT_TRUE(compiled.has_residual());
+TEST(FilterPredicateTest, AndShortCircuitsPerRowError) {
+  // No row has a > 100, so the row reference never evaluates length(a),
+  // which fails on an integer.
+  auto pred = Parse("a > 100 AND length(a) > 0");
+  auto got = FilterRows(*pred, RandomBatch(3, 97), nullptr);
+  ASSERT_TRUE(got.ok()) << got.status().ToString();
+  EXPECT_TRUE(got->empty());
 }
 
-TEST(CompiledPredicateTest, MixedShapeKeepsKernelAndResidual) {
-  auto pred = Parse("a > 0 AND a + b > 0");
-  auto compiled = CompiledPredicate::Compile(*pred);
-  EXPECT_EQ(compiled.num_kernel_steps(), 1u);
-  EXPECT_TRUE(compiled.has_residual());
-}
-
-TEST(CompiledPredicateTest, UnknownColumnFailsLikeScalar) {
+TEST(FilterPredicateTest, UnknownColumnFailsLikeScalar) {
   auto pred = Parse("zz > 3");
-  auto compiled = CompiledPredicate::Compile(*pred);
-  auto batch = RandomBatch(3, 10);
-  EXPECT_FALSE(compiled.Select(*batch).ok());
+  EXPECT_FALSE(FilterRows(*pred, RandomBatch(3, 10), nullptr).ok());
 }
 
 // ---- column-kernel expression evaluation ----

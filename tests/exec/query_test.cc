@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include "exec/executor.h"
+#include "format/writer.h"
 #include "testing/test_db.h"
 
 namespace pixels {
@@ -26,6 +27,13 @@ class QueryTest : public ::testing::Test {
     for (const auto& b : t.batches()) {
       for (size_t r = 0; r < b->num_rows(); ++r) out.push_back(b->RowToString(r));
     }
+    return out;
+  }
+
+  // Type of column `c` in each batch of `t`.
+  std::vector<TypeId> ColumnTypes(const Table& t, size_t c) {
+    std::vector<TypeId> out;
+    for (const auto& b : t.batches()) out.push_back(b->column(c)->type());
     return out;
   }
 
@@ -243,6 +251,53 @@ TEST_F(QueryTest, ZoneMapPruningStillReturnsExactResults) {
   // Predicate pushdown prunes row groups but the filter is exact.
   auto t = Run("SELECT id FROM emp WHERE id = 5");
   EXPECT_EQ(Rows(*t), (std::vector<std::string>{"5"}));
+}
+
+TEST_F(QueryTest, OutputTypeIgnoresRowsTheFilterDropped) {
+  // `dept = 'sales'` is pushed into the scan; the OR is not, so its
+  // Filter hands Project and HashAgg a selection over the whole batch.
+  // Only deselected rows have salary > 100, so the CASE must stay int.
+  const std::string proj =
+      "SELECT id, CASE WHEN salary > 100 THEN 1.5 ELSE 0 END AS c FROM emp ";
+  auto pushed = Run(proj + "WHERE dept = 'sales' ORDER BY id");
+  auto filtered = Run(proj + "WHERE dept = 'sales' OR id > 100 ORDER BY id");
+  EXPECT_EQ(Rows(*filtered), Rows(*pushed));
+  EXPECT_EQ(ColumnTypes(*pushed, 1), std::vector<TypeId>{TypeId::kInt64});
+  EXPECT_EQ(ColumnTypes(*filtered, 1), ColumnTypes(*pushed, 1));
+
+  const std::string agg =
+      "SELECT dept, sum(CASE WHEN salary > 100 THEN 1.5 ELSE 0 END) AS c "
+      "FROM emp ";
+  auto agg_pushed = Run(agg + "WHERE dept = 'sales' GROUP BY dept");
+  auto agg_filtered =
+      Run(agg + "WHERE dept = 'sales' OR id > 100 GROUP BY dept");
+  EXPECT_EQ(Rows(*agg_pushed), (std::vector<std::string>{"sales\t0"}));
+  EXPECT_EQ(Rows(*agg_filtered), Rows(*agg_pushed));
+  EXPECT_EQ(ColumnTypes(*agg_filtered, 1), ColumnTypes(*agg_pushed, 1));
+}
+
+TEST_F(QueryTest, AllNullSelectedRowsTypeAsGathered) {
+  // Every selected row has `b` NULL; only deselected rows carry values.
+  FileSchema schema = {{"id", TypeId::kInt64},
+                       {"grp", TypeId::kString},
+                       {"b", TypeId::kDouble}};
+  ASSERT_TRUE(catalog_->CreateTable("db", "nt", schema).ok());
+  PixelsWriter writer(schema);
+  for (int64_t id = 1; id <= 8; ++id) {
+    const bool x = id <= 4;
+    ASSERT_TRUE(writer
+                    .AppendRow({Value::Int(id), Value::String(x ? "x" : "y"),
+                                x ? Value::Null() : Value::Double(1.5 * id)})
+                    .ok());
+  }
+  ASSERT_TRUE(writer.Finish(catalog_->storage(), "db/nt/part0.pxl").ok());
+  ASSERT_TRUE(catalog_->AddTableFile("db", "nt", "db/nt/part0.pxl").ok());
+
+  auto t = Run("SELECT id, b * 2 AS x FROM nt WHERE grp = 'x' OR id > 100");
+  EXPECT_EQ(Rows(*t), (std::vector<std::string>{"1\tNULL", "2\tNULL",
+                                                "3\tNULL", "4\tNULL"}));
+  // The gathered batch's b * 2 has no non-null value: typed kInt64.
+  EXPECT_EQ(ColumnTypes(*t, 1), std::vector<TypeId>{TypeId::kInt64});
 }
 
 }  // namespace
