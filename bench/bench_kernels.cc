@@ -428,25 +428,28 @@ std::vector<HashPoint> RunHashSweep(Catalog* catalog, int rows, int reps) {
   // Join: build-side cardinality doubles as probe selectivity (matched
   // probe fraction = dim keys / rows). The hd_big points probe with the 1%
   // of h where v < 10 so the nested-loop oracle stays tractable; k_mid vs
-  // hd_big repeats each matched build key across many probe rows.
+  // hd_big repeats each matched build key across many probe rows. Every
+  // point reads the build payload d.w above the join, so the timing covers
+  // both probe phases: the prefetched batch match and the typed gather of
+  // the kept columns (h.v, d.w; the keys are pruned from the output).
   run_point("join", "selective equi-join (0.1% match)", 1000,
             1000.0 / rows,
-            "SELECT count(*) AS c, sum(h.v) AS s FROM h JOIN hd_small d "
-            "ON h.k_hi = d.k");
+            "SELECT count(*) AS c, sum(h.v) AS s, sum(d.w) AS w FROM h "
+            "JOIN hd_small d ON h.k_hi = d.k");
   // With runtime filters on, the selective probe is mostly pruned at the
   // scan (zone maps + bloom), so the join operator barely runs. The rf-off
   // point sends every probe row through the operator and measures the
   // join itself: a batch hash + table probe per probe row.
   run_point("join", "selective, rf off (raw probe)", 1000, 1000.0 / rows,
-            "SELECT count(*) AS c, sum(h.v) AS s FROM h JOIN hd_small d "
-            "ON h.k_hi = d.k",
+            "SELECT count(*) AS c, sum(h.v) AS s, sum(d.w) AS w FROM h "
+            "JOIN hd_small d ON h.k_hi = d.k",
             /*rf=*/false);
   run_point("join", "10% match, 1% probe", 100000, 100000.0 / rows,
-            "SELECT count(*) AS c, sum(h.v) AS s FROM h JOIN hd_big d "
-            "ON h.k_hi = d.k WHERE h.v < 10");
+            "SELECT count(*) AS c, sum(h.v) AS s, sum(d.w) AS w FROM h "
+            "JOIN hd_big d ON h.k_hi = d.k WHERE h.v < 10");
   run_point("join", "every row matches, 1% probe", 10000, 1.0,
-            "SELECT count(*) AS c, sum(h.v) AS s FROM h JOIN hd_big d "
-            "ON h.k_mid = d.k WHERE h.v < 10");
+            "SELECT count(*) AS c, sum(h.v) AS s, sum(d.w) AS w FROM h "
+            "JOIN hd_big d ON h.k_mid = d.k WHERE h.v < 10");
   return points;
 }
 

@@ -164,11 +164,11 @@ uint32_t GroupTable::Find(uint64_t hash,
 }
 
 void JoinTable::Insert(uint64_t hash, const std::vector<ColumnVectorPtr>& cols,
-                       uint32_t row, uint64_t payload) {
+                       uint32_t row, uint32_t build_row) {
   const uint32_t before = static_cast<uint32_t>(index_.num_entries());
   const uint32_t k = index_.FindOrInsert(hash, cols, row);
-  const uint32_t entry = static_cast<uint32_t>(payloads_.size());
-  payloads_.push_back(payload);
+  const uint32_t entry = static_cast<uint32_t>(build_rows_.size());
+  build_rows_.push_back(build_row);
   next_.push_back(GroupTable::kNotFound);
   if (k == before) {  // first row of a new distinct key
     head_.push_back(entry);
@@ -179,17 +179,48 @@ void JoinTable::Insert(uint64_t hash, const std::vector<ColumnVectorPtr>& cols,
   }
 }
 
-size_t JoinTable::Probe(uint64_t hash,
-                        const std::vector<ColumnVectorPtr>& cols,
-                        uint32_t row, std::vector<uint64_t>* out) const {
-  const uint32_t k = index_.Find(hash, cols, row);
-  if (k == GroupTable::kNotFound) return 0;
-  size_t n = 0;
-  for (uint32_t e = head_[k]; e != GroupTable::kNotFound; e = next_[e]) {
-    out->push_back(payloads_[e]);
-    ++n;
+void JoinTable::ProbeBatch(const std::vector<JoinTable>& parts,
+                           const std::vector<uint64_t>& hashes,
+                           const std::vector<uint8_t>& any_null,
+                           const std::vector<ColumnVectorPtr>& key_cols,
+                           const SelectionVector* sel, size_t num_rows,
+                           uint32_t pad_row, JoinMatches* out) {
+  constexpr size_t kSlotAhead = 16;
+  constexpr size_t kEntryAhead = 8;
+  const size_t n = sel != nullptr ? sel->size() : num_rows;
+  const size_t num_parts = parts.size();
+  auto row_at = [&](size_t i) -> uint32_t {
+    return sel != nullptr ? (*sel)[i] : static_cast<uint32_t>(i);
+  };
+  auto part_of = [&](uint64_t h) -> const JoinTable& {
+    return parts[num_parts == 1 ? 0 : h % num_parts];
+  };
+  out->probe.reserve(out->size() + n);
+  out->build.reserve(out->size() + n);
+  for (size_t i = 0; i < n; ++i) {
+    if (i + kSlotAhead < n) {
+      const uint64_t h = hashes[row_at(i + kSlotAhead)];
+      part_of(h).index_.PrefetchSlot(h);
+    }
+    if (i + kEntryAhead < n) {
+      const uint64_t h = hashes[row_at(i + kEntryAhead)];
+      part_of(h).index_.PrefetchEntry(h);
+    }
+    const uint32_t r = row_at(i);
+    const size_t before = out->size();
+    if (!any_null[r]) {
+      const uint64_t h = hashes[r];
+      const JoinTable& t = part_of(h);
+      const uint32_t k = t.index_.Find(h, key_cols, r);
+      if (k != GroupTable::kNotFound) {
+        for (uint32_t e = t.head_[k]; e != GroupTable::kNotFound;
+             e = t.next_[e]) {
+          out->Add(r, t.build_rows_[e]);
+        }
+      }
+    }
+    if (out->size() == before && pad_row != kNoPad) out->Add(r, pad_row);
   }
-  return n;
 }
 
 }  // namespace pixels

@@ -57,6 +57,11 @@ class KeyStore {
   /// Reboxes one component of a stored key (emit path only).
   Value GetValue(size_t entry, size_t col) const;
 
+  /// Prefetch hint for the key words of `entry` (batch probes).
+  void Prefetch(size_t entry) const {
+    for (const Col& c : cols_) __builtin_prefetch(c.word.data() + entry);
+  }
+
  private:
   struct Col {
     std::vector<uint8_t> kind;   // Value::Kind per entry
@@ -98,6 +103,20 @@ class GroupTable {
 
   static constexpr uint32_t kNotFound = 0xffffffffu;
 
+  /// Prefetch hints for batch probes: the slot `hash` starts at, and the
+  /// entry (stored hash and key words) that slot holds. The entry hint
+  /// reads the slot, so call it a few rows after the slot hint.
+  void PrefetchSlot(uint64_t hash) const {
+    if (!slots_.empty()) __builtin_prefetch(slots_.data() + (hash & mask_));
+  }
+  void PrefetchEntry(uint64_t hash) const {
+    if (slots_.empty()) return;
+    const uint32_t e = slots_[hash & mask_];
+    if (e == kNotFound) return;
+    __builtin_prefetch(entry_hash_.data() + e);
+    keys_.Prefetch(e);
+  }
+
   size_t num_entries() const { return keys_.num_rows(); }
   const KeyStore& keys() const { return keys_; }
   /// Slot-array rebuilds since construction (tests assert Reserve
@@ -116,10 +135,27 @@ class GroupTable {
   size_t rehashes_ = 0;
 };
 
+/// The match phase's output for one probe batch: probe row `probe[i]`
+/// joins build row `build[i]`.
+struct JoinMatches {
+  std::vector<uint32_t> probe;
+  std::vector<uint32_t> build;
+
+  size_t size() const { return probe.size(); }
+  void Clear() {
+    probe.clear();
+    build.clear();
+  }
+  void Add(uint32_t probe_row, uint32_t build_row) {
+    probe.push_back(probe_row);
+    build.push_back(build_row);
+  }
+};
+
 /// Multimap flavor for the join build side: distinct keys in a
-/// GroupTable, payloads chained per key in insertion order (batch-then-
-/// row when driven that way, so contents are deterministic under the
-/// partition-parallel build).
+/// GroupTable, build row ids chained per key in insertion order (build
+/// row order when driven that way, so contents are deterministic under
+/// the partition-parallel build).
 class JoinTable {
  public:
   JoinTable(size_t num_key_cols, double load_factor)
@@ -128,30 +164,43 @@ class JoinTable {
   /// Pre-size for `expected_rows` build rows (distinct keys <= rows).
   void Reserve(size_t expected_rows) {
     index_.Reserve(expected_rows);
-    payloads_.reserve(expected_rows);
+    build_rows_.reserve(expected_rows);
     next_.reserve(expected_rows);
   }
 
-  /// Inserts a build row under the key at `cols[...][row]`. Callers skip
-  /// null keys (nulls never join).
+  /// Inserts build row `build_row` under the key at `cols[...][row]`.
+  /// Callers skip null keys (nulls never join).
   void Insert(uint64_t hash, const std::vector<ColumnVectorPtr>& cols,
-              uint32_t row, uint64_t payload);
+              uint32_t row, uint32_t build_row);
 
-  /// Appends the payloads of every build row whose key equals the probe
-  /// row, in insertion order; returns how many matched.
-  size_t Probe(uint64_t hash, const std::vector<ColumnVectorPtr>& cols,
-               uint32_t row, std::vector<uint64_t>* out) const;
+  /// Means "emit nothing for an unmatched probe row" (inner joins).
+  static constexpr uint32_t kNoPad = GroupTable::kNotFound;
 
-  size_t num_rows() const { return payloads_.size(); }
+  /// Batch probe over a table partitioned by hash % parts.size() (one
+  /// part when unpartitioned). For each probe row of `sel` in order
+  /// (rows [0, num_rows) when null), appends one (probe row, build row)
+  /// pair to `out` per build row whose key equals the row's key columns,
+  /// in insertion order. Rows flagged in `any_null` match nothing. A row
+  /// without a match appends (row, pad_row) unless pad_row is kNoPad
+  /// (LEFT JOIN padding). Prefetches the slot 16 rows ahead and the
+  /// entry 8 rows ahead, so the loop overlaps its cache misses.
+  static void ProbeBatch(const std::vector<JoinTable>& parts,
+                         const std::vector<uint64_t>& hashes,
+                         const std::vector<uint8_t>& any_null,
+                         const std::vector<ColumnVectorPtr>& key_cols,
+                         const SelectionVector* sel, size_t num_rows,
+                         uint32_t pad_row, JoinMatches* out);
+
+  size_t num_rows() const { return build_rows_.size(); }
   size_t num_keys() const { return index_.num_entries(); }
   size_t rehashes() const { return index_.rehashes(); }
 
  private:
   GroupTable index_;
-  std::vector<uint32_t> head_;  // per distinct key: first payload entry
-  std::vector<uint32_t> tail_;  // per distinct key: last payload entry
-  std::vector<uint32_t> next_;  // per payload entry: chain link
-  std::vector<uint64_t> payloads_;
+  std::vector<uint32_t> head_;  // per distinct key: first chain entry
+  std::vector<uint32_t> tail_;  // per distinct key: last chain entry
+  std::vector<uint32_t> next_;  // per chain entry: chain link
+  std::vector<uint32_t> build_rows_;  // per chain entry: build row id
 };
 
 }  // namespace pixels

@@ -187,6 +187,11 @@ Result<std::string> CanonicalPlanText(const LogicalPlan& plan) {
       if (plan.join_condition != nullptr) {
         s += "{" + CanonicalExprText(*plan.join_condition) + "}";
       }
+      // A join pruned to fewer output columns is a different result set
+      // (a sub-plan MV for {a} cannot answer a query reading {a, b}).
+      if (!plan.columns.empty()) {
+        s += "|cols=[" + JoinSorted(plan.columns, ",") + "]";
+      }
       return s + "(" + left + ")(" + right + ")";
     }
     case LogicalPlan::Kind::kAggregate: {

@@ -18,6 +18,7 @@ std::vector<std::string> LogicalPlan::OutputColumns() const {
     case Kind::kProject:
       return names;
     case Kind::kJoin: {
+      if (!columns.empty()) return columns;
       auto out = children[0]->OutputColumns();
       auto right = children[1]->OutputColumns();
       out.insert(out.end(), right.begin(), right.end());
@@ -43,18 +44,20 @@ std::vector<std::string> LogicalPlan::OutputColumns() const {
 std::string LogicalPlan::ToString(int indent) const {
   std::string pad(static_cast<size_t>(indent) * 2, ' ');
   std::string s = pad;
+  auto add_columns = [&] {
+    if (columns.empty()) return;
+    s += " [";
+    for (size_t i = 0; i < columns.size(); ++i) {
+      if (i > 0) s += ", ";
+      s += columns[i];
+    }
+    s += "]";
+  };
   switch (kind) {
     case Kind::kScan: {
       s += "Scan " + db + "." + table;
       if (!table_alias.empty() && table_alias != table) s += " AS " + table_alias;
-      if (!columns.empty()) {
-        s += " [";
-        for (size_t i = 0; i < columns.size(); ++i) {
-          if (i > 0) s += ", ";
-          s += columns[i];
-        }
-        s += "]";
-      }
+      add_columns();
       for (const auto& p : pushed) {
         s += " {" + p.column + " " + p.op + " " + p.literal.ToString() + "}";
       }
@@ -79,6 +82,7 @@ std::string LogicalPlan::ToString(int indent) const {
                ? "LeftJoin"
                : (join_type == JoinClause::Type::kCross ? "CrossJoin" : "Join");
       if (join_condition) s += " ON " + join_condition->ToString();
+      add_columns();
       if (rf_id >= 0) {
         s += " <rf" + std::to_string(rf_id) + " build " + rf_build_column + ">";
       }

@@ -38,7 +38,9 @@ struct LogicalPlan {
   std::string db;
   std::string table;
   std::string table_alias;              // qualifier of output columns
-  std::vector<std::string> columns;     // projection; empty = all
+  /// kScan: projection. kJoin: the output columns kept for operators
+  /// above (set by the optimizer, in child output order). Empty = all.
+  std::vector<std::string> columns;
   std::vector<ScanPredicate> pushed;    // zone-map pruning predicates
   /// Optional restriction to a subset of files / row groups (set by the
   /// CF partitioner). Empty = all.

@@ -1,5 +1,6 @@
 #include "plan/optimizer.h"
 
+#include <algorithm>
 #include <cmath>
 #include <set>
 
@@ -366,6 +367,91 @@ void PruneProjections(LogicalPlan* plan, const std::set<std::string>& used,
   }
 }
 
+/// Column refs an expression list reads, appended to `out`.
+void AddRefs(const std::vector<ExprPtr>& exprs, std::vector<std::string>* out) {
+  for (const auto& e : exprs) CollectColumnRefs(*e, out);
+}
+
+/// Sets each join's kept output columns (`columns`, empty = all) to the
+/// columns some operator above it reads. `reads` are the column refs read
+/// between `plan`'s output and the nearest Project or Aggregate above it;
+/// `all` means every output column is read (the plan root, a Distinct).
+/// A join keeps at least one column (its row count feeds count(*)), and
+/// each join child keeps what its parent keeps plus what the parent's
+/// condition reads: key columns and residual operands stay available
+/// until the condition has run. Scan projections are left alone.
+void PruneJoinOutputs(LogicalPlan* plan, std::vector<std::string> reads,
+                      bool all) {
+  switch (plan->kind) {
+    case LogicalPlan::Kind::kFilter:
+      CollectColumnRefs(*plan->predicate, &reads);
+      break;
+    case LogicalPlan::Kind::kSort:
+      for (const auto& o : plan->order_by) CollectColumnRefs(*o.expr, &reads);
+      break;
+    case LogicalPlan::Kind::kDistinct:
+      all = true;
+      break;
+    case LogicalPlan::Kind::kProject:
+      reads.clear();
+      AddRefs(plan->exprs, &reads);
+      all = false;
+      break;
+    case LogicalPlan::Kind::kAggregate:
+      reads.clear();
+      AddRefs(plan->group_exprs, &reads);
+      AddRefs(plan->agg_exprs, &reads);
+      all = false;
+      break;
+    case LogicalPlan::Kind::kJoin: {
+      const auto left = plan->children[0]->OutputColumns();
+      const auto right = plan->children[1]->OutputColumns();
+      if (left.empty() || right.empty()) {
+        // A child with an unlisted projection: names are unknown here.
+        for (auto& c : plan->children) PruneJoinOutputs(c.get(), {}, true);
+        return;
+      }
+      std::vector<std::string> full = left;
+      full.insert(full.end(), right.begin(), right.end());
+      std::vector<bool> keep(full.size(), true);
+      if (!all) {
+        keep = ColumnsRead(reads, full);
+        if (std::find(keep.begin(), keep.end(), true) == keep.end()) {
+          keep[0] = true;
+        }
+      }
+      plan->columns.clear();
+      if (std::find(keep.begin(), keep.end(), false) != keep.end()) {
+        for (size_t i = 0; i < full.size(); ++i) {
+          if (keep[i]) plan->columns.push_back(full[i]);
+        }
+      }
+      std::vector<bool> need = keep;
+      if (plan->join_condition != nullptr) {
+        std::vector<std::string> cond;
+        CollectColumnRefs(*plan->join_condition, &cond);
+        const std::vector<bool> cond_cols = ColumnsRead(cond, full);
+        for (size_t i = 0; i < full.size(); ++i) {
+          need[i] = need[i] || cond_cols[i];
+        }
+      }
+      std::vector<std::string> left_reads, right_reads;
+      for (size_t i = 0; i < full.size(); ++i) {
+        if (need[i]) {
+          (i < left.size() ? left_reads : right_reads).push_back(full[i]);
+        }
+      }
+      PruneJoinOutputs(plan->children[0].get(), std::move(left_reads), false);
+      PruneJoinOutputs(plan->children[1].get(), std::move(right_reads),
+                       false);
+      return;
+    }
+    default:  // Limit passes through; scans and views end the walk
+      break;
+  }
+  for (auto& c : plan->children) PruneJoinOutputs(c.get(), reads, all);
+}
+
 /// Swaps inner equi-join children so the smaller side builds the hash
 /// table. Left joins and cross joins are left untouched (not symmetric /
 /// no keys).
@@ -473,6 +559,27 @@ void PlanRuntimeFilters(LogicalPlan* plan, int* next_id) {
 
 }  // namespace
 
+std::vector<bool> ColumnsRead(const std::vector<std::string>& refs,
+                              const std::vector<std::string>& cols) {
+  auto base = [](const std::string& s) {
+    const size_t dot = s.rfind('.');
+    return dot == std::string::npos ? s : s.substr(dot + 1);
+  };
+  std::vector<bool> read(cols.size(), false);
+  for (const auto& ref : refs) {
+    const auto exact = std::find(cols.begin(), cols.end(), ref);
+    if (exact != cols.end()) {
+      read[static_cast<size_t>(exact - cols.begin())] = true;
+      continue;
+    }
+    const std::string b = base(ref);
+    for (size_t i = 0; i < cols.size(); ++i) {
+      if (base(cols[i]) == b) read[i] = true;
+    }
+  }
+  return read;
+}
+
 uint64_t EstimateRows(const LogicalPlan& plan, const Catalog& catalog) {
   switch (plan.kind) {
     case LogicalPlan::Kind::kScan: {
@@ -529,6 +636,7 @@ Result<PlanPtr> Optimize(PlanPtr plan, const Catalog& catalog,
     // (e.g. SELECT * handled via explicit projection, so normally not),
     // we start with all_needed=false: the binder always adds a Project.
     PruneProjections(plan.get(), used, false);
+    PruneJoinOutputs(plan.get(), {}, /*all=*/true);
   }
   return plan;
 }

@@ -1,5 +1,6 @@
 // Rule-based logical optimizer: constant folding, predicate pushdown
-// (into joins and scan zone maps), and projection pruning.
+// (into joins and scan zone maps), projection pruning, and join output
+// pruning.
 #pragma once
 
 #include "catalog/catalog.h"
@@ -39,6 +40,13 @@ ExprPtr CombineConjuncts(std::vector<ExprPtr> conjuncts);
 
 /// The set of "qualifier.column" names an expression references.
 void CollectColumnRefs(const Expr& expr, std::vector<std::string>* out);
+
+/// Marks the columns of `cols` that the column refs in `refs` read,
+/// resolving each ref the way RowBatch::FindColumn does: its exact name,
+/// else every column sharing its basename (one such column is the match;
+/// several keep the lookup ambiguous, as it is over all of `cols`).
+std::vector<bool> ColumnsRead(const std::vector<std::string>& refs,
+                              const std::vector<std::string>& cols);
 
 /// Rough output-cardinality estimate of a plan subtree, from catalog row
 /// counts with fixed selectivity factors (filter 0.25, join 1.0 of the

@@ -9,6 +9,11 @@
 // CASE, LIKE in CASE, and CASE arguments whose type flips between
 // batches) must match the reference value for value and type for type.
 //
+// Join output pruning is checked shape by shape (LEFT JOIN, residual,
+// cross and nested-loop, SELECT *, equal-basename self-join, count(*),
+// DISTINCT, three-way) against the reference and the unpruned plan, and
+// the concatenated build side against AppendFrom's type coercion.
+//
 // These tests also run under TSan in CI (gtest filter VectorizedHash*):
 // the parallel runs exercise the batch-parallel hash prep + partition-
 // parallel table builds.
@@ -103,9 +108,11 @@ class VectorizedHashTest : public ::testing::Test {
     return r.ok() ? *r : nullptr;
   }
 
-  Result<CfExecution> RunFleet(const std::string& sql) {
+  Result<CfExecution> RunFleet(const std::string& sql,
+                               OptimizerOptions optimizer = {}) {
     PIXELS_ASSIGN_OR_RETURN(PlanPtr plan, PlanQuery(sql, *catalog_, "db"));
-    PIXELS_ASSIGN_OR_RETURN(plan, Optimize(std::move(plan), *catalog_));
+    PIXELS_ASSIGN_OR_RETURN(plan,
+                            Optimize(std::move(plan), *catalog_, optimizer));
     CfWorkerOptions options;
     options.num_workers = 3;
     return ExecuteWithCfPushdown(plan, catalog_.get(), options);
@@ -133,6 +140,35 @@ class VectorizedHashTest : public ::testing::Test {
     EXPECT_EQ(expected, SortedRows(*fleet->result)) << sql;
     EXPECT_EQ(serial_bytes, par_bytes) << sql;
     EXPECT_EQ(ref_bytes, serial_bytes + skipped) << sql;
+  }
+
+  /// Join output pruning against the reference and against the unpruned
+  /// plan: ExpectAllPathsAgree (pruned), then the same query optimized
+  /// with prune_projections=false, serial, at parallelism 4 and through a
+  /// 3-worker CF fleet, must return the same rows.
+  void ExpectPrunedJoinAgrees(const std::string& sql) {
+    ExpectAllPathsAgree(sql);
+    uint64_t ref_bytes = 0;
+    TablePtr reference = Reference(sql, &ref_bytes);
+    ASSERT_NE(reference, nullptr) << sql;
+    const auto expected = SortedRows(*reference);
+    OptimizerOptions unpruned;
+    unpruned.prune_projections = false;
+    for (int par : {1, 4}) {
+      auto plan = PlanQuery(sql, *catalog_, "db");
+      ASSERT_TRUE(plan.ok()) << sql;
+      auto optimized = Optimize(*plan, *catalog_, unpruned);
+      ASSERT_TRUE(optimized.ok()) << sql;
+      ExecContext ctx;
+      ctx.catalog = catalog_.get();
+      ctx.parallelism = par;
+      auto r = ExecutePlan(*optimized, &ctx);
+      ASSERT_TRUE(r.ok()) << sql << " -> " << r.status().ToString();
+      EXPECT_EQ(expected, SortedRows(**r)) << sql << " unpruned par=" << par;
+    }
+    auto fleet = RunFleet(sql, unpruned);
+    ASSERT_TRUE(fleet.ok()) << sql << " -> " << fleet.status().ToString();
+    EXPECT_EQ(expected, SortedRows(*fleet->result)) << sql << " unpruned";
   }
 
   std::shared_ptr<MemoryStore> storage_;
@@ -234,6 +270,121 @@ TEST_F(VectorizedHashTest, JoinThenAggregatePipelines) {
       "SELECT a.grp2, b.kstr, sum(a.vint) AS s, count(*) AS n "
       "FROM t a JOIN t b ON a.id = b.id WHERE a.vdbl < 6.0 "
       "GROUP BY a.grp2, b.kstr");
+}
+
+// Join output pruning: each shape below keeps only the join columns read
+// above it, and must agree with the reference and the unpruned plan.
+
+TEST_F(VectorizedHashTest, PrunedLeftJoinGathersThePaddingRow) {
+  ExpectPrunedJoinAgrees(
+      "SELECT a.kstr, b.vdbl, b.nstr FROM t a LEFT JOIN t b ON a.nint = b.id "
+      "WHERE a.id < 50");
+}
+
+TEST_F(VectorizedHashTest, PrunedResidualReadsColumnsNotKept) {
+  // The residual reads a.vint and b.vint; neither is in the output.
+  ExpectPrunedJoinAgrees(
+      "SELECT a.kstr, b.nstr FROM t a JOIN t b "
+      "ON a.grpk = b.grpk AND a.vint < b.vint WHERE a.id < 60 AND b.id < 60");
+}
+
+TEST_F(VectorizedHashTest, PrunedCrossAndNestedLoopJoins) {
+  ExpectPrunedJoinAgrees(
+      "SELECT a.id, b.kstr FROM t a CROSS JOIN t b "
+      "WHERE a.id < 20 AND b.id < 15");
+  ExpectPrunedJoinAgrees(
+      "SELECT a.kstr, b.ndbl FROM t a JOIN t b ON a.vint < b.grp2 "
+      "WHERE a.id < 30 AND b.id < 30");
+}
+
+TEST_F(VectorizedHashTest, SelectStarOverJoinPrunesNothing) {
+  ExpectPrunedJoinAgrees(
+      "SELECT * FROM t a JOIN t b ON a.id = b.grpk WHERE a.id < 30");
+}
+
+TEST_F(VectorizedHashTest, PrunedSelfJoinWithEqualBasenames) {
+  // Every column exists on both sides under the same basename.
+  ExpectPrunedJoinAgrees(
+      "SELECT a.vint, b.vint, a.nstr FROM t a JOIN t b ON a.grpk = b.id "
+      "WHERE b.vint < 3");
+}
+
+TEST_F(VectorizedHashTest, CountStarOverJoinKeepsOneColumn) {
+  ExpectPrunedJoinAgrees(
+      "SELECT count(*) AS n FROM t a JOIN t b ON a.grpk = b.grpk "
+      "WHERE a.vint < 3 AND b.vint < 3");
+}
+
+TEST_F(VectorizedHashTest, DistinctOverPrunedJoinColumns) {
+  ExpectPrunedJoinAgrees(
+      "SELECT DISTINCT a.grp2, b.kstr FROM t a JOIN t b ON a.id = b.id "
+      "WHERE a.vint < 10");
+}
+
+TEST_F(VectorizedHashTest, PrunedThreeWayJoin) {
+  ExpectPrunedJoinAgrees(
+      "SELECT a.kstr, c.nstr, sum(b.vdbl) AS s, count(*) AS n FROM t a "
+      "JOIN t b ON a.id = b.id JOIN t c ON b.grpk = c.id WHERE a.vint < 5 "
+      "GROUP BY a.kstr, c.nstr");
+}
+
+TEST_F(VectorizedHashTest, BuildColumnTypedIntThenDoubleCoercesLikeAppend) {
+  // A view's build batches hold b.v as int64 in one batch and double in
+  // the next. The concatenated build column keeps the first batch's type
+  // and converts the rest as ColumnVector::AppendFrom does.
+  auto ints = [](std::vector<int64_t> vals) {
+    auto c = MakeVector(TypeId::kInt64);
+    for (int64_t v : vals) c->AppendInt(v);
+    return c;
+  };
+  auto probe = std::make_shared<Table>();
+  auto pb = std::make_shared<RowBatch>();
+  pb->AddColumn("p.k", ints({1, 2, 3, 4}));
+  probe->AddBatch(pb);
+  auto build = std::make_shared<Table>();
+  auto b1 = std::make_shared<RowBatch>();
+  b1->AddColumn("b.k", ints({1, 2}));
+  b1->AddColumn("b.v", ints({10, 20}));
+  auto b2 = std::make_shared<RowBatch>();
+  b2->AddColumn("b.k", ints({3, 5}));
+  auto dbl = MakeVector(TypeId::kDouble);
+  dbl->AppendDouble(2.5);
+  dbl->AppendDouble(7.75);
+  b2->AddColumn("b.v", dbl);
+  build->AddBatch(b1);
+  build->AddBatch(b2);
+
+  // The AppendFrom oracle for b.v over probe keys 1..3 (4 is unmatched).
+  auto want = MakeVector(TypeId::kInt64);
+  want->AppendFrom(*b1->column(1), 0);
+  want->AppendFrom(*b1->column(1), 1);
+  want->AppendFrom(*dbl, 0);
+  want->AppendNull();
+
+  for (auto type : {JoinClause::Type::kInner, JoinClause::Type::kLeft}) {
+    for (int par : {1, 4}) {
+      PlanPtr plan = MakeJoin(MakeMaterializedView(probe),
+                              MakeMaterializedView(build), type,
+                              MakeBinary("=", MakeColumnRef("p", "k"),
+                                         MakeColumnRef("b", "k")));
+      ExecContext ctx;
+      ctx.parallelism = par;
+      auto r = ExecutePlan(plan, &ctx);
+      ASSERT_TRUE(r.ok()) << r.status().ToString();
+      const size_t rows = type == JoinClause::Type::kLeft ? 4 : 3;
+      ASSERT_EQ((*r)->num_rows(), rows);
+      const RowBatch& out = *(*r)->batches()[0];
+      const int v = out.FindColumn("b.v");
+      ASSERT_GE(v, 0);
+      const ColumnVector& got = *out.column(static_cast<size_t>(v));
+      EXPECT_EQ(got.type(), TypeId::kInt64);
+      for (size_t i = 0; i < rows; ++i) {
+        EXPECT_EQ(out.column(0)->GetInt(i), static_cast<int64_t>(i + 1));
+        EXPECT_EQ(got.IsNull(i), want->IsNull(i)) << i;
+        EXPECT_EQ(got.GetInt(i), want->GetInt(i)) << i;
+      }
+    }
+  }
 }
 
 TEST_F(VectorizedHashTest, AggregateArgumentsMatchReferenceColumns) {

@@ -177,31 +177,44 @@ TEST(GroupTableTest, LoadFactorIsClampedToSaneRange) {
   }
 }
 
+/// The build rows JoinTable::ProbeBatch matches to probe row `row` of
+/// `probe`, probing that one row through a one-row selection.
+std::vector<uint32_t> MatchesOf(const std::vector<JoinTable>& parts,
+                                const std::vector<ColumnVectorPtr>& probe,
+                                uint32_t row) {
+  std::vector<uint8_t> any_null;
+  const auto hashes = HashKeyColumns(probe, probe[0]->size(), &any_null);
+  const SelectionVector sel = {row};
+  JoinMatches out;
+  JoinTable::ProbeBatch(parts, hashes, any_null, probe, &sel,
+                        probe[0]->size(), JoinTable::kNoPad, &out);
+  EXPECT_EQ(out.probe, std::vector<uint32_t>(out.size(), row));
+  return out.build;
+}
+
 TEST(JoinTableTest, DuplicateKeyChainsKeepInsertionOrder) {
-  JoinTable table(1, 0.7);
+  std::vector<JoinTable> parts;
+  parts.emplace_back(1, 0.7);
+  JoinTable& table = parts[0];
   std::vector<ColumnVectorPtr> build = {Ints({5, 7, 5, 5, 7})};
   const auto hashes = Hashes(build);
   for (uint32_t r = 0; r < 5; ++r) {
-    table.Insert(hashes[r], build, r, /*payload=*/100 + r);
+    table.Insert(hashes[r], build, r, /*build_row=*/100 + r);
   }
   EXPECT_EQ(table.num_rows(), 5u);
   EXPECT_EQ(table.num_keys(), 2u);
 
   std::vector<ColumnVectorPtr> probe = {Ints({5, 7, 9})};
-  const auto probe_hashes = Hashes(probe);
-  std::vector<uint64_t> out;
-  EXPECT_EQ(table.Probe(probe_hashes[0], probe, 0, &out), 3u);
-  EXPECT_EQ(out, (std::vector<uint64_t>{100, 102, 103}));
-  out.clear();
-  EXPECT_EQ(table.Probe(probe_hashes[1], probe, 1, &out), 2u);
-  EXPECT_EQ(out, (std::vector<uint64_t>{101, 104}));
-  out.clear();
-  EXPECT_EQ(table.Probe(probe_hashes[2], probe, 2, &out), 0u);
-  EXPECT_TRUE(out.empty());
+  EXPECT_EQ(MatchesOf(parts, probe, 0),
+            (std::vector<uint32_t>{100, 102, 103}));
+  EXPECT_EQ(MatchesOf(parts, probe, 1), (std::vector<uint32_t>{101, 104}));
+  EXPECT_TRUE(MatchesOf(parts, probe, 2).empty());
 }
 
 TEST(JoinTableTest, ReserveFromBuildRowCountPreventsRehashes) {
-  JoinTable table(1, 0.7);
+  std::vector<JoinTable> parts;
+  parts.emplace_back(1, 0.7);
+  JoinTable& table = parts[0];
   table.Reserve(4000);
   std::vector<int64_t> vals;
   for (int64_t i = 0; i < 4000; ++i) vals.push_back(i % 1000);  // 4x dups
@@ -211,28 +224,54 @@ TEST(JoinTableTest, ReserveFromBuildRowCountPreventsRehashes) {
   EXPECT_EQ(table.num_rows(), 4000u);
   EXPECT_EQ(table.num_keys(), 1000u);
   EXPECT_EQ(table.rehashes(), 0u);
-  std::vector<uint64_t> out;
-  EXPECT_EQ(table.Probe(hashes[0], build, 0, &out), 4u);
-  EXPECT_EQ(out, (std::vector<uint64_t>{0, 1000, 2000, 3000}));
+  EXPECT_EQ(MatchesOf(parts, build, 0),
+            (std::vector<uint32_t>{0, 1000, 2000, 3000}));
 }
 
 TEST(JoinTableTest, MultiKeyProbeMatchesExactTuples) {
-  JoinTable table(2, 0.7);
+  std::vector<JoinTable> parts;
+  parts.emplace_back(2, 0.7);
+  JoinTable& table = parts[0];
   std::vector<ColumnVectorPtr> build = {Ints({1, 1, 2}),
                                         Strings({"a", "b", "a"})};
   const auto hashes = Hashes(build);
   for (uint32_t r = 0; r < 3; ++r) table.Insert(hashes[r], build, r, r);
   std::vector<ColumnVectorPtr> probe = {Ints({1, 2, 2}),
                                         Strings({"b", "a", "b"})};
-  const auto probe_hashes = Hashes(probe);
-  std::vector<uint64_t> out;
-  EXPECT_EQ(table.Probe(probe_hashes[0], probe, 0, &out), 1u);
-  EXPECT_EQ(out, (std::vector<uint64_t>{1}));
-  out.clear();
-  EXPECT_EQ(table.Probe(probe_hashes[1], probe, 1, &out), 1u);
-  EXPECT_EQ(out, (std::vector<uint64_t>{2}));
-  out.clear();
-  EXPECT_EQ(table.Probe(probe_hashes[2], probe, 2, &out), 0u);
+  EXPECT_EQ(MatchesOf(parts, probe, 0), (std::vector<uint32_t>{1}));
+  EXPECT_EQ(MatchesOf(parts, probe, 1), (std::vector<uint32_t>{2}));
+  EXPECT_TRUE(MatchesOf(parts, probe, 2).empty());
+}
+
+TEST(JoinTableTest, BatchProbeOverPartitionsPadsAndSkipsNullKeys) {
+  // Two partitions (hash % 2), a selection that skips row 1, a null probe
+  // key, and LEFT JOIN padding: pairs come out in selection order, then
+  // chain order, with unmatched and null-key rows padded.
+  std::vector<JoinTable> parts;
+  parts.emplace_back(1, 0.7);
+  parts.emplace_back(1, 0.7);
+  std::vector<ColumnVectorPtr> build = {Ints({1, 2, 3, 1, 2, 3, 1})};
+  const auto hashes = Hashes(build);
+  for (uint32_t r = 0; r < 7; ++r) {
+    parts[hashes[r] % 2].Insert(hashes[r], build, r, r);
+  }
+  auto probe_col = MakeVector(TypeId::kInt64);
+  for (int64_t v : {3, 2, 1, 9}) probe_col->AppendInt(v);
+  probe_col->AppendNull();
+  std::vector<ColumnVectorPtr> probe = {probe_col};
+  std::vector<uint8_t> any_null;
+  const auto probe_hashes = HashKeyColumns(probe, 5, &any_null);
+  const SelectionVector sel = {0, 2, 3, 4};
+  JoinMatches out;
+  JoinTable::ProbeBatch(parts, probe_hashes, any_null, probe, &sel, 5,
+                        /*pad_row=*/7, &out);
+  EXPECT_EQ(out.probe, (std::vector<uint32_t>{0, 0, 2, 2, 2, 3, 4}));
+  EXPECT_EQ(out.build, (std::vector<uint32_t>{2, 5, 0, 3, 6, 7, 7}));
+  out.Clear();
+  JoinTable::ProbeBatch(parts, probe_hashes, any_null, probe, nullptr, 5,
+                        JoinTable::kNoPad, &out);
+  EXPECT_EQ(out.probe, (std::vector<uint32_t>{0, 0, 1, 1, 2, 2, 2}));
+  EXPECT_EQ(out.build, (std::vector<uint32_t>{2, 5, 1, 4, 0, 3, 6}));
 }
 
 TEST(HashKeyColumnsTest, FlagsNullRowsAndTagsEmptyKeys) {

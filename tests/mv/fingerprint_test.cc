@@ -9,6 +9,7 @@
 #include "common/random.h"
 #include "plan/binder.h"
 #include "plan/optimizer.h"
+#include "plan/subplan.h"
 #include "testing/test_db.h"
 
 namespace pixels {
@@ -130,6 +131,40 @@ TEST(FingerprintPropertyTest, CommutativeOperandOrderIrrelevant) {
   EXPECT_NE(
       MustHex("SELECT name FROM emp WHERE salary - id > 100", *catalog),
       MustHex("SELECT name FROM emp WHERE id - salary > 100", *catalog));
+}
+
+TEST(FingerprintTest, JoinSubplansReadingDifferentColumnsDiffer) {
+  // Both queries scan the same columns and push the same join to the CF
+  // seam, but the first reads only e.name above it and the second also
+  // e.dept: the pruned joins return different columns, so a sub-plan MV
+  // of the first must never answer the second.
+  auto catalog = testing::BuildTestCatalog();
+  auto subplan = [&](const std::string& sql) -> PlanPtr {
+    auto plan = PlanQuery(sql, *catalog, "db");
+    EXPECT_TRUE(plan.ok()) << sql;
+    auto optimized = Optimize(std::move(plan).ValueOrDie(), *catalog);
+    EXPECT_TRUE(optimized.ok()) << sql;
+    auto split = SplitForCf(*optimized);
+    EXPECT_TRUE(split.ok()) << sql;
+    EXPECT_NE(split->subplan, nullptr) << sql;
+    EXPECT_EQ(split->subplan->kind, LogicalPlan::Kind::kJoin) << sql;
+    return split->subplan;
+  };
+  const std::string join = " FROM emp e JOIN dept d ON e.dept = d.name";
+  PlanPtr narrow = subplan("SELECT e.name" + join);
+  PlanPtr wide = subplan("SELECT e.name, e.dept" + join);
+  auto narrow_fp = FingerprintPlan(*narrow);
+  auto wide_fp = FingerprintPlan(*wide);
+  ASSERT_TRUE(narrow_fp.ok());
+  ASSERT_TRUE(wide_fp.ok());
+  EXPECT_NE(narrow_fp->ToHex(), wide_fp->ToHex());
+  // The kept columns are the only difference between the two subtrees.
+  PlanPtr narrow_all = narrow->Clone();
+  PlanPtr wide_all = wide->Clone();
+  narrow_all->columns.clear();
+  wide_all->columns.clear();
+  EXPECT_EQ(CanonicalPlanText(*narrow_all).ValueOrDie(),
+            CanonicalPlanText(*wide_all).ValueOrDie());
 }
 
 TEST(FingerprintTest, MaterializedViewPlansNotFingerprintable) {

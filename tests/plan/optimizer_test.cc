@@ -4,7 +4,9 @@
 
 #include "plan/binder.h"
 #include "sql/parser.h"
+#include "storage/memory_store.h"
 #include "testing/test_db.h"
+#include "workload/tpch.h"
 
 namespace pixels {
 namespace {
@@ -180,6 +182,72 @@ TEST_F(OptimizerTest, OptionsDisableRules) {
   ASSERT_NE(scan, nullptr);
   EXPECT_TRUE(scan->pushed.empty());
   EXPECT_EQ(scan->columns.size(), 5u);
+}
+
+/// Every join node of `plan`, top-down.
+void CollectJoins(const LogicalPlan* plan,
+                  std::vector<const LogicalPlan*>* out) {
+  if (plan->kind == LogicalPlan::Kind::kJoin) out->push_back(plan);
+  for (const auto& c : plan->children) CollectJoins(c.get(), out);
+}
+
+TEST_F(OptimizerTest, Q5JoinsKeepOnlyColumnsReadAbove) {
+  // lineitem ⋈ (orders ⋈ customer), then ⋈ nation. Each join keeps what
+  // the aggregate reads plus the join keys of the joins above it.
+  // A TPC-H catalog instead of the fixture's emp/dept.
+  auto catalog = std::make_shared<Catalog>(std::make_shared<MemoryStore>());
+  TpchOptions tpch;
+  tpch.scale_factor = 0.001;
+  ASSERT_TRUE(GenerateTpch(catalog.get(), "tpch", tpch).ok());
+  const std::string* q5 = nullptr;
+  for (const auto& q : TpchQuerySet()) {
+    if (q.name == "q5_local_supplier") q5 = &q.sql;
+  }
+  ASSERT_NE(q5, nullptr);
+  auto plan = PlanQuery(*q5, *catalog, "tpch");
+  ASSERT_TRUE(plan.ok()) << plan.status().ToString();
+  auto optimized = Optimize(std::move(plan).ValueOrDie(), *catalog);
+  ASSERT_TRUE(optimized.ok()) << optimized.status().ToString();
+  std::vector<const LogicalPlan*> joins;
+  CollectJoins(optimized->get(), &joins);
+  ASSERT_EQ(joins.size(), 3u) << (*optimized)->ToString();
+  using Cols = std::vector<std::string>;
+  EXPECT_EQ(joins[0]->columns,
+            (Cols{"l.l_extendedprice", "l.l_discount", "n.n_name"}))
+      << (*optimized)->ToString();
+  EXPECT_EQ(joins[1]->columns,
+            (Cols{"l.l_extendedprice", "l.l_discount", "c.c_nationkey"}))
+      << (*optimized)->ToString();
+  EXPECT_EQ(joins[2]->columns, (Cols{"o.o_orderkey", "c.c_nationkey"}))
+      << (*optimized)->ToString();
+  // EXPLAIN shows the kept list on the join line.
+  EXPECT_NE((*optimized)->ToString().find(
+                "[l.l_extendedprice, l.l_discount, n.n_name]"),
+            std::string::npos);
+}
+
+TEST_F(OptimizerTest, JoinOutputPruningKeepsWhatIsReadAbove) {
+  auto join_of = [&](const std::string& sql, OptimizerOptions options = {}) {
+    auto plan = MustOptimize(sql, options);
+    const LogicalPlan* join = FindNode(plan.get(), LogicalPlan::Kind::kJoin);
+    EXPECT_NE(join, nullptr) << sql;
+    return join != nullptr ? join->columns : std::vector<std::string>{};
+  };
+  using Cols = std::vector<std::string>;
+  const std::string join = " FROM emp e JOIN dept d ON e.dept = d.name";
+  EXPECT_EQ(join_of("SELECT e.name" + join), (Cols{"e.name"}));
+  // A filter above the join reads its columns; the project resets.
+  EXPECT_EQ(join_of("SELECT e.name" + join +
+                    " WHERE e.salary > 100 OR d.location = 'NYC'"),
+            (Cols{"e.name", "e.salary", "d.location"}));
+  // Nothing read above (count(*)): one column still carries the rows.
+  EXPECT_EQ(join_of("SELECT count(*)" + join).size(), 1u);
+  // SELECT * reads every column: nothing is pruned.
+  EXPECT_TRUE(join_of("SELECT *" + join).empty());
+  // The rule belongs to projection pruning and is off with it.
+  OptimizerOptions off;
+  off.prune_projections = false;
+  EXPECT_TRUE(join_of("SELECT e.name" + join, off).empty());
 }
 
 TEST_F(OptimizerTest, ConstantFoldingInsidePlans) {
