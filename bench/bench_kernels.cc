@@ -19,12 +19,18 @@
 //   5. Expression evaluation: EvaluateExpr's column kernels vs the
 //      row-at-a-time reference on TPC-H aggregate arguments (q5 revenue,
 //      q12 priority CASE, q14 promo CASE with LIKE) — identical columns.
+//   6. Chunk decode (E20): DecodeColumn / DecodeColumnSelected vs the
+//      value-at-a-time reference (testing/reference_decode.h) per (type,
+//      encoding, null fraction), whole chunk and 10/50/90 % selected —
+//      identical vectors, ns per chunk row.
 //
 // The full run prints the tables and writes BENCH_kernels.json
 // (machine-readable, checked in). `--kernels-smoke` runs the CI gate:
 // every correctness/audit invariant above plus "kernels are not slower
-// than scalar on a selective filter" and "EvaluateExpr beats the
-// reference on every aggregate argument". `--hash-smoke` gates the typed
+// than scalar on a selective filter", "EvaluateExpr beats the
+// reference on every aggregate argument", "every decode equals the
+// reference" and "whole-chunk plain numeric decode beats the reference".
+// `--hash-smoke` gates the typed
 // hash path: identical results/bills across the sweep and a noise-robust
 // speedup floor on the high-cardinality group-by and selective join.
 #include <algorithm>
@@ -38,10 +44,12 @@
 #include "exec/executor.h"
 #include "exec/expression.h"
 #include "exec/kernels.h"
+#include "format/encoding.h"
 #include "format/reader.h"
 #include "format/writer.h"
 #include "sql/parser.h"
 #include "storage/memory_store.h"
+#include "testing/reference_decode.h"
 #include "testing/reference_exec.h"
 
 using namespace pixels;
@@ -542,11 +550,174 @@ RfResult RunRfComparison(Catalog* catalog, int reps) {
   return rf;
 }
 
+// ---- 6. chunk decode: bulk decoders vs the value-at-a-time reference ----
+
+struct DecodePoint {
+  TypeId type;
+  Encoding encoding;
+  double null_fraction;
+  double selected;  // fraction of rows selected; 1 = whole-chunk decode
+  double ns_per_row;            // per chunk row, DecodeColumn(Selected)
+  double reference_ns_per_row;  // ReferenceDecodeColumn (+ Gather)
+  bool identical;
+};
+
+/// Validity, null count and every payload slot, null rows included.
+bool SamePayload(const ColumnVector& a, const ColumnVector& b) {
+  if (a.type() != b.type() || a.size() != b.size() ||
+      a.NullCount() != b.NullCount()) {
+    return false;
+  }
+  for (size_t i = 0; i < a.size(); ++i) {
+    if (a.IsNull(i) != b.IsNull(i)) return false;
+    switch (PayloadClassOf(a.type())) {
+      case PayloadClass::kInt:
+        if (a.GetInt(i) != b.GetInt(i)) return false;
+        break;
+      case PayloadClass::kDouble:
+        if (std::memcmp(a.doubles_data() + i, b.doubles_data() + i,
+                        sizeof(double)) != 0) {
+          return false;
+        }
+        break;
+      case PayloadClass::kString:
+        if (a.GetString(i) != b.GetString(i)) return false;
+        break;
+    }
+  }
+  return true;
+}
+
+/// One chunk of TPC-H-like values for a (type, encoding) pair: random
+/// keys for plain, runs for RLE, ascending keys for delta, a 7-word
+/// domain for dictionary strings.
+ColumnVector MakeDecodeColumn(TypeId type, Encoding encoding,
+                              double null_fraction, size_t rows,
+                              Random* rng) {
+  static const char* kModes[] = {"AIR",     "FOB",  "MAIL", "RAIL",
+                                 "REG AIR", "SHIP", "TRUCK"};
+  ColumnVector col(type);
+  int64_t prev = 0;
+  for (size_t i = 0; i < rows; ++i) {
+    if (rng->Bernoulli(null_fraction)) {
+      col.AppendNull();
+      continue;
+    }
+    switch (type) {
+      case TypeId::kBool:
+        col.AppendBool(rng->Bernoulli(0.5));
+        break;
+      case TypeId::kDouble:
+        col.AppendDouble(rng->UniformDouble(900.0, 105000.0));
+        break;
+      case TypeId::kString:
+        if (encoding == Encoding::kDictionary) {
+          col.AppendString(kModes[rng->Uniform(0, 6)]);
+        } else {
+          col.AppendString(rng->NextString(12));
+        }
+        break;
+      default:
+        if (encoding == Encoding::kRunLength) {
+          if (i == 0 || rng->Bernoulli(0.125)) prev = rng->Uniform(0, 50);
+        } else if (encoding == Encoding::kDelta) {
+          prev += rng->Uniform(0, 100);
+        } else {
+          prev = type == TypeId::kDate ? rng->Uniform(8000, 11000)
+                                       : rng->Uniform(-1000000000, 1000000000);
+        }
+        col.AppendInt(prev);
+        break;
+    }
+  }
+  return col;
+}
+
+/// Decode time per chunk row for whole-chunk decode and for 10/50/90 %
+/// of rows selected, over `chunks` chunks of `chunk_rows` rows, against
+/// the reference (whose selected decode is a full decode plus Gather).
+std::vector<DecodePoint> RunDecodeSweep(size_t chunk_rows, size_t chunks,
+                                        int reps) {
+  const std::pair<TypeId, Encoding> shapes[] = {
+      {TypeId::kInt64, Encoding::kPlain},
+      {TypeId::kDate, Encoding::kPlain},
+      {TypeId::kDouble, Encoding::kPlain},
+      {TypeId::kInt64, Encoding::kRunLength},
+      {TypeId::kInt64, Encoding::kDelta},
+      {TypeId::kString, Encoding::kDictionary},
+      {TypeId::kString, Encoding::kPlain},
+      {TypeId::kBool, Encoding::kBitPacked}};
+  const double null_fractions[] = {0.0, 0.1};
+  const double selected[] = {1.0, 0.1, 0.5, 0.9};
+  const double total_rows = static_cast<double>(chunk_rows * chunks);
+  std::vector<DecodePoint> points;
+  Random rng(23);
+  for (const auto& [type, encoding] : shapes) {
+    for (double nulls : null_fractions) {
+      std::vector<std::vector<uint8_t>> data;
+      for (size_t c = 0; c < chunks; ++c) {
+        ByteWriter w;
+        Check(EncodeColumn(
+            MakeDecodeColumn(type, encoding, nulls, chunk_rows, &rng),
+            encoding, &w));
+        data.push_back(w.Release());
+      }
+      for (double frac : selected) {
+        std::vector<std::vector<uint32_t>> sels(chunks);
+        for (auto& sel : sels) {
+          for (uint32_t i = 0; i < chunk_rows; ++i) {
+            if (frac >= 1.0 || rng.Bernoulli(frac)) sel.push_back(i);
+          }
+        }
+        std::vector<ColumnVectorPtr> got(chunks), ref(chunks);
+        const double ms = TimeMs(reps, [&] {
+          for (size_t c = 0; c < chunks; ++c) {
+            ByteReader in(data[c]);
+            auto r = frac >= 1.0 ? DecodeColumn(type, encoding, &in, chunk_rows)
+                                 : DecodeColumnSelected(type, encoding, &in,
+                                                        chunk_rows, sels[c]);
+            got[c] = r.ok() ? *r : nullptr;
+          }
+        });
+        const double ref_ms = TimeMs(reps, [&] {
+          for (size_t c = 0; c < chunks; ++c) {
+            ByteReader in(data[c]);
+            auto r = ReferenceDecodeColumn(type, encoding, &in, chunk_rows);
+            ref[c] = !r.ok() ? nullptr : frac >= 1.0 ? *r : (*r)->Gather(sels[c]);
+          }
+        });
+        bool identical = true;
+        for (size_t c = 0; c < chunks; ++c) {
+          identical = identical && got[c] != nullptr && ref[c] != nullptr &&
+                      SamePayload(*got[c], *ref[c]);
+        }
+        points.push_back({type, encoding, nulls, frac,
+                          ms * 1e6 / total_rows, ref_ms * 1e6 / total_rows,
+                          identical});
+      }
+    }
+  }
+  return points;
+}
+
+void PrintDecodeSweep(const std::vector<DecodePoint>& points) {
+  std::printf("%8s %-10s %6s %9s %10s %10s %8s %5s\n", "type", "encoding",
+              "nulls", "selected", "ns/row", "ref_ns/row", "speedup", "same");
+  for (const auto& p : points) {
+    std::printf("%8s %-10s %6.2f %9.2f %10.2f %10.2f %7.1fx %5s\n",
+                TypeName(p.type), EncodingName(p.encoding), p.null_fraction,
+                p.selected, p.ns_per_row, p.reference_ns_per_row,
+                p.ns_per_row > 0 ? p.reference_ns_per_row / p.ns_per_row : 0,
+                p.identical ? "yes" : "NO");
+  }
+}
+
 void WriteJson(const char* path, size_t kernel_rows,
                const std::vector<SweepPoint>& sweep, int fact_rows,
                const std::vector<FusedPoint>& fused, const RfResult& rf,
                int hash_rows, const std::vector<HashPoint>& hash,
-               const std::vector<ExprPoint>& exprs) {
+               const std::vector<ExprPoint>& exprs, size_t decode_chunk_rows,
+               const std::vector<DecodePoint>& decode) {
   FILE* f = std::fopen(path, "w");
   if (f == nullptr) {
     std::fprintf(stderr, "cannot write %s\n", path);
@@ -624,6 +795,22 @@ void WriteJson(const char* path, size_t kernel_rows,
                  p.identical ? "true" : "false",
                  i + 1 < exprs.size() ? "," : "");
   }
+  std::fprintf(f, "  ],\n");
+  std::fprintf(f, "  \"decode_chunk_rows\": %zu,\n", decode_chunk_rows);
+  std::fprintf(f, "  \"decode_sweep\": [\n");
+  for (size_t i = 0; i < decode.size(); ++i) {
+    const auto& p = decode[i];
+    std::fprintf(f,
+                 "    {\"type\": \"%s\", \"encoding\": \"%s\", "
+                 "\"null_fraction\": %.2f, \"selected\": %.2f, "
+                 "\"ns_per_row\": %.3f, \"reference_ns_per_row\": %.3f, "
+                 "\"speedup\": %.2f, \"identical\": %s}%s\n",
+                 TypeName(p.type), EncodingName(p.encoding), p.null_fraction,
+                 p.selected, p.ns_per_row, p.reference_ns_per_row,
+                 p.ns_per_row > 0 ? p.reference_ns_per_row / p.ns_per_row : 0,
+                 p.identical ? "true" : "false",
+                 i + 1 < decode.size() ? "," : "");
+  }
   std::fprintf(f, "  ]\n}\n");
   std::fclose(f);
   std::printf("wrote %s\n", path);
@@ -688,6 +875,15 @@ int RunSmoke() {
       static_cast<unsigned long long>(rf.bytes_on),
       100.0 * (rf.bytes_off - rf.bytes_on) / rf.bytes_off,
       static_cast<unsigned long long>(rf.pruned_row_groups));
+  auto decode = RunDecodeSweep(8192, 8, 3);
+  PrintDecodeSweep(decode);
+  for (const auto& p : decode) {
+    if (!p.identical) return Fail("bulk decode differs from the reference");
+    if (p.selected >= 1.0 && p.encoding == Encoding::kPlain &&
+        p.type != TypeId::kString && p.ns_per_row >= p.reference_ns_per_row) {
+      return Fail("plain numeric decode not faster than the reference");
+    }
+  }
   std::printf("PASS: kernels smoke\n");
   return 0;
 }
@@ -801,14 +997,22 @@ int RunFull(const char* out_path) {
   auto exprs = RunExprSweep(kKernelRows, 5);
   PrintExprSweep(exprs);
 
+  const size_t kDecodeChunkRows = 8192;
+  std::printf("\n-- chunk decode (%zu-row chunks x 64, best of 5; ns per chunk "
+              "row) --\n",
+              kDecodeChunkRows);
+  auto decode = RunDecodeSweep(kDecodeChunkRows, 64, 5);
+  PrintDecodeSweep(decode);
+
   WriteJson(out_path, kKernelRows, sweep, kFactRows, fused, rf, kHashRows,
-            hash, exprs);
+            hash, exprs, kDecodeChunkRows, decode);
 
   bool ok = rf.identical && rf.audit_exact && rf.bytes_on < rf.bytes_off;
   for (const auto& p : sweep) ok = ok && p.identical;
   for (const auto& p : fused) ok = ok && p.identical && p.bytes_equal;
   for (const auto& p : hash) ok = ok && p.identical && p.bytes_equal;
   for (const auto& p : exprs) ok = ok && p.identical;
+  for (const auto& p : decode) ok = ok && p.identical;
   std::printf("%s\n", ok ? "PASS" : "FAIL");
   return ok ? 0 : 1;
 }

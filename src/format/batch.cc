@@ -1,12 +1,17 @@
 #include "format/batch.h"
 
+#include <string_view>
+#include <utility>
+
 namespace pixels {
 
 namespace {
-// Returns the part after the last '.'.
-std::string BaseName(const std::string& name) {
-  size_t dot = name.rfind('.');
-  return dot == std::string::npos ? name : name.substr(dot + 1);
+// Splits "qualifier.column" at the last '.'; a bare name has an empty
+// qualifier.
+std::pair<std::string_view, std::string_view> SplitName(std::string_view name) {
+  const size_t dot = name.rfind('.');
+  if (dot == std::string_view::npos) return {std::string_view(), name};
+  return {name.substr(0, dot), name.substr(dot + 1)};
 }
 }  // namespace
 
@@ -21,14 +26,18 @@ int RowBatch::FindColumn(const std::string& name) const {
     if (names_[i] == name) return static_cast<int>(i);
   }
   // Pass 2: unqualified lookup against qualified columns (and vice versa),
-  // only when unambiguous.
+  // only when unambiguous. Two qualified names never match across
+  // qualifiers: `a.id` must not read `b.id`.
   int found = -1;
-  const std::string base = BaseName(name);
+  const auto [qualifier, base] = SplitName(name);
   for (size_t i = 0; i < names_.size(); ++i) {
-    if (BaseName(names_[i]) == base) {
-      if (found >= 0) return -1;  // ambiguous
-      found = static_cast<int>(i);
+    const auto [col_qualifier, col_base] = SplitName(names_[i]);
+    // Same qualifier and base would have matched exactly in pass 1.
+    if (col_base != base || (!qualifier.empty() && !col_qualifier.empty())) {
+      continue;
     }
+    if (found >= 0) return -1;  // ambiguous
+    found = static_cast<int>(i);
   }
   return found;
 }

@@ -1,8 +1,10 @@
 #include "format/encoding.h"
 
 #include <algorithm>
+#include <bit>
 #include <cstring>
 #include <map>
+#include <string_view>
 
 namespace pixels {
 
@@ -21,27 +23,6 @@ void WriteValidity(const ColumnVector& col, ByteWriter* out) {
     }
   }
   if (bit != 0) out->PutU8(byte);
-}
-
-Result<std::vector<uint8_t>> ReadValidity(ByteReader* in, size_t num_rows) {
-  std::vector<uint8_t> valid(num_rows, 0);
-  const size_t num_bytes = (num_rows + 7) / 8;
-  for (size_t b = 0; b < num_bytes; ++b) {
-    PIXELS_ASSIGN_OR_RETURN(uint8_t byte, in->GetU8());
-    for (int bit = 0; bit < 8; ++bit) {
-      size_t i = b * 8 + static_cast<size_t>(bit);
-      if (i >= num_rows) break;
-      valid[i] = (byte >> bit) & 1;
-    }
-  }
-  return valid;
-}
-
-/// True when the validity vector marks every row non-null — the common
-/// case, where run-oriented codecs can skip whole runs at once.
-bool AllValid(const std::vector<uint8_t>& valid) {
-  return valid.empty() ||
-         std::memchr(valid.data(), 0, valid.size()) == nullptr;
 }
 
 // --- plain ---
@@ -73,49 +54,6 @@ Status EncodePlain(const ColumnVector& col, ByteWriter* out) {
   return Status::OK();
 }
 
-Result<ColumnVectorPtr> DecodePlain(TypeId type, ByteReader* in,
-                                    size_t num_rows) {
-  PIXELS_ASSIGN_OR_RETURN(std::vector<uint8_t> valid, ReadValidity(in, num_rows));
-  auto col = MakeVector(type);
-  col->Reserve(num_rows);
-  for (size_t i = 0; i < num_rows; ++i) {
-    if (!valid[i]) {
-      col->AppendNull();
-      continue;
-    }
-    switch (type) {
-      case TypeId::kBool: {
-        PIXELS_ASSIGN_OR_RETURN(uint8_t v, in->GetU8());
-        col->AppendBool(v != 0);
-        break;
-      }
-      case TypeId::kInt32:
-      case TypeId::kDate: {
-        PIXELS_ASSIGN_OR_RETURN(int32_t v, in->GetI32());
-        col->AppendInt(v);
-        break;
-      }
-      case TypeId::kInt64:
-      case TypeId::kTimestamp: {
-        PIXELS_ASSIGN_OR_RETURN(int64_t v, in->GetI64());
-        col->AppendInt(v);
-        break;
-      }
-      case TypeId::kDouble: {
-        PIXELS_ASSIGN_OR_RETURN(double v, in->GetF64());
-        col->AppendDouble(v);
-        break;
-      }
-      case TypeId::kString: {
-        PIXELS_ASSIGN_OR_RETURN(std::string v, in->GetString());
-        col->AppendString(std::move(v));
-        break;
-      }
-    }
-  }
-  return col;
-}
-
 // --- run length (integer-like) ---
 
 Status EncodeRunLength(const ColumnVector& col, ByteWriter* out) {
@@ -136,38 +74,6 @@ Status EncodeRunLength(const ColumnVector& col, ByteWriter* out) {
     i = j;
   }
   return Status::OK();
-}
-
-Result<ColumnVectorPtr> DecodeRunLength(TypeId type, ByteReader* in,
-                                        size_t num_rows) {
-  PIXELS_ASSIGN_OR_RETURN(std::vector<uint8_t> valid, ReadValidity(in, num_rows));
-  PIXELS_ASSIGN_OR_RETURN(uint64_t num_vals, in->GetVarint());
-  std::vector<int64_t> vals;
-  vals.reserve(num_vals);
-  while (vals.size() < num_vals) {
-    PIXELS_ASSIGN_OR_RETURN(int64_t v, in->GetSignedVarint());
-    PIXELS_ASSIGN_OR_RETURN(uint64_t run, in->GetVarint());
-    if (run == 0 || vals.size() + run > num_vals) {
-      return Status::Corruption("rle: bad run length");
-    }
-    vals.insert(vals.end(), run, v);
-  }
-  auto col = MakeVector(type);
-  col->Reserve(num_rows);
-  size_t next = 0;
-  for (size_t i = 0; i < num_rows; ++i) {
-    if (!valid[i]) {
-      col->AppendNull();
-    } else {
-      if (next >= vals.size()) return Status::Corruption("rle: value underflow");
-      if (type == TypeId::kBool) {
-        col->AppendBool(vals[next++] != 0);
-      } else {
-        col->AppendInt(vals[next++]);
-      }
-    }
-  }
-  return col;
 }
 
 // --- delta (integer-like) ---
@@ -195,35 +101,6 @@ Status EncodeDelta(const ColumnVector& col, ByteWriter* out) {
   return Status::OK();
 }
 
-Result<ColumnVectorPtr> DecodeDelta(TypeId type, ByteReader* in,
-                                    size_t num_rows) {
-  PIXELS_ASSIGN_OR_RETURN(std::vector<uint8_t> valid, ReadValidity(in, num_rows));
-  PIXELS_ASSIGN_OR_RETURN(uint64_t num_vals, in->GetVarint());
-  auto col = MakeVector(type);
-  col->Reserve(num_rows);
-  int64_t prev = 0;
-  bool first = true;
-  uint64_t consumed = 0;
-  for (size_t i = 0; i < num_rows; ++i) {
-    if (!valid[i]) {
-      col->AppendNull();
-      continue;
-    }
-    if (consumed >= num_vals) return Status::Corruption("delta: value underflow");
-    PIXELS_ASSIGN_OR_RETURN(int64_t d, in->GetSignedVarint());
-    int64_t v = first ? d : prev + d;
-    first = false;
-    prev = v;
-    ++consumed;
-    if (type == TypeId::kBool) {
-      col->AppendBool(v != 0);
-    } else {
-      col->AppendInt(v);
-    }
-  }
-  return col;
-}
-
 // --- dictionary (strings) ---
 
 Status EncodeDictionary(const ColumnVector& col, ByteWriter* out) {
@@ -245,34 +122,6 @@ Status EncodeDictionary(const ColumnVector& col, ByteWriter* out) {
   return Status::OK();
 }
 
-Result<ColumnVectorPtr> DecodeDictionary(TypeId type, ByteReader* in,
-                                         size_t num_rows) {
-  PIXELS_ASSIGN_OR_RETURN(std::vector<uint8_t> valid, ReadValidity(in, num_rows));
-  PIXELS_ASSIGN_OR_RETURN(uint64_t dict_size, in->GetVarint());
-  std::vector<std::string> dict;
-  dict.reserve(dict_size);
-  for (uint64_t i = 0; i < dict_size; ++i) {
-    PIXELS_ASSIGN_OR_RETURN(std::string s, in->GetString());
-    dict.push_back(std::move(s));
-  }
-  PIXELS_ASSIGN_OR_RETURN(uint64_t num_codes, in->GetVarint());
-  auto col = MakeVector(type);
-  col->Reserve(num_rows);
-  uint64_t consumed = 0;
-  for (size_t i = 0; i < num_rows; ++i) {
-    if (!valid[i]) {
-      col->AppendNull();
-      continue;
-    }
-    if (consumed >= num_codes) return Status::Corruption("dict: code underflow");
-    PIXELS_ASSIGN_OR_RETURN(uint64_t code, in->GetVarint());
-    ++consumed;
-    if (code >= dict.size()) return Status::Corruption("dict: code out of range");
-    col->AppendString(dict[code]);
-  }
-  return col;
-}
-
 // --- bit-packed (bools) ---
 
 Status EncodeBitPacked(const ColumnVector& col, ByteWriter* out) {
@@ -290,31 +139,6 @@ Status EncodeBitPacked(const ColumnVector& col, ByteWriter* out) {
   }
   if (bit != 0) out->PutU8(byte);
   return Status::OK();
-}
-
-Result<ColumnVectorPtr> DecodeBitPacked(TypeId type, ByteReader* in,
-                                        size_t num_rows) {
-  PIXELS_ASSIGN_OR_RETURN(std::vector<uint8_t> valid, ReadValidity(in, num_rows));
-  const size_t num_bytes = (num_rows + 7) / 8;
-  std::vector<uint8_t> bits(num_rows, 0);
-  for (size_t b = 0; b < num_bytes; ++b) {
-    PIXELS_ASSIGN_OR_RETURN(uint8_t byte, in->GetU8());
-    for (int bit = 0; bit < 8; ++bit) {
-      size_t i = b * 8 + static_cast<size_t>(bit);
-      if (i >= num_rows) break;
-      bits[i] = (byte >> bit) & 1;
-    }
-  }
-  auto col = MakeVector(type);
-  col->Reserve(num_rows);
-  for (size_t i = 0; i < num_rows; ++i) {
-    if (!valid[i]) {
-      col->AppendNull();
-    } else {
-      col->AppendBool(bits[i] != 0);
-    }
-  }
-  return col;
 }
 
 }  // namespace
@@ -373,27 +197,6 @@ Status EncodeColumn(const ColumnVector& col, Encoding encoding,
   return Status::InvalidArgument("unknown encoding");
 }
 
-Result<ColumnVectorPtr> DecodeColumn(TypeId type, Encoding encoding,
-                                     ByteReader* in, size_t num_rows) {
-  if (!EncodingSupports(encoding, type)) {
-    return Status::Corruption(std::string("encoding ") + EncodingName(encoding) +
-                              " invalid for type " + TypeName(type));
-  }
-  switch (encoding) {
-    case Encoding::kPlain:
-      return DecodePlain(type, in, num_rows);
-    case Encoding::kRunLength:
-      return DecodeRunLength(type, in, num_rows);
-    case Encoding::kDelta:
-      return DecodeDelta(type, in, num_rows);
-    case Encoding::kDictionary:
-      return DecodeDictionary(type, in, num_rows);
-    case Encoding::kBitPacked:
-      return DecodeBitPacked(type, in, num_rows);
-  }
-  return Status::Corruption("unknown encoding tag");
-}
-
 Encoding ChooseEncoding(const ColumnVector& col) {
   if (col.type() == TypeId::kBool) return Encoding::kBitPacked;
   if (col.type() == TypeId::kString) {
@@ -432,7 +235,338 @@ Encoding ChooseEncoding(const ColumnVector& col) {
   return Encoding::kPlain;
 }
 
+// --- decode ---
+//
+// Every decoder reads a chunk through one Cursor: a raw pointer pair with
+// inline varints. Each read is bounds-checked, but none builds a Result.
+// The decoder unpacks the validity mask, decodes the chunk's non-null
+// values in row order into the front of a row array ("dense values"),
+// spreads them onto their rows in place, and, for a selection, gathers
+// the selected rows. The output is sized once and written through the
+// mutable_* pointers; a whole-chunk decode writes into it directly.
+
 namespace {
+
+Status Truncated() { return Status::Corruption("decode: truncated chunk"); }
+
+Status CheckSupported(Encoding encoding, TypeId type) {
+  if (EncodingSupports(encoding, type)) return Status::OK();
+  return Status::Corruption(std::string("encoding ") + EncodingName(encoding) +
+                            " invalid for type " + TypeName(type));
+}
+
+/// Bounds-checked read cursor over the rest of a ByteReader's bytes. On
+/// destruction the reader moves just past the bytes the cursor consumed.
+class Cursor {
+ public:
+  explicit Cursor(ByteReader* in) : in_(in), start_(in->position()) {
+    const std::string_view rest = *in->GetView(in->remaining());
+    begin_ = p_ = reinterpret_cast<const uint8_t*>(rest.data());
+    end_ = begin_ + rest.size();
+  }
+  ~Cursor() { (void)in_->Seek(start_ + static_cast<size_t>(p_ - begin_)); }
+  Cursor(const Cursor&) = delete;
+  Cursor& operator=(const Cursor&) = delete;
+
+  size_t left() const { return static_cast<size_t>(end_ - p_); }
+
+  /// Takes `n` raw bytes; false when fewer remain.
+  bool Take(uint64_t n, const uint8_t** out) {
+    if (left() < n) return false;
+    *out = p_;
+    p_ += n;
+    return true;
+  }
+
+  /// LEB128 varint; false when truncated or longer than 64 bits.
+  bool Varint(uint64_t* v) {
+    if (p_ != end_ && *p_ < 0x80) {
+      *v = *p_++;
+      return true;
+    }
+    uint64_t r = 0;
+    for (int shift = 0; shift < 64 && p_ != end_; shift += 7) {
+      const uint8_t b = *p_++;
+      r |= static_cast<uint64_t>(b & 0x7f) << shift;
+      if (b < 0x80) {
+        *v = r;
+        return true;
+      }
+    }
+    return false;
+  }
+
+  /// Zigzag-encoded signed varint.
+  bool SignedVarint(int64_t* v) {
+    uint64_t z;
+    if (!Varint(&z)) return false;
+    *v = static_cast<int64_t>((z >> 1) ^ (~(z & 1) + 1));
+    return true;
+  }
+
+  /// Varint length plus that many bytes, as a view into the chunk.
+  bool String(std::string_view* s) {
+    uint64_t len;
+    const uint8_t* p;
+    if (!Varint(&len) || !Take(len, &p)) return false;
+    *s = std::string_view(reinterpret_cast<const char*>(p), len);
+    return true;
+  }
+
+ private:
+  ByteReader* in_;
+  size_t start_;
+  const uint8_t* begin_;
+  const uint8_t* p_;
+  const uint8_t* end_;
+};
+
+/// A chunk's validity, one byte per row, and its non-null row count.
+struct Rows {
+  const uint8_t* valid;
+  size_t num_rows;
+  size_t num_valid;
+};
+
+/// Bytes of a one-bit-per-row bitmap.
+size_t BitmapBytes(size_t num_rows) {
+  return num_rows / 8 + (num_rows % 8 != 0 ? 1 : 0);
+}
+
+/// Unpacks a validity bitmap into `valid`, one byte per row, and returns
+/// the number of non-null rows. Bits past `num_rows` are ignored.
+size_t UnpackValidity(const uint8_t* bits, size_t num_rows, uint8_t* valid) {
+  size_t num_valid = 0;
+  size_t i = 0;
+  for (; i + 8 <= num_rows; i += 8) {
+    // Spread bit k of the byte into byte k of a word: 8 rows per store,
+    // so a 0xFF byte sets 8 non-null rows at once.
+    const uint64_t byte = bits[i / 8];
+    const uint64_t lanes = (byte * 0x0101010101010101ULL) & 0x8040201008040201ULL;
+    const uint64_t word =
+        ((lanes + 0x7F7F7F7F7F7F7F7FULL) >> 7) & 0x0101010101010101ULL;
+    std::memcpy(valid + i, &word, 8);
+    num_valid += static_cast<size_t>(std::popcount(byte));
+  }
+  for (; i < num_rows; ++i) {
+    valid[i] = (bits[i / 8] >> (i % 8)) & 1;
+    num_valid += valid[i];
+  }
+  return num_valid;
+}
+
+/// Decodes the `rows.num_valid` non-null values of a numeric chunk, in row
+/// order, into dst[0, num_valid); dst has room for every row. Bool values
+/// are normalised to 0/1.
+template <typename T>
+Status DenseNumbers(TypeId type, Encoding encoding, Cursor* in,
+                    const Rows& rows, T* dst) {
+  const size_t n = rows.num_valid;
+  switch (encoding) {
+    case Encoding::kPlain: {
+      // One length check, then a straight copy (or widening) loop.
+      const size_t width = FixedWidth(type);
+      const uint8_t* p;
+      if (!in->Take(n * width, &p)) return Truncated();
+      if (width == sizeof(T)) {
+        if (n != 0) std::memcpy(dst, p, n * width);
+      } else if (width == 4) {
+        for (size_t j = 0; j < n; ++j) {
+          int32_t v;
+          std::memcpy(&v, p + 4 * j, 4);
+          dst[j] = static_cast<T>(v);
+        }
+      } else {
+        for (size_t j = 0; j < n; ++j) dst[j] = p[j] != 0;
+      }
+      return Status::OK();
+    }
+    case Encoding::kRunLength: {
+      uint64_t num_vals;
+      if (!in->Varint(&num_vals)) return Truncated();
+      if (num_vals < n) return Status::Corruption("rle: value underflow");
+      size_t filled = 0;
+      for (uint64_t consumed = 0; consumed < num_vals;) {
+        int64_t v;
+        uint64_t run;
+        if (!in->SignedVarint(&v) || !in->Varint(&run)) return Truncated();
+        if (run == 0 || run > num_vals - consumed) {
+          return Status::Corruption("rle: bad run length");
+        }
+        consumed += run;
+        const size_t take = static_cast<size_t>(std::min<uint64_t>(run, n - filled));
+        std::fill_n(dst + filled, take, static_cast<T>(v));
+        filled += take;
+      }
+      break;
+    }
+    case Encoding::kDelta: {
+      uint64_t num_vals;
+      if (!in->Varint(&num_vals)) return Truncated();
+      if (num_vals < n) return Status::Corruption("delta: value underflow");
+      uint64_t prev = 0;  // wrapping prefix sum; the first delta is from 0
+      for (size_t j = 0; j < n; ++j) {
+        int64_t d;
+        if (!in->SignedVarint(&d)) return Truncated();
+        prev += static_cast<uint64_t>(d);
+        dst[j] = static_cast<T>(static_cast<int64_t>(prev));
+      }
+      break;
+    }
+    case Encoding::kBitPacked: {
+      // One bit per row, nulls included. Branch-free: a null row's bit is
+      // overwritten by the next value (j stays at or below i).
+      const uint8_t* bits;
+      if (!in->Take(BitmapBytes(rows.num_rows), &bits)) return Truncated();
+      for (size_t i = 0, j = 0; i < rows.num_rows; ++i) {
+        dst[j] = (bits[i / 8] >> (i % 8)) & 1;
+        j += rows.valid[i];
+      }
+      return Status::OK();
+    }
+    case Encoding::kDictionary:
+      return Status::Corruption("dictionary encodes strings only");
+  }
+  if (type == TypeId::kBool) {
+    for (size_t j = 0; j < n; ++j) dst[j] = dst[j] != 0;
+  }
+  return Status::OK();
+}
+
+/// Spreads the `rows.num_valid` dense values at the front of
+/// out[0, num_rows) onto their rows, back to front, zeroing null rows.
+template <typename T>
+void Expand(const Rows& rows, T* out) {
+  size_t j = rows.num_valid;
+  for (size_t i = rows.num_rows; i > j;) {
+    --i;
+    // Branch-free: a non-null row takes the last unplaced value; src stays
+    // at or below i, so it is in bounds either way.
+    const size_t src = j - rows.valid[i];
+    const T v = out[src];
+    out[i] = rows.valid[i] ? v : T();
+    j = src;
+  }
+}
+
+/// Decodes a numeric chunk into out[0, num_rows), one value per row.
+template <typename T>
+Status RowNumbers(TypeId type, Encoding encoding, Cursor* in,
+                  const Rows& rows, T* out) {
+  PIXELS_RETURN_NOT_OK(DenseNumbers(type, encoding, in, rows, out));
+  Expand(rows, out);
+  return Status::OK();
+}
+
+/// Decodes a string chunk as entries plus one code per row (null rows get
+/// code 0). A dictionary chunk has its distinct entries; a plain chunk has
+/// one entry per value. Entries view the chunk.
+Status RowStrings(Encoding encoding, Cursor* in, const Rows& rows,
+                  std::vector<std::string_view>* entries,
+                  std::vector<uint32_t>* codes) {
+  const size_t n = rows.num_valid;
+  codes->resize(rows.num_rows);
+  if (encoding == Encoding::kPlain) {
+    entries->resize(n);
+    for (size_t j = 0; j < n; ++j) {
+      if (!in->String(&(*entries)[j])) return Truncated();
+      (*codes)[j] = static_cast<uint32_t>(j);
+    }
+    Expand(rows, codes->data());
+    return Status::OK();
+  }
+  uint64_t dict_size;
+  // Every entry takes at least its length byte, which bounds the size.
+  if (!in->Varint(&dict_size) || dict_size > in->left()) return Truncated();
+  entries->resize(dict_size);
+  for (auto& e : *entries) {
+    if (!in->String(&e)) return Truncated();
+  }
+  uint64_t num_codes;
+  if (!in->Varint(&num_codes)) return Truncated();
+  if (num_codes < n) return Status::Corruption("dict: code underflow");
+  for (size_t j = 0; j < n; ++j) {
+    uint64_t code;
+    if (!in->Varint(&code)) return Truncated();
+    if (code >= dict_size) return Status::Corruption("dict: code out of range");
+    (*codes)[j] = static_cast<uint32_t>(code);
+  }
+  Expand(rows, codes->data());
+  return Status::OK();
+}
+
+/// Decodes rows `sel` (every row when null) of a numeric chunk into `out`.
+template <typename T>
+Status DecodeNumbers(TypeId type, Encoding encoding, Cursor* in,
+                     const Rows& rows, const std::vector<uint32_t>* sel,
+                     T* out) {
+  if (sel == nullptr) return RowNumbers(type, encoding, in, rows, out);
+  std::vector<T> row_values(rows.num_rows);
+  PIXELS_RETURN_NOT_OK(RowNumbers(type, encoding, in, rows, row_values.data()));
+  for (size_t k = 0; k < sel->size(); ++k) out[k] = row_values[(*sel)[k]];
+  return Status::OK();
+}
+
+/// The one decoder: every row when `sel` is null, else the rows `sel`.
+Result<ColumnVectorPtr> Decode(TypeId type, Encoding encoding,
+                               ByteReader* reader, size_t num_rows,
+                               const std::vector<uint32_t>* sel) {
+  PIXELS_RETURN_NOT_OK(CheckSupported(encoding, type));
+  Cursor in(reader);
+  // The bitmap is checked before anything is sized by num_rows.
+  const uint8_t* bits;
+  if (!in.Take(BitmapBytes(num_rows), &bits)) return Truncated();
+  auto col = MakeVector(type);
+  const size_t out_rows = sel == nullptr ? num_rows : sel->size();
+  if (out_rows == 0) return col;  // e.g. a filter that kept no rows
+  col->Resize(out_rows);
+  // A whole-chunk decode unpacks validity straight into the output.
+  std::vector<uint8_t> chunk_valid(sel == nullptr ? 0 : num_rows);
+  uint8_t* valid =
+      sel == nullptr ? col->mutable_valid_data() : chunk_valid.data();
+  const Rows rows{valid, num_rows, UnpackValidity(bits, num_rows, valid)};
+  if (sel != nullptr) {
+    uint8_t* out_valid = col->mutable_valid_data();
+    for (size_t k = 0; k < out_rows; ++k) out_valid[k] = valid[(*sel)[k]];
+  }
+  switch (PayloadClassOf(type)) {
+    case PayloadClass::kInt:
+      PIXELS_RETURN_NOT_OK(DecodeNumbers(type, encoding, &in, rows, sel,
+                                         col->mutable_ints_data()));
+      break;
+    case PayloadClass::kDouble:
+      PIXELS_RETURN_NOT_OK(DecodeNumbers(type, encoding, &in, rows, sel,
+                                         col->mutable_doubles_data()));
+      break;
+    case PayloadClass::kString: {
+      std::vector<std::string_view> entries;
+      std::vector<uint32_t> codes;
+      PIXELS_RETURN_NOT_OK(RowStrings(encoding, &in, rows, &entries, &codes));
+      std::string* out = col->mutable_strings_data();
+      for (size_t k = 0; k < out_rows; ++k) {
+        const size_t row = sel == nullptr ? k : (*sel)[k];
+        if (valid[row]) out[k] = entries[codes[row]];
+      }
+      break;
+    }
+  }
+  col->RecountNulls();
+  return col;
+}
+
+/// The non-null rows for which `match(row)` holds, ascending. `match`
+/// also runs on null rows (their values are zeroed) but is ignored there.
+template <typename Match>
+std::vector<uint32_t> SelectRows(const Rows& rows, Match match) {
+  std::vector<uint32_t> sel(rows.num_rows);
+  size_t n = 0;
+  for (size_t i = 0; i < rows.num_rows; ++i) {
+    sel[n] = static_cast<uint32_t>(i);
+    n += rows.valid[i] & static_cast<uint8_t>(match(i));
+  }
+  sel.resize(n);
+  return sel;
+}
 
 bool MatchAllInt(const std::vector<TypedPredicate>& preds, int64_t v) {
   for (const auto& p : preds) {
@@ -456,489 +590,74 @@ bool MatchAllString(const std::vector<TypedPredicate>& preds,
   return true;
 }
 
-Result<std::vector<uint32_t>> FilterPlain(
-    TypeId type, ByteReader* in, size_t num_rows,
-    const std::vector<TypedPredicate>& preds) {
-  PIXELS_ASSIGN_OR_RETURN(std::vector<uint8_t> valid, ReadValidity(in, num_rows));
-  std::vector<uint32_t> sel;
-  for (size_t i = 0; i < num_rows; ++i) {
-    if (!valid[i]) continue;
-    bool match = false;
-    switch (type) {
-      case TypeId::kBool: {
-        PIXELS_ASSIGN_OR_RETURN(uint8_t v, in->GetU8());
-        match = MatchAllInt(preds, v != 0 ? 1 : 0);
-        break;
-      }
-      case TypeId::kInt32:
-      case TypeId::kDate: {
-        PIXELS_ASSIGN_OR_RETURN(int32_t v, in->GetI32());
-        match = MatchAllInt(preds, v);
-        break;
-      }
-      case TypeId::kInt64:
-      case TypeId::kTimestamp: {
-        PIXELS_ASSIGN_OR_RETURN(int64_t v, in->GetI64());
-        match = MatchAllInt(preds, v);
-        break;
-      }
-      case TypeId::kDouble: {
-        PIXELS_ASSIGN_OR_RETURN(double v, in->GetF64());
-        match = MatchAllDouble(preds, v);
-        break;
-      }
-      case TypeId::kString: {
-        // Length-prefixed bytes; test through a view, no allocation.
-        PIXELS_ASSIGN_OR_RETURN(uint64_t len, in->GetVarint());
-        PIXELS_ASSIGN_OR_RETURN(std::string_view v,
-                                in->GetView(static_cast<size_t>(len)));
-        match = MatchAllString(preds, v);
-        break;
-      }
-    }
-    if (match) sel.push_back(static_cast<uint32_t>(i));
-  }
-  return sel;
-}
-
-Result<std::vector<uint32_t>> FilterRunLength(
-    ByteReader* in, size_t num_rows,
-    const std::vector<TypedPredicate>& preds) {
-  PIXELS_ASSIGN_OR_RETURN(std::vector<uint8_t> valid, ReadValidity(in, num_rows));
-  PIXELS_ASSIGN_OR_RETURN(uint64_t num_vals, in->GetVarint());
-  std::vector<uint32_t> sel;
-  // Fast path (no nulls): rows and values are one-to-one, so each run is
-  // one predicate evaluation followed by a bulk append (match) or a pure
-  // skip (no match) of the whole row range — no per-row state machine.
-  if (AllValid(valid)) {
-    uint64_t consumed = 0;
-    while (consumed < num_vals && consumed < num_rows) {
-      PIXELS_ASSIGN_OR_RETURN(int64_t v, in->GetSignedVarint());
-      PIXELS_ASSIGN_OR_RETURN(uint64_t run, in->GetVarint());
-      if (run == 0 || consumed + run > num_vals) {
-        return Status::Corruption("rle: bad run length");
-      }
-      const uint64_t start = consumed;
-      consumed += run;
-      if (!MatchAllInt(preds, v)) continue;
-      const uint64_t run_end = std::min<uint64_t>(consumed, num_rows);
-      for (uint64_t i = start; i < run_end; ++i) {
-        sel.push_back(static_cast<uint32_t>(i));
-      }
-    }
-    if (consumed < num_rows) {
-      return Status::Corruption("rle: value underflow");
-    }
-    return sel;
-  }
-  uint64_t consumed = 0;
-  uint64_t remaining_in_run = 0;
-  bool run_match = false;
-  for (size_t i = 0; i < num_rows; ++i) {
-    if (!valid[i]) continue;
-    if (remaining_in_run == 0) {
-      // One predicate evaluation per run, however long.
-      PIXELS_ASSIGN_OR_RETURN(int64_t v, in->GetSignedVarint());
-      PIXELS_ASSIGN_OR_RETURN(uint64_t run, in->GetVarint());
-      if (run == 0 || consumed + run > num_vals) {
-        return Status::Corruption("rle: bad run length");
-      }
-      consumed += run;
-      remaining_in_run = run;
-      run_match = MatchAllInt(preds, v);
-    }
-    --remaining_in_run;
-    if (run_match) sel.push_back(static_cast<uint32_t>(i));
-  }
-  return sel;
-}
-
-Result<std::vector<uint32_t>> FilterDelta(
-    ByteReader* in, size_t num_rows,
-    const std::vector<TypedPredicate>& preds) {
-  PIXELS_ASSIGN_OR_RETURN(std::vector<uint8_t> valid, ReadValidity(in, num_rows));
-  PIXELS_ASSIGN_OR_RETURN(uint64_t num_vals, in->GetVarint());
-  std::vector<uint32_t> sel;
-  int64_t prev = 0;
-  bool first = true;
-  uint64_t consumed = 0;
-  for (size_t i = 0; i < num_rows; ++i) {
-    if (!valid[i]) continue;
-    if (consumed >= num_vals) return Status::Corruption("delta: value underflow");
-    PIXELS_ASSIGN_OR_RETURN(int64_t d, in->GetSignedVarint());
-    int64_t v = first ? d : prev + d;
-    first = false;
-    prev = v;
-    ++consumed;
-    if (MatchAllInt(preds, v)) sel.push_back(static_cast<uint32_t>(i));
-  }
-  return sel;
-}
-
-Result<std::vector<uint32_t>> FilterDictionary(
-    ByteReader* in, size_t num_rows,
-    const std::vector<TypedPredicate>& preds) {
-  PIXELS_ASSIGN_OR_RETURN(std::vector<uint8_t> valid, ReadValidity(in, num_rows));
-  PIXELS_ASSIGN_OR_RETURN(uint64_t dict_size, in->GetVarint());
-  // One predicate evaluation per distinct entry; rows test a bit.
-  std::vector<uint8_t> entry_match(dict_size, 0);
-  for (uint64_t d = 0; d < dict_size; ++d) {
-    PIXELS_ASSIGN_OR_RETURN(uint64_t len, in->GetVarint());
-    PIXELS_ASSIGN_OR_RETURN(std::string_view s,
-                            in->GetView(static_cast<size_t>(len)));
-    entry_match[d] = MatchAllString(preds, s) ? 1 : 0;
-  }
-  PIXELS_ASSIGN_OR_RETURN(uint64_t num_codes, in->GetVarint());
-  std::vector<uint32_t> sel;
-  uint64_t consumed = 0;
-  for (size_t i = 0; i < num_rows; ++i) {
-    if (!valid[i]) continue;
-    if (consumed >= num_codes) return Status::Corruption("dict: code underflow");
-    PIXELS_ASSIGN_OR_RETURN(uint64_t code, in->GetVarint());
-    ++consumed;
-    if (code >= dict_size) return Status::Corruption("dict: code out of range");
-    if (entry_match[code]) sel.push_back(static_cast<uint32_t>(i));
-  }
-  return sel;
-}
-
-Result<std::vector<uint32_t>> FilterBitPacked(
-    ByteReader* in, size_t num_rows,
-    const std::vector<TypedPredicate>& preds) {
-  PIXELS_ASSIGN_OR_RETURN(std::vector<uint8_t> valid, ReadValidity(in, num_rows));
-  // Two predicate evaluations total: once for false, once for true.
-  const bool match0 = MatchAllInt(preds, 0);
-  const bool match1 = MatchAllInt(preds, 1);
-  std::vector<uint32_t> sel;
-  const size_t num_bytes = (num_rows + 7) / 8;
-  for (size_t b = 0; b < num_bytes; ++b) {
-    PIXELS_ASSIGN_OR_RETURN(uint8_t byte, in->GetU8());
-    for (int bit = 0; bit < 8; ++bit) {
-      size_t i = b * 8 + static_cast<size_t>(bit);
-      if (i >= num_rows) break;
-      if (!valid[i]) continue;
-      if (((byte >> bit) & 1) ? match1 : match0) {
-        sel.push_back(static_cast<uint32_t>(i));
-      }
-    }
-  }
-  return sel;
-}
-
-// --- selected decode: materialize only chosen rows ---
-
-Result<ColumnVectorPtr> DecodePlainSelected(TypeId type, ByteReader* in,
-                                            size_t num_rows,
-                                            const std::vector<uint32_t>& sel) {
-  PIXELS_ASSIGN_OR_RETURN(std::vector<uint8_t> valid, ReadValidity(in, num_rows));
-  auto col = MakeVector(type);
-  col->Reserve(sel.size());
-  size_t sp = 0;
-  for (size_t i = 0; i < num_rows; ++i) {
-    if (sp >= sel.size()) break;  // reader position is not reused afterwards
-    const bool want = sel[sp] == i;
-    if (!valid[i]) {
-      // The selection may come from predicates on other columns, so a
-      // selected row can still be null here.
-      if (want) {
-        col->AppendNull();
-        ++sp;
-      }
-      continue;
-    }
-    switch (type) {
-      case TypeId::kBool: {
-        if (want) {
-          PIXELS_ASSIGN_OR_RETURN(uint8_t v, in->GetU8());
-          col->AppendBool(v != 0);
-        } else {
-          PIXELS_RETURN_NOT_OK(in->Skip(1));
-        }
-        break;
-      }
-      case TypeId::kInt32:
-      case TypeId::kDate: {
-        if (want) {
-          PIXELS_ASSIGN_OR_RETURN(int32_t v, in->GetI32());
-          col->AppendInt(v);
-        } else {
-          PIXELS_RETURN_NOT_OK(in->Skip(4));
-        }
-        break;
-      }
-      case TypeId::kInt64:
-      case TypeId::kTimestamp: {
-        if (want) {
-          PIXELS_ASSIGN_OR_RETURN(int64_t v, in->GetI64());
-          col->AppendInt(v);
-        } else {
-          PIXELS_RETURN_NOT_OK(in->Skip(8));
-        }
-        break;
-      }
-      case TypeId::kDouble: {
-        if (want) {
-          PIXELS_ASSIGN_OR_RETURN(double v, in->GetF64());
-          col->AppendDouble(v);
-        } else {
-          PIXELS_RETURN_NOT_OK(in->Skip(8));
-        }
-        break;
-      }
-      case TypeId::kString: {
-        PIXELS_ASSIGN_OR_RETURN(uint64_t len, in->GetVarint());
-        if (want) {
-          PIXELS_ASSIGN_OR_RETURN(std::string_view v,
-                                  in->GetView(static_cast<size_t>(len)));
-          col->AppendString(std::string(v));
-        } else {
-          PIXELS_RETURN_NOT_OK(in->Skip(static_cast<size_t>(len)));
-        }
-        break;
-      }
-    }
-    if (want) ++sp;
-  }
-  if (sp != sel.size()) {
-    return Status::Corruption("selected decode: selection out of range");
-  }
-  return col;
-}
-
-Result<ColumnVectorPtr> DecodeRunLengthSelected(
-    TypeId type, ByteReader* in, size_t num_rows,
-    const std::vector<uint32_t>& sel) {
-  PIXELS_ASSIGN_OR_RETURN(std::vector<uint8_t> valid, ReadValidity(in, num_rows));
-  PIXELS_ASSIGN_OR_RETURN(uint64_t num_vals, in->GetVarint());
-  auto col = MakeVector(type);
-  col->Reserve(sel.size());
-  // Fast path (no nulls): walk runs and intersect each with the sorted
-  // selection — runs containing no selected row cost one varint pair,
-  // and the loop stops as soon as the selection is exhausted.
-  if (AllValid(valid)) {
-    uint64_t consumed = 0;
-    size_t spf = 0;
-    while (spf < sel.size() && consumed < num_vals && consumed < num_rows) {
-      PIXELS_ASSIGN_OR_RETURN(int64_t v, in->GetSignedVarint());
-      PIXELS_ASSIGN_OR_RETURN(uint64_t run, in->GetVarint());
-      if (run == 0 || consumed + run > num_vals) {
-        return Status::Corruption("rle: bad run length");
-      }
-      consumed += run;
-      const uint64_t run_end = std::min<uint64_t>(consumed, num_rows);
-      while (spf < sel.size() && sel[spf] < run_end) {
-        if (type == TypeId::kBool) {
-          col->AppendBool(v != 0);
-        } else {
-          col->AppendInt(v);
-        }
-        ++spf;
-      }
-    }
-    if (spf != sel.size()) {
-      return Status::Corruption("selected decode: selection out of range");
-    }
-    return col;
-  }
-  size_t sp = 0;
-  uint64_t consumed = 0;
-  uint64_t remaining_in_run = 0;
-  int64_t run_val = 0;
-  for (size_t i = 0; i < num_rows; ++i) {
-    if (sp >= sel.size()) break;
-    const bool want = sel[sp] == i;
-    if (!valid[i]) {
-      if (want) {
-        col->AppendNull();
-        ++sp;
-      }
-      continue;
-    }
-    if (remaining_in_run == 0) {
-      PIXELS_ASSIGN_OR_RETURN(int64_t v, in->GetSignedVarint());
-      PIXELS_ASSIGN_OR_RETURN(uint64_t run, in->GetVarint());
-      if (run == 0 || consumed + run > num_vals) {
-        return Status::Corruption("rle: bad run length");
-      }
-      consumed += run;
-      remaining_in_run = run;
-      run_val = v;
-    }
-    --remaining_in_run;
-    if (want) {
-      if (type == TypeId::kBool) {
-        col->AppendBool(run_val != 0);
-      } else {
-        col->AppendInt(run_val);
-      }
-      ++sp;
-    }
-  }
-  if (sp != sel.size()) {
-    return Status::Corruption("selected decode: selection out of range");
-  }
-  return col;
-}
-
-Result<ColumnVectorPtr> DecodeDeltaSelected(TypeId type, ByteReader* in,
-                                            size_t num_rows,
-                                            const std::vector<uint32_t>& sel) {
-  PIXELS_ASSIGN_OR_RETURN(std::vector<uint8_t> valid, ReadValidity(in, num_rows));
-  PIXELS_ASSIGN_OR_RETURN(uint64_t num_vals, in->GetVarint());
-  auto col = MakeVector(type);
-  col->Reserve(sel.size());
-  size_t sp = 0;
-  int64_t prev = 0;
-  bool first = true;
-  uint64_t consumed = 0;
-  // Deltas must be prefix-summed sequentially even past rejected rows.
-  for (size_t i = 0; i < num_rows; ++i) {
-    if (sp >= sel.size()) break;
-    const bool want = sel[sp] == i;
-    if (!valid[i]) {
-      if (want) {
-        col->AppendNull();
-        ++sp;
-      }
-      continue;
-    }
-    if (consumed >= num_vals) return Status::Corruption("delta: value underflow");
-    PIXELS_ASSIGN_OR_RETURN(int64_t d, in->GetSignedVarint());
-    int64_t v = first ? d : prev + d;
-    first = false;
-    prev = v;
-    ++consumed;
-    if (want) {
-      if (type == TypeId::kBool) {
-        col->AppendBool(v != 0);
-      } else {
-        col->AppendInt(v);
-      }
-      ++sp;
-    }
-  }
-  if (sp != sel.size()) {
-    return Status::Corruption("selected decode: selection out of range");
-  }
-  return col;
-}
-
-Result<ColumnVectorPtr> DecodeDictionarySelected(
-    TypeId type, ByteReader* in, size_t num_rows,
-    const std::vector<uint32_t>& sel) {
-  PIXELS_ASSIGN_OR_RETURN(std::vector<uint8_t> valid, ReadValidity(in, num_rows));
-  PIXELS_ASSIGN_OR_RETURN(uint64_t dict_size, in->GetVarint());
-  std::vector<std::string> dict;
-  dict.reserve(dict_size);
-  for (uint64_t d = 0; d < dict_size; ++d) {
-    PIXELS_ASSIGN_OR_RETURN(std::string s, in->GetString());
-    dict.push_back(std::move(s));
-  }
-  PIXELS_ASSIGN_OR_RETURN(uint64_t num_codes, in->GetVarint());
-  auto col = MakeVector(type);
-  col->Reserve(sel.size());
-  size_t sp = 0;
-  uint64_t consumed = 0;
-  for (size_t i = 0; i < num_rows; ++i) {
-    if (sp >= sel.size()) break;
-    const bool want = sel[sp] == i;
-    if (!valid[i]) {
-      if (want) {
-        col->AppendNull();
-        ++sp;
-      }
-      continue;
-    }
-    if (consumed >= num_codes) return Status::Corruption("dict: code underflow");
-    PIXELS_ASSIGN_OR_RETURN(uint64_t code, in->GetVarint());
-    ++consumed;
-    if (code >= dict.size()) return Status::Corruption("dict: code out of range");
-    if (want) {
-      col->AppendString(dict[code]);
-      ++sp;
-    }
-  }
-  if (sp != sel.size()) {
-    return Status::Corruption("selected decode: selection out of range");
-  }
-  return col;
-}
-
-Result<ColumnVectorPtr> DecodeBitPackedSelected(
-    TypeId type, ByteReader* in, size_t num_rows,
-    const std::vector<uint32_t>& sel) {
-  // Bits are dense (nulls occupy a 0 bit), so reuse the full decoder's
-  // layout and just gather.
-  PIXELS_ASSIGN_OR_RETURN(std::vector<uint8_t> valid, ReadValidity(in, num_rows));
-  const size_t num_bytes = (num_rows + 7) / 8;
-  std::vector<uint8_t> bits(num_rows, 0);
-  for (size_t b = 0; b < num_bytes; ++b) {
-    PIXELS_ASSIGN_OR_RETURN(uint8_t byte, in->GetU8());
-    for (int bit = 0; bit < 8; ++bit) {
-      size_t i = b * 8 + static_cast<size_t>(bit);
-      if (i >= num_rows) break;
-      bits[i] = (byte >> bit) & 1;
-    }
-  }
-  auto col = MakeVector(type);
-  col->Reserve(sel.size());
-  for (uint32_t i : sel) {
-    if (i >= num_rows) {
-      return Status::Corruption("selected decode: selection out of range");
-    }
-    if (!valid[i]) {
-      col->AppendNull();
-    } else {
-      col->AppendBool(bits[i] != 0);
-    }
-  }
-  return col;
-}
-
 }  // namespace
 
-Result<std::vector<uint32_t>> FilterEncodedChunk(
-    TypeId type, Encoding encoding, ByteReader* in, size_t num_rows,
-    const std::vector<TypedPredicate>& preds) {
-  if (!EncodingSupports(encoding, type)) {
-    return Status::Corruption(std::string("encoding ") + EncodingName(encoding) +
-                              " invalid for type " + TypeName(type));
-  }
-  switch (encoding) {
-    case Encoding::kPlain:
-      return FilterPlain(type, in, num_rows, preds);
-    case Encoding::kRunLength:
-      return FilterRunLength(in, num_rows, preds);
-    case Encoding::kDelta:
-      return FilterDelta(in, num_rows, preds);
-    case Encoding::kDictionary:
-      return FilterDictionary(in, num_rows, preds);
-    case Encoding::kBitPacked:
-      return FilterBitPacked(in, num_rows, preds);
-  }
-  return Status::Corruption("unknown encoding tag");
+Result<ColumnVectorPtr> DecodeColumn(TypeId type, Encoding encoding,
+                                     ByteReader* in, size_t num_rows) {
+  return Decode(type, encoding, in, num_rows, nullptr);
 }
 
 Result<ColumnVectorPtr> DecodeColumnSelected(TypeId type, Encoding encoding,
                                              ByteReader* in, size_t num_rows,
                                              const std::vector<uint32_t>& sel) {
-  if (!EncodingSupports(encoding, type)) {
-    return Status::Corruption(std::string("encoding ") + EncodingName(encoding) +
-                              " invalid for type " + TypeName(type));
+  for (size_t k = 0; k < sel.size(); ++k) {
+    if (sel[k] >= num_rows || (k > 0 && sel[k] <= sel[k - 1])) {
+      return Status::Corruption(
+          "selected decode: selection must be ascending, unique and in range");
+    }
   }
-  switch (encoding) {
-    case Encoding::kPlain:
-      return DecodePlainSelected(type, in, num_rows, sel);
-    case Encoding::kRunLength:
-      return DecodeRunLengthSelected(type, in, num_rows, sel);
-    case Encoding::kDelta:
-      return DecodeDeltaSelected(type, in, num_rows, sel);
-    case Encoding::kDictionary:
-      return DecodeDictionarySelected(type, in, num_rows, sel);
-    case Encoding::kBitPacked:
-      return DecodeBitPackedSelected(type, in, num_rows, sel);
+  return Decode(type, encoding, in, num_rows, &sel);
+}
+
+Result<std::vector<uint32_t>> FilterEncodedChunk(
+    TypeId type, Encoding encoding, ByteReader* reader, size_t num_rows,
+    const std::vector<TypedPredicate>& preds) {
+  PIXELS_RETURN_NOT_OK(CheckSupported(encoding, type));
+  Cursor in(reader);
+  const uint8_t* bits;
+  if (!in.Take(BitmapBytes(num_rows), &bits)) return Truncated();
+  std::vector<uint8_t> valid(num_rows);
+  const Rows rows{valid.data(), num_rows,
+                  UnpackValidity(bits, num_rows, valid.data())};
+  switch (PayloadClassOf(type)) {
+    case PayloadClass::kInt: {
+      std::vector<int64_t> values(rows.num_rows);
+      PIXELS_RETURN_NOT_OK(
+          RowNumbers(type, encoding, &in, rows, values.data()));
+      // One predicate evaluation per stretch of equal values, so an RLE
+      // run costs one test however long it is.
+      int64_t last = 0;
+      bool last_match = MatchAllInt(preds, 0);
+      return SelectRows(rows, [&](size_t i) {
+        if (values[i] != last) {
+          last = values[i];
+          last_match = MatchAllInt(preds, last);
+        }
+        return last_match;
+      });
+    }
+    case PayloadClass::kDouble: {
+      std::vector<double> values(rows.num_rows);
+      PIXELS_RETURN_NOT_OK(
+          RowNumbers(type, encoding, &in, rows, values.data()));
+      return SelectRows(
+          rows, [&](size_t i) { return MatchAllDouble(preds, values[i]); });
+    }
+    case PayloadClass::kString: {
+      std::vector<std::string_view> entries;
+      std::vector<uint32_t> codes;
+      PIXELS_RETURN_NOT_OK(RowStrings(encoding, &in, rows, &entries, &codes));
+      // One predicate evaluation per entry; rows test a byte. Null rows
+      // carry code 0, so there is always an entry 0 to read.
+      std::vector<uint8_t> entry_match(std::max<size_t>(entries.size(), 1));
+      for (size_t e = 0; e < entries.size(); ++e) {
+        entry_match[e] = MatchAllString(preds, entries[e]) ? 1 : 0;
+      }
+      return SelectRows(rows,
+                        [&](size_t i) { return entry_match[codes[i]] != 0; });
+    }
   }
-  return Status::Corruption("unknown encoding tag");
+  return Status::Corruption("unknown payload class");
 }
 
 }  // namespace pixels

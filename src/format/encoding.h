@@ -33,6 +33,9 @@ Status EncodeColumn(const ColumnVector& col, Encoding encoding,
                     ByteWriter* out);
 
 /// Decodes `num_rows` values of type `type` written with `encoding`.
+/// Malformed input (truncation, a bad run length, a value underflow, a
+/// dictionary code out of range) is Corruption. Null rows have a zeroed
+/// payload.
 Result<ColumnVectorPtr> DecodeColumn(TypeId type, Encoding encoding,
                                      ByteReader* in, size_t num_rows);
 
@@ -44,17 +47,17 @@ Encoding ChooseEncoding(const ColumnVector& col);
 /// Fused decode+filter: evaluates the conjunction of `preds` directly on
 /// an encoded chunk and returns the selected row indices (ascending)
 /// without materializing a ColumnVector. Exploits the encoding: a
-/// dictionary entry is tested once and codes compared as integers, an RLE
-/// run is tested once per run, bit-packed bools once per bit value.
+/// dictionary entry is tested once and rows test its result, and a stretch
+/// of equal integer values is tested once, so an RLE run costs one test.
 /// Selects exactly the rows DecodeColumn + per-row predicate evaluation
 /// would (nulls never match).
 Result<std::vector<uint32_t>> FilterEncodedChunk(
     TypeId type, Encoding encoding, ByteReader* in, size_t num_rows,
     const std::vector<TypedPredicate>& preds);
 
-/// Decodes only the rows listed in `sel` (ascending indices into the
-/// chunk's rows), skipping the payload of rejected rows where the
-/// encoding allows. Output row i corresponds to chunk row sel[i].
+/// Decodes only the rows listed in `sel`. Every encoding takes the same
+/// contract: ascending, unique indexes below `num_rows`, else Corruption.
+/// Output row i corresponds to chunk row sel[i].
 Result<ColumnVectorPtr> DecodeColumnSelected(TypeId type, Encoding encoding,
                                              ByteReader* in, size_t num_rows,
                                              const std::vector<uint32_t>& sel);

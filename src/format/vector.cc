@@ -123,6 +123,7 @@ void ColumnVector::Clear() {
 }
 
 void ColumnVector::Resize(size_t n) {
+  const size_t old = valid_.size();
   valid_.resize(n, 0);
   if (type_ == TypeId::kDouble) {
     doubles_.resize(n);
@@ -131,7 +132,11 @@ void ColumnVector::Resize(size_t n) {
   } else {
     ints_.resize(n);
   }
-  RecountNulls();
+  if (n >= old) {
+    null_count_ += n - old;  // added rows are nulls
+  } else {
+    RecountNulls();
+  }
 }
 
 void ColumnVector::RecountNulls() {

@@ -41,6 +41,28 @@ std::vector<std::string> LogicalPlan::OutputColumns() const {
   return {};
 }
 
+size_t LogicalPlan::NumOutputColumns() const {
+  switch (kind) {
+    case Kind::kScan:
+      return columns.size();
+    case Kind::kFilter:
+    case Kind::kSort:
+    case Kind::kLimit:
+    case Kind::kDistinct:
+      return children[0]->NumOutputColumns();
+    case Kind::kProject:
+      return names.size();
+    case Kind::kJoin:
+      if (!columns.empty()) return columns.size();
+      return children[0]->NumOutputColumns() + children[1]->NumOutputColumns();
+    case Kind::kAggregate:
+      return group_names.size() + agg_names.size();
+    case Kind::kMaterializedView:
+      return view_columns.size();
+  }
+  return 0;
+}
+
 std::string LogicalPlan::ToString(int indent) const {
   std::string pad(static_cast<size_t>(indent) * 2, ' ');
   std::string s = pad;

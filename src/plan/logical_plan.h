@@ -94,6 +94,8 @@ struct LogicalPlan {
 
   /// Output column names of this node.
   std::vector<std::string> OutputColumns() const;
+  /// OutputColumns().size(), without building the names.
+  size_t NumOutputColumns() const;
 
   /// Single-line tree rendering for EXPLAIN and tests.
   std::string ToString(int indent = 0) const;

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cmath>
 #include <set>
+#include <string_view>
 
 namespace pixels {
 
@@ -380,8 +381,11 @@ void AddRefs(const std::vector<ExprPtr>& exprs, std::vector<std::string>* out) {
 /// each join child keeps what its parent keeps plus what the parent's
 /// condition reads: key columns and residual operands stay available
 /// until the condition has run. Scan projections are left alone.
+/// `outputs` is `plan`'s output list when its parent join already built
+/// it (a join's list is its children's lists back to back, so each child
+/// gets its part without rebuilding it), else empty.
 void PruneJoinOutputs(LogicalPlan* plan, std::vector<std::string> reads,
-                      bool all) {
+                      bool all, std::span<const std::string> outputs) {
   switch (plan->kind) {
     case LogicalPlan::Kind::kFilter:
       CollectColumnRefs(*plan->predicate, &reads);
@@ -404,15 +408,22 @@ void PruneJoinOutputs(LogicalPlan* plan, std::vector<std::string> reads,
       all = false;
       break;
     case LogicalPlan::Kind::kJoin: {
-      const auto left = plan->children[0]->OutputColumns();
-      const auto right = plan->children[1]->OutputColumns();
-      if (left.empty() || right.empty()) {
+      const size_t num_left = plan->children[0]->NumOutputColumns();
+      const size_t num_right = plan->children[1]->NumOutputColumns();
+      if (num_left == 0 || num_right == 0) {
         // A child with an unlisted projection: names are unknown here.
-        for (auto& c : plan->children) PruneJoinOutputs(c.get(), {}, true);
+        for (auto& c : plan->children) PruneJoinOutputs(c.get(), {}, true, {});
         return;
       }
-      std::vector<std::string> full = left;
-      full.insert(full.end(), right.begin(), right.end());
+      std::vector<std::string> built;
+      if (outputs.size() != num_left + num_right) {
+        // Not handed down: the topmost join under a Project or Aggregate.
+        built = plan->children[0]->OutputColumns();
+        const auto right = plan->children[1]->OutputColumns();
+        built.insert(built.end(), right.begin(), right.end());
+        outputs = built;
+      }
+      const std::span<const std::string> full = outputs;
       std::vector<bool> keep(full.size(), true);
       if (!all) {
         keep = ColumnsRead(reads, full);
@@ -438,18 +449,25 @@ void PruneJoinOutputs(LogicalPlan* plan, std::vector<std::string> reads,
       std::vector<std::string> left_reads, right_reads;
       for (size_t i = 0; i < full.size(); ++i) {
         if (need[i]) {
-          (i < left.size() ? left_reads : right_reads).push_back(full[i]);
+          (i < num_left ? left_reads : right_reads).push_back(full[i]);
         }
       }
-      PruneJoinOutputs(plan->children[0].get(), std::move(left_reads), false);
-      PruneJoinOutputs(plan->children[1].get(), std::move(right_reads),
-                       false);
+      PruneJoinOutputs(plan->children[0].get(), std::move(left_reads), false,
+                       full.first(num_left));
+      PruneJoinOutputs(plan->children[1].get(), std::move(right_reads), false,
+                       full.subspan(num_left));
       return;
     }
     default:  // Limit passes through; scans and views end the walk
       break;
   }
-  for (auto& c : plan->children) PruneJoinOutputs(c.get(), reads, all);
+  // Filter, Sort, Limit and Distinct output their child's columns.
+  const bool same_columns = plan->kind != LogicalPlan::Kind::kProject &&
+                            plan->kind != LogicalPlan::Kind::kAggregate;
+  for (auto& c : plan->children) {
+    PruneJoinOutputs(c.get(), reads, all,
+                     same_columns ? outputs : std::span<const std::string>());
+  }
 }
 
 /// Swaps inner equi-join children so the smaller side builds the hash
@@ -560,10 +578,10 @@ void PlanRuntimeFilters(LogicalPlan* plan, int* next_id) {
 }  // namespace
 
 std::vector<bool> ColumnsRead(const std::vector<std::string>& refs,
-                              const std::vector<std::string>& cols) {
-  auto base = [](const std::string& s) {
+                              std::span<const std::string> cols) {
+  auto base = [](std::string_view s) {
     const size_t dot = s.rfind('.');
-    return dot == std::string::npos ? s : s.substr(dot + 1);
+    return dot == std::string_view::npos ? s : s.substr(dot + 1);
   };
   std::vector<bool> read(cols.size(), false);
   for (const auto& ref : refs) {
@@ -572,7 +590,7 @@ std::vector<bool> ColumnsRead(const std::vector<std::string>& refs,
       read[static_cast<size_t>(exact - cols.begin())] = true;
       continue;
     }
-    const std::string b = base(ref);
+    const std::string_view b = base(ref);
     for (size_t i = 0; i < cols.size(); ++i) {
       if (base(cols[i]) == b) read[i] = true;
     }
@@ -636,7 +654,7 @@ Result<PlanPtr> Optimize(PlanPtr plan, const Catalog& catalog,
     // (e.g. SELECT * handled via explicit projection, so normally not),
     // we start with all_needed=false: the binder always adds a Project.
     PruneProjections(plan.get(), used, false);
-    PruneJoinOutputs(plan.get(), {}, /*all=*/true);
+    PruneJoinOutputs(plan.get(), {}, /*all=*/true, {});
   }
   return plan;
 }

@@ -3,6 +3,8 @@
 // pruning.
 #pragma once
 
+#include <span>
+
 #include "catalog/catalog.h"
 #include "plan/logical_plan.h"
 
@@ -41,12 +43,12 @@ ExprPtr CombineConjuncts(std::vector<ExprPtr> conjuncts);
 /// The set of "qualifier.column" names an expression references.
 void CollectColumnRefs(const Expr& expr, std::vector<std::string>* out);
 
-/// Marks the columns of `cols` that the column refs in `refs` read,
-/// resolving each ref the way RowBatch::FindColumn does: its exact name,
-/// else every column sharing its basename (one such column is the match;
-/// several keep the lookup ambiguous, as it is over all of `cols`).
+/// Marks the columns of `cols` that the column refs in `refs` read: a
+/// ref's exact name, else every column sharing its basename. That is a
+/// superset of what RowBatch::FindColumn resolves (one such column is the
+/// match; several keep the lookup ambiguous, as it is over all of `cols`).
 std::vector<bool> ColumnsRead(const std::vector<std::string>& refs,
-                              const std::vector<std::string>& cols);
+                              std::span<const std::string> cols);
 
 /// Rough output-cardinality estimate of a plan subtree, from catalog row
 /// counts with fixed selectivity factors (filter 0.25, join 1.0 of the

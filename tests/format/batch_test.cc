@@ -46,6 +46,18 @@ TEST(RowBatchTest, FindColumnAmbiguousBaseNameFails) {
   EXPECT_EQ(batch->FindColumn("a.key"), 0);
 }
 
+// The basename fallback bridges a bare name and a qualified one in either
+// direction, but never two different qualifiers.
+TEST(RowBatchTest, FindColumnFallbackNeverCrossesQualifiers) {
+  auto batch = std::make_shared<RowBatch>();
+  batch->AddColumn("b.id", MakeVector(TypeId::kInt64));
+  batch->AddColumn("total", MakeVector(TypeId::kInt64));
+  EXPECT_EQ(batch->FindColumn("id"), 0);        // bare -> qualified
+  EXPECT_EQ(batch->FindColumn("o.total"), 1);   // qualified -> bare
+  EXPECT_EQ(batch->FindColumn("a.id"), -1);     // a.id must not read b.id
+  EXPECT_EQ(batch->FindColumn("b.id"), 0);
+}
+
 TEST(RowBatchTest, QualifiedLookupAgainstBareColumns) {
   auto batch = std::make_shared<RowBatch>();
   batch->AddColumn("id", MakeVector(TypeId::kInt64));

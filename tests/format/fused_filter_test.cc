@@ -1,13 +1,15 @@
 // Property tests for the fused decode+filter path: for every supported
 // (encoding, type) pair, null pattern, and predicate shape,
 // FilterEncodedChunk selects exactly the rows a full DecodeColumn plus
-// per-row predicate evaluation would, and DecodeColumnSelected over any
-// selection equals a gather of the full decode.
+// per-row predicate evaluation would, DecodeColumnSelected over any
+// selection equals a gather of the full decode, DecodeColumn equals the
+// value-at-a-time reference decoder, and every truncated chunk fails.
 #include <gtest/gtest.h>
 
 #include "common/random.h"
 #include "format/compare.h"
 #include "format/encoding.h"
+#include "testing/reference_decode.h"
 
 namespace pixels {
 namespace {
@@ -257,6 +259,98 @@ TEST_P(FusedDecodeTest, SelectedDecodeEqualsGatherOfFullDecode) {
   }
 }
 
+// The bulk decoder writes exactly what the value-at-a-time reference
+// appends: same validity, null count, and payload (null rows zeroed).
+TEST_P(FusedDecodeTest, DecodeMatchesReferenceDecoder) {
+  const FusedCase& c = GetParam();
+  constexpr int kRows = 321;
+  const ColumnVector col = MakeColumn(
+      c.type, c.nulls,
+      static_cast<uint64_t>(c.type) * 59 + static_cast<uint64_t>(c.encoding),
+      kRows);
+  ByteWriter w;
+  ASSERT_TRUE(EncodeColumn(col, c.encoding, &w).ok());
+  ByteReader r(w.data());
+  auto got = DecodeColumn(col.type(), c.encoding, &r, col.size());
+  ASSERT_TRUE(got.ok()) << got.status().ToString();
+  EXPECT_EQ(r.position(), w.size()) << "decode leaves the reader at chunk end";
+  ByteReader ref_r(w.data());
+  auto ref = ReferenceDecodeColumn(col.type(), c.encoding, &ref_r, col.size());
+  ASSERT_TRUE(ref.ok()) << ref.status().ToString();
+  const ColumnVector& a = **got;
+  const ColumnVector& b = **ref;
+  ASSERT_EQ(a.size(), b.size());
+  EXPECT_EQ(a.NullCount(), b.NullCount());
+  for (size_t i = 0; i < a.size(); ++i) {
+    ASSERT_EQ(a.IsNull(i), b.IsNull(i)) << "row " << i;
+    switch (PayloadClassOf(a.type())) {
+      case PayloadClass::kInt:
+        EXPECT_EQ(a.GetInt(i), b.GetInt(i)) << "row " << i;
+        break;
+      case PayloadClass::kDouble:
+        EXPECT_EQ(a.GetDouble(i), b.GetDouble(i)) << "row " << i;
+        break;
+      case PayloadClass::kString:
+        EXPECT_EQ(a.GetString(i), b.GetString(i)) << "row " << i;
+        break;
+    }
+  }
+}
+
+// Every strict prefix of a chunk: the whole-chunk decode fails with
+// Corruption; the selected decode and the fused filter either fail with
+// Corruption or return exactly their whole-chunk result. Each prefix is
+// copied into its own allocation so that a sanitizer build catches any
+// read past it.
+TEST_P(FusedDecodeTest, TruncatedChunkFailsOrMatchesWholeChunk) {
+  const FusedCase& c = GetParam();
+  constexpr int kRows = 321;
+  const ColumnVector col = MakeColumn(
+      c.type, c.nulls,
+      static_cast<uint64_t>(c.type) * 71 + static_cast<uint64_t>(c.encoding),
+      kRows);
+  ByteWriter w;
+  ASSERT_TRUE(EncodeColumn(col, c.encoding, &w).ok());
+  const std::vector<uint8_t>& bytes = w.data();
+
+  std::vector<uint32_t> sel;
+  for (uint32_t i = 1; i < kRows; i += 3) sel.push_back(i);
+  const std::vector<TypedPredicate> preds = {TypedPredicate::Make(
+      col.type(), CmpOp::kGe, MidLiteral(c.type, kRows))};
+  ByteReader full_r(bytes);
+  auto full = DecodeColumn(col.type(), c.encoding, &full_r, col.size());
+  ASSERT_TRUE(full.ok());
+  const ColumnVectorPtr full_sel = (*full)->Gather(sel);
+  const std::vector<uint32_t> full_filter = ReferenceSelect(col, preds);
+
+  for (size_t len = 0; len < bytes.size(); ++len) {
+    const std::vector<uint8_t> prefix(bytes.begin(), bytes.begin() + len);
+    ByteReader r1(prefix);
+    auto whole = DecodeColumn(col.type(), c.encoding, &r1, col.size());
+    ASSERT_FALSE(whole.ok()) << "prefix " << len;
+    ASSERT_TRUE(whole.status().IsCorruption()) << whole.status().ToString();
+
+    ByteReader r2(prefix);
+    auto picked =
+        DecodeColumnSelected(col.type(), c.encoding, &r2, col.size(), sel);
+    if (picked.ok()) {
+      ExpectEqualVectors(*full_sel, **picked);
+    } else {
+      ASSERT_TRUE(picked.status().IsCorruption()) << picked.status().ToString();
+    }
+
+    ByteReader r3(prefix);
+    auto filtered =
+        FilterEncodedChunk(col.type(), c.encoding, &r3, col.size(), preds);
+    if (filtered.ok()) {
+      ASSERT_EQ(*filtered, full_filter) << "prefix " << len;
+    } else {
+      ASSERT_TRUE(filtered.status().IsCorruption())
+          << filtered.status().ToString();
+    }
+  }
+}
+
 INSTANTIATE_TEST_SUITE_P(
     AllSupported, FusedDecodeTest, ::testing::ValuesIn(AllSupportedCases()),
     [](const ::testing::TestParamInfo<FusedCase>& info) {
@@ -287,6 +381,36 @@ TEST(FusedDecodeEdgeTest, OutOfRangeSelectionRejected) {
   EXPECT_FALSE(
       DecodeColumnSelected(TypeId::kInt64, Encoding::kPlain, &r, 10, {3, 99})
           .ok());
+}
+
+// Every encoding takes one selection contract: ascending, unique row
+// indexes below num_rows. Anything else is Corruption, never rows.
+TEST(FusedDecodeEdgeTest, UnsortedOrDuplicateSelectionRejected) {
+  ColumnVector ints(TypeId::kInt64);
+  ColumnVector strings(TypeId::kString);
+  ColumnVector bools(TypeId::kBool);
+  for (int i = 0; i < 10; ++i) {
+    ints.AppendInt(i / 4);
+    strings.AppendString(i % 2 == 0 ? "even" : "odd");
+    bools.AppendBool(i % 3 == 0);
+  }
+  const std::pair<const ColumnVector*, Encoding> chunks[] = {
+      {&ints, Encoding::kPlain},          {&ints, Encoding::kRunLength},
+      {&ints, Encoding::kDelta},          {&strings, Encoding::kDictionary},
+      {&bools, Encoding::kBitPacked},
+  };
+  const std::vector<std::vector<uint32_t>> bad = {{5, 3}, {3, 3}, {2, 10}};
+  for (const auto& [col, encoding] : chunks) {
+    ByteWriter w;
+    ASSERT_TRUE(EncodeColumn(*col, encoding, &w).ok());
+    for (const auto& sel : bad) {
+      ByteReader r(w.data());
+      auto got = DecodeColumnSelected(col->type(), encoding, &r, col->size(), sel);
+      EXPECT_TRUE(got.status().IsCorruption())
+          << EncodingName(encoding) << " accepted {" << sel[0] << ","
+          << sel[1] << "}";
+    }
+  }
 }
 
 TEST(FusedDecodeEdgeTest, EmptyChunk) {
