@@ -47,7 +47,6 @@
 #include "format/encoding.h"
 #include "format/reader.h"
 #include "format/writer.h"
-#include "sql/parser.h"
 #include "storage/memory_store.h"
 #include "testing/reference_decode.h"
 #include "testing/reference_exec.h"
@@ -128,7 +127,7 @@ std::vector<SweepPoint> RunKernelSweep(size_t rows, int reps) {
   for (double target : {0.01, 0.1, 0.5, 0.9}) {
     const int64_t threshold = static_cast<int64_t>(1000000 * target);
     const std::string text = "a < " + std::to_string(threshold);
-    auto pred = ParseExpression(text);
+    auto pred = BindExpr(text, *batch);
     if (!pred.ok()) continue;
 
     SelectionVector scalar_sel, kernel_sel;
@@ -204,7 +203,7 @@ std::vector<ExprPoint> RunExprSweep(size_t rows, int reps) {
   auto batch = MakeAggArgBatch(rows);
   std::vector<ExprPoint> points;
   for (const auto& [label, text] : shapes) {
-    auto expr = ParseExpression(text);
+    auto expr = BindExpr(text, *batch);
     if (!expr.ok()) continue;
     ColumnVectorPtr ref, got;
     const double ref_ms = TimeMs(reps, [&] {
@@ -483,8 +482,11 @@ std::vector<FusedPoint> RunFusedSweep(Catalog* catalog, int reps) {
     const int64_t threshold = static_cast<int64_t>(1000 * target);
     const std::vector<ScanPredicate> preds = {
         {"v", "<", Value::Int(threshold)}, {"tag", "<>", Value::String("red")}};
-    auto expr = ParseExpression("v < " + std::to_string(threshold) +
-                                " AND tag <> 'red'");
+    ScanStats schema_stats;  // the first row group only names the columns
+    auto first = (*reader)->ReadRowGroup(0, columns, &schema_stats);
+    Check(first.status());
+    auto expr = BindExpr(
+        "v < " + std::to_string(threshold) + " AND tag <> 'red'", **first);
     Check(expr.status());
     auto scan = [&](bool fused, std::vector<std::string>* rows) {
       ScanStats stats;

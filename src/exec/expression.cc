@@ -1,9 +1,6 @@
 #include "exec/expression.h"
 
 #include <algorithm>
-#include <cctype>
-#include <cmath>
-#include <cstdlib>
 #include <optional>
 #include <string_view>
 #include <type_traits>
@@ -12,320 +9,8 @@
 
 namespace pixels {
 
-bool LikeMatch(const std::string& text, const std::string& pattern) {
-  size_t t = 0, p = 0, star_p = std::string::npos, star_t = 0;
-  while (t < text.size()) {
-    if (p < pattern.size() && (pattern[p] == '_' || pattern[p] == text[t])) {
-      ++t;
-      ++p;
-    } else if (p < pattern.size() && pattern[p] == '%') {
-      star_p = p++;
-      star_t = t;
-    } else if (star_p != std::string::npos) {
-      p = star_p + 1;
-      t = ++star_t;
-    } else {
-      return false;
-    }
-  }
-  while (p < pattern.size() && pattern[p] == '%') ++p;
-  return p == pattern.size();
-}
-
-namespace {
-
-std::string ToLower(std::string s) {
-  for (auto& c : s) c = static_cast<char>(std::tolower(static_cast<unsigned char>(c)));
-  return s;
-}
-
-std::string ToUpper(std::string s) {
-  for (auto& c : s) c = static_cast<char>(std::toupper(static_cast<unsigned char>(c)));
-  return s;
-}
-
-Result<Value> EvalFunction(const Expr& e, const RowBatch& batch, size_t row) {
-  // Aggregates must have been rewritten away by the binder.
-  if (IsAggregateFunction(e.name)) {
-    return Status::Internal("aggregate '" + e.name +
-                            "' reached scalar evaluation");
-  }
-  std::vector<Value> args;
-  args.reserve(e.args.size());
-  for (const auto& a : e.args) {
-    PIXELS_ASSIGN_OR_RETURN(Value v, EvaluateExprRow(*a, batch, row));
-    args.push_back(std::move(v));
-  }
-  auto need_args = [&](size_t lo, size_t hi) -> Status {
-    if (args.size() < lo || args.size() > hi) {
-      return Status::InvalidArgument("function " + e.name +
-                                     ": wrong argument count");
-    }
-    return Status::OK();
-  };
-
-  if (e.name == "coalesce") {
-    for (auto& v : args) {
-      if (!v.is_null()) return v;
-    }
-    return Value::Null();
-  }
-  // All remaining functions are null-propagating.
-  for (const auto& v : args) {
-    if (v.is_null()) return Value::Null();
-  }
-
-  if (e.name == "abs") {
-    PIXELS_RETURN_NOT_OK(need_args(1, 1));
-    if (args[0].kind == Value::Kind::kDouble) {
-      return Value::Double(std::fabs(args[0].d));
-    }
-    return Value::Int(args[0].i < 0 ? -args[0].i : args[0].i);
-  }
-  if (e.name == "round") {
-    PIXELS_RETURN_NOT_OK(need_args(1, 2));
-    double scale = args.size() == 2 ? std::pow(10.0, args[1].AsDouble()) : 1.0;
-    return Value::Double(std::round(args[0].AsDouble() * scale) / scale);
-  }
-  if (e.name == "floor") {
-    PIXELS_RETURN_NOT_OK(need_args(1, 1));
-    return Value::Double(std::floor(args[0].AsDouble()));
-  }
-  if (e.name == "ceil" || e.name == "ceiling") {
-    PIXELS_RETURN_NOT_OK(need_args(1, 1));
-    return Value::Double(std::ceil(args[0].AsDouble()));
-  }
-  if (e.name == "sqrt") {
-    PIXELS_RETURN_NOT_OK(need_args(1, 1));
-    if (args[0].AsDouble() < 0) return Value::Null();
-    return Value::Double(std::sqrt(args[0].AsDouble()));
-  }
-  if (e.name == "length") {
-    PIXELS_RETURN_NOT_OK(need_args(1, 1));
-    if (args[0].kind != Value::Kind::kString) {
-      return Status::TypeError("length() requires a string");
-    }
-    return Value::Int(static_cast<int64_t>(args[0].s.size()));
-  }
-  if (e.name == "lower") {
-    PIXELS_RETURN_NOT_OK(need_args(1, 1));
-    return Value::String(ToLower(args[0].s));
-  }
-  if (e.name == "upper") {
-    PIXELS_RETURN_NOT_OK(need_args(1, 1));
-    return Value::String(ToUpper(args[0].s));
-  }
-  if (e.name == "substr" || e.name == "substring") {
-    PIXELS_RETURN_NOT_OK(need_args(2, 3));
-    if (args[0].kind != Value::Kind::kString) {
-      return Status::TypeError("substr() requires a string");
-    }
-    const std::string& s = args[0].s;
-    int64_t start = args[1].AsInt();  // 1-based
-    if (start < 1) start = 1;
-    if (static_cast<size_t>(start) > s.size()) return Value::String("");
-    size_t pos = static_cast<size_t>(start - 1);
-    size_t len = args.size() == 3
-                     ? static_cast<size_t>(std::max<int64_t>(args[2].AsInt(), 0))
-                     : std::string::npos;
-    return Value::String(s.substr(pos, len));
-  }
-  if (e.name == "concat") {
-    std::string out;
-    for (const auto& v : args) {
-      out += v.kind == Value::Kind::kString ? v.s : v.ToString();
-    }
-    return Value::String(std::move(out));
-  }
-  if (e.name == "year" || e.name == "month" || e.name == "day") {
-    PIXELS_RETURN_NOT_OK(need_args(1, 1));
-    // Interprets the int payload as days since epoch.
-    std::string date = FormatDate(static_cast<int32_t>(args[0].AsInt()));
-    if (e.name == "year") return Value::Int(std::stoll(date.substr(0, 4)));
-    if (e.name == "month") return Value::Int(std::stoll(date.substr(5, 2)));
-    return Value::Int(std::stoll(date.substr(8, 2)));
-  }
-  if (e.name == "cast_int" || e.name == "cast_integer" ||
-      e.name == "cast_bigint") {
-    PIXELS_RETURN_NOT_OK(need_args(1, 1));
-    if (args[0].kind == Value::Kind::kString) {
-      char* end = nullptr;
-      long long v = std::strtoll(args[0].s.c_str(), &end, 10);
-      if (end == args[0].s.c_str()) return Value::Null();
-      return Value::Int(v);
-    }
-    return Value::Int(args[0].AsInt());
-  }
-  if (e.name == "cast_double") {
-    PIXELS_RETURN_NOT_OK(need_args(1, 1));
-    if (args[0].kind == Value::Kind::kString) {
-      char* end = nullptr;
-      double v = std::strtod(args[0].s.c_str(), &end);
-      if (end == args[0].s.c_str()) return Value::Null();
-      return Value::Double(v);
-    }
-    return Value::Double(args[0].AsDouble());
-  }
-  if (e.name == "cast_varchar" || e.name == "cast_string") {
-    PIXELS_RETURN_NOT_OK(need_args(1, 1));
-    if (args[0].kind == Value::Kind::kString) return args[0];
-    return Value::String(args[0].ToString());
-  }
-  return Status::NotImplemented("unknown function: " + e.name);
-}
-
-}  // namespace
-
-Result<Value> EvaluateExprRow(const Expr& e, const RowBatch& batch, size_t row) {
-  switch (e.kind) {
-    case Expr::Kind::kLiteral:
-      return e.literal;
-    case Expr::Kind::kColumnRef: {
-      int idx = batch.FindColumn(e.QualifiedName());
-      if (idx < 0) {
-        return Status::InvalidArgument("column not found at execution: " +
-                                       e.QualifiedName());
-      }
-      return batch.column(static_cast<size_t>(idx))->GetValue(row);
-    }
-    case Expr::Kind::kStar:
-      return Status::Internal("bare * reached evaluation");
-    case Expr::Kind::kUnary: {
-      PIXELS_ASSIGN_OR_RETURN(Value v, EvaluateExprRow(*e.args[0], batch, row));
-      if (v.is_null()) return Value::Null();
-      if (e.op == "NOT") return Value::Bool(!v.AsBool());
-      if (e.op == "-") {
-        if (v.kind == Value::Kind::kDouble) return Value::Double(-v.d);
-        return Value::Int(-v.i);
-      }
-      return Status::NotImplemented("unary op " + e.op);
-    }
-    case Expr::Kind::kBinary: {
-      if (e.op == "AND") {
-        PIXELS_ASSIGN_OR_RETURN(Value a, EvaluateExprRow(*e.args[0], batch, row));
-        if (!a.is_null() && !a.AsBool()) return Value::Bool(false);
-        PIXELS_ASSIGN_OR_RETURN(Value b, EvaluateExprRow(*e.args[1], batch, row));
-        if (!b.is_null() && !b.AsBool()) return Value::Bool(false);
-        if (a.is_null() || b.is_null()) return Value::Null();
-        return Value::Bool(true);
-      }
-      if (e.op == "OR") {
-        PIXELS_ASSIGN_OR_RETURN(Value a, EvaluateExprRow(*e.args[0], batch, row));
-        if (!a.is_null() && a.AsBool()) return Value::Bool(true);
-        PIXELS_ASSIGN_OR_RETURN(Value b, EvaluateExprRow(*e.args[1], batch, row));
-        if (!b.is_null() && b.AsBool()) return Value::Bool(true);
-        if (a.is_null() || b.is_null()) return Value::Null();
-        return Value::Bool(false);
-      }
-      PIXELS_ASSIGN_OR_RETURN(Value a, EvaluateExprRow(*e.args[0], batch, row));
-      PIXELS_ASSIGN_OR_RETURN(Value b, EvaluateExprRow(*e.args[1], batch, row));
-      if (a.is_null() || b.is_null()) return Value::Null();
-      if (e.op == "=") return Value::Bool(a.Compare(b) == 0);
-      if (e.op == "<>") return Value::Bool(a.Compare(b) != 0);
-      if (e.op == "<") return Value::Bool(a.Compare(b) < 0);
-      if (e.op == "<=") return Value::Bool(a.Compare(b) <= 0);
-      if (e.op == ">") return Value::Bool(a.Compare(b) > 0);
-      if (e.op == ">=") return Value::Bool(a.Compare(b) >= 0);
-      if (e.op == "LIKE") {
-        if (a.kind != Value::Kind::kString || b.kind != Value::Kind::kString) {
-          return Status::TypeError("LIKE requires strings");
-        }
-        return Value::Bool(LikeMatch(a.s, b.s));
-      }
-      if (e.op == "||") {
-        std::string lhs = a.kind == Value::Kind::kString ? a.s : a.ToString();
-        std::string rhs = b.kind == Value::Kind::kString ? b.s : b.ToString();
-        return Value::String(lhs + rhs);
-      }
-      const bool dbl =
-          a.kind == Value::Kind::kDouble || b.kind == Value::Kind::kDouble;
-      if (e.op == "+") {
-        return dbl ? Value::Double(a.AsDouble() + b.AsDouble())
-                   : Value::Int(a.i + b.i);
-      }
-      if (e.op == "-") {
-        return dbl ? Value::Double(a.AsDouble() - b.AsDouble())
-                   : Value::Int(a.i - b.i);
-      }
-      if (e.op == "*") {
-        return dbl ? Value::Double(a.AsDouble() * b.AsDouble())
-                   : Value::Int(a.i * b.i);
-      }
-      if (e.op == "/") {
-        if (dbl) {
-          if (b.AsDouble() == 0) return Value::Null();
-          return Value::Double(a.AsDouble() / b.AsDouble());
-        }
-        if (b.i == 0) return Value::Null();
-        return Value::Int(a.i / b.i);
-      }
-      if (e.op == "%") {
-        if (b.AsInt() == 0) return Value::Null();
-        return Value::Int(a.AsInt() % b.AsInt());
-      }
-      return Status::NotImplemented("binary op " + e.op);
-    }
-    case Expr::Kind::kFunction:
-      return EvalFunction(e, batch, row);
-    case Expr::Kind::kBetween: {
-      PIXELS_ASSIGN_OR_RETURN(Value v, EvaluateExprRow(*e.args[0], batch, row));
-      PIXELS_ASSIGN_OR_RETURN(Value lo, EvaluateExprRow(*e.args[1], batch, row));
-      PIXELS_ASSIGN_OR_RETURN(Value hi, EvaluateExprRow(*e.args[2], batch, row));
-      if (v.is_null() || lo.is_null() || hi.is_null()) return Value::Null();
-      bool in = v.Compare(lo) >= 0 && v.Compare(hi) <= 0;
-      return Value::Bool(e.negated ? !in : in);
-    }
-    case Expr::Kind::kInList: {
-      PIXELS_ASSIGN_OR_RETURN(Value v, EvaluateExprRow(*e.args[0], batch, row));
-      if (v.is_null()) return Value::Null();
-      bool found = false;
-      for (size_t i = 1; i < e.args.size() && !found; ++i) {
-        PIXELS_ASSIGN_OR_RETURN(Value item,
-                                EvaluateExprRow(*e.args[i], batch, row));
-        found = !item.is_null() && v.Compare(item) == 0;
-      }
-      return Value::Bool(e.negated ? !found : found);
-    }
-    case Expr::Kind::kIsNull: {
-      PIXELS_ASSIGN_OR_RETURN(Value v, EvaluateExprRow(*e.args[0], batch, row));
-      return Value::Bool(e.negated ? !v.is_null() : v.is_null());
-    }
-    case Expr::Kind::kCase: {
-      size_t pairs = (e.args.size() - (e.has_else ? 1 : 0)) / 2;
-      for (size_t i = 0; i < pairs; ++i) {
-        PIXELS_ASSIGN_OR_RETURN(Value cond,
-                                EvaluateExprRow(*e.args[2 * i], batch, row));
-        if (!cond.is_null() && cond.AsBool()) {
-          return EvaluateExprRow(*e.args[2 * i + 1], batch, row);
-        }
-      }
-      if (e.has_else) return EvaluateExprRow(*e.args.back(), batch, row);
-      return Value::Null();
-    }
-  }
-  return Status::Internal("unreachable expression kind");
-}
-
-Result<ColumnVectorPtr> BuildVectorFromValues(const std::vector<Value>& values) {
-  TypeId type = TypeId::kInt64;
-  bool saw_string = false, saw_double = false, saw_numeric = false;
-  for (const auto& v : values) {
-    if (v.is_null()) continue;
-    if (v.kind == Value::Kind::kString) {
-      saw_string = true;
-    } else {
-      saw_numeric = true;
-      if (v.kind == Value::Kind::kDouble) saw_double = true;
-    }
-  }
-  if (saw_string && saw_numeric) {
-    return Status::TypeError("expression produced mixed string/numeric values");
-  }
-  if (saw_string) {
-    type = TypeId::kString;
-  } else if (saw_double) {
-    type = TypeId::kDouble;
-  }
+Result<ColumnVectorPtr> BuildVectorFromValues(const std::vector<Value>& values,
+                                              TypeId type) {
   auto col = MakeVector(type);
   col->Reserve(values.size());
   for (const auto& v : values) {
@@ -346,7 +31,7 @@ Result<ColumnVectorPtr> EvaluateRows(const Expr& expr, const RowBatch& batch) {
     PIXELS_ASSIGN_OR_RETURN(Value v, EvaluateExprRow(expr, batch, row));
     values.push_back(std::move(v));
   }
-  return BuildVectorFromValues(values);
+  return BuildVectorFromValues(values, *expr.type);
 }
 
 // ---- column kernels ----
@@ -356,12 +41,6 @@ PayloadClass ValueClass(const Value& v) {
   if (v.kind == Value::Kind::kDouble) return PayloadClass::kDouble;
   if (v.kind == Value::Kind::kString) return PayloadClass::kString;
   return PayloadClass::kInt;  // ints and bools share the int payload
-}
-
-TypeId TypeOf(PayloadClass c) {
-  if (c == PayloadClass::kDouble) return TypeId::kDouble;
-  if (c == PayloadClass::kString) return TypeId::kString;
-  return TypeId::kInt64;
 }
 
 /// A kernel operand: a column vector, or, when `vec` is null, one scalar
@@ -395,6 +74,12 @@ Col VectorCol(ColumnVectorPtr v) {
 /// expression row at a time, which also reproduces any error exactly.
 Status Unsupported() {
   return Status::NotImplemented("expression shape has no column kernel");
+}
+
+/// A computed node without a bound type: a rewrite built it untyped.
+/// Not a fallback; EvaluateExpr returns it.
+Status Untyped(const Expr& e) {
+  return Status::Internal("expression has no bound type: " + e.ToString());
 }
 
 /// `n` null rows with zeroed payload; kernels overwrite rows by index.
@@ -649,14 +334,13 @@ void DoubleArith(char op, RA a, RB b, uint8_t* ok, double* v, size_t n) {
   }
 }
 
-Result<Col> Arith(char op, const Col& a, const Col& b, size_t n) {
+Result<Col> Arith(char op, const Col& a, const Col& b, TypeId type, size_t n) {
   // String operands take the row evaluator's zero-payload arithmetic.
   if (a.cls() == PayloadClass::kString || b.cls() == PayloadClass::kString) {
     return Unsupported();
   }
-  const bool dbl = op != '%' && (a.cls() == PayloadClass::kDouble ||
-                                  b.cls() == PayloadClass::kDouble);
-  auto out = NewVector(dbl ? TypeId::kDouble : TypeId::kInt64, n);
+  const bool dbl = type == TypeId::kDouble;
+  auto out = NewVector(type, n);
   uint8_t* ok = out->mutable_valid_data();
   ValidInto(a, ok, n);
   AndValid(b, ok, n);
@@ -672,21 +356,22 @@ Result<Col> Arith(char op, const Col& a, const Col& b, size_t n) {
   return VectorCol(std::move(out));
 }
 
-Result<Col> Negate(const Col& a, size_t n) {
+Result<Col> Negate(const Col& a, TypeId type, size_t n) {
   if (a.cls() == PayloadClass::kString) return Unsupported();
-  const bool dbl = a.cls() == PayloadClass::kDouble;
-  auto out = NewVector(dbl ? TypeId::kDouble : TypeId::kInt64, n);
+  auto out = NewVector(type, n);
   uint8_t* ok = out->mutable_valid_data();
   ValidInto(a, ok, n);
-  if (dbl) {
-    const double* x = a.vec->doubles_data();
-    double* v = out->mutable_doubles_data();
-    for (size_t i = 0; i < n; ++i) v[i] = ok[i] ? -x[i] : 0.0;
-  } else {
-    const int64_t* x = a.vec->ints_data();
-    int64_t* v = out->mutable_ints_data();
-    for (size_t i = 0; i < n; ++i) v[i] = ok[i] ? WrapSub(0, x[i]) : 0;
-  }
+  ReadNum(a, [&](auto x) {
+    if (type == TypeId::kDouble) {
+      double* v = out->mutable_doubles_data();
+      for (size_t i = 0; i < n; ++i) v[i] = ok[i] ? -static_cast<double>(x(i)) : 0.0;
+    } else {
+      int64_t* v = out->mutable_ints_data();
+      for (size_t i = 0; i < n; ++i) {
+        v[i] = ok[i] ? WrapSub(0, static_cast<int64_t>(x(i))) : 0;
+      }
+    }
+  });
   return VectorCol(std::move(out));
 }
 
@@ -825,9 +510,9 @@ Result<Col> Like(const Col& a, const Col& pattern, size_t n) {
 }
 
 /// out row i = row i of branches[br[i]], in one branch-free pass: each
-/// branch is a (values, validity, step) triple, step 0 for a scalar. A
-/// branch of another class took no non-null row (see Case) and reads as
-/// NULL; int branches widen when T is double.
+/// branch is a (values, validity, step) triple, step 0 for a scalar. Int
+/// branches widen when T is double; Case checks every other branch holds
+/// T or is a NULL scalar.
 template <typename T>
 void TakeBranches(const std::vector<const Col*>& branches, const uint8_t* br,
                   ColumnVector* out) {
@@ -846,7 +531,7 @@ void TakeBranches(const std::vector<const Col*>& branches, const uint8_t* br,
     oks[b] = &kNull;
     const bool widen =
         cls == PayloadClass::kDouble && c.cls() == PayloadClass::kInt;
-    if (c.null_scalar() || (c.cls() != cls && !widen)) continue;
+    if (c.null_scalar()) continue;
     if (c.vec == nullptr) {
       if constexpr (std::is_same_v<T, double>) {
         consts[b] = c.scalar.AsDouble();
@@ -892,11 +577,9 @@ void TakeBranches(const std::vector<const Col*>& branches, const uint8_t* br,
 
 /// Searched CASE. Every condition and branch is evaluated for every row
 /// (an error on a row the row evaluator would skip sends the expression
-/// to the row path); each row then takes its first true branch. The
-/// output class follows the values rows actually take, exactly as
-/// BuildVectorFromValues types them.
-Result<Col> Case(const Expr& e, const std::vector<Col>& args, bool top,
-                 size_t n) {
+/// to the row path); each row then takes its first true branch, as a
+/// value of the bound type.
+Result<Col> Case(const Expr& e, const std::vector<Col>& args, size_t n) {
   const size_t pairs = (args.size() - (e.has_else ? 1 : 0)) / 2;
   if (pairs >= 255) return Unsupported();  // branch ids are bytes
   // Branch k < pairs is THEN k; branch `pairs` is ELSE (NULL without one).
@@ -904,6 +587,12 @@ Result<Col> Case(const Expr& e, const std::vector<Col>& args, bool top,
   std::vector<const Col*> branches;
   for (size_t k = 0; k < pairs; ++k) branches.push_back(&args[2 * k + 1]);
   branches.push_back(e.has_else ? &args.back() : &null_else);
+  const PayloadClass out_cls = PayloadClassOf(*e.type);
+  for (const Col* c : branches) {
+    const bool widen =
+        out_cls == PayloadClass::kDouble && c->cls() == PayloadClass::kInt;
+    if (!c->null_scalar() && c->cls() != out_cls && !widen) return Unsupported();
+  }
 
   // br[i]: the branch row i takes, its first true condition.
   std::vector<uint8_t> br(n, static_cast<uint8_t>(pairs)), ok(n), t(n);
@@ -914,26 +603,7 @@ Result<Col> Case(const Expr& e, const std::vector<Col>& args, bool top,
     for (size_t i = 0; i < n; ++i) br[i] = (ok[i] & t[i]) ? id : br[i];
   }
 
-  bool seen[3] = {false, false, false};  // indexed by PayloadClass
-  for (size_t k = 0; k <= pairs; ++k) {
-    const Col& c = *branches[k];
-    ValidInto(c, ok.data(), n);
-    uint8_t any = 0;
-    for (size_t i = 0; i < n; ++i) any |= (br[i] == k) & ok[i];
-    if (any) seen[static_cast<size_t>(c.cls())] = true;
-  }
-  const bool s = seen[static_cast<size_t>(PayloadClass::kString)];
-  const bool d = seen[static_cast<size_t>(PayloadClass::kDouble)];
-  const bool in = seen[static_cast<size_t>(PayloadClass::kInt)];
-  // Strings next to numbers: a TypeError at the top, and rows of mixed
-  // kinds below it. Ints next to doubles widen only at the top, where
-  // BuildVectorFromValues widens them; below, each row keeps its kind.
-  if ((s && (d || in)) || (d && in && !top)) return Unsupported();
-  const PayloadClass out_cls =
-      s ? PayloadClass::kString
-        : (d ? PayloadClass::kDouble : PayloadClass::kInt);
-
-  auto out = NewVector(TypeOf(out_cls), n);
+  auto out = NewVector(*e.type, n);
   switch (out_cls) {
     case PayloadClass::kInt:
       TakeBranches<int64_t>(branches, br.data(), out.get());
@@ -967,21 +637,19 @@ Result<Col> ColumnCol(const Expr& e, const RowBatch& batch) {
   return VectorCol(std::move(out));
 }
 
-Result<Col> Binary(const std::string& op, const Col& a, const Col& b,
-                   size_t n) {
+Result<Col> Binary(const Expr& e, const Col& a, const Col& b, size_t n) {
+  const std::string& op = e.op;
   if (op == "AND" || op == "OR") return AndOr(op == "AND", a, b, n);
   if (op == "LIKE") return Like(a, b, n);
   if (op == "+" || op == "-" || op == "*" || op == "/" || op == "%") {
-    return Arith(op[0], a, b, n);
+    return Arith(op[0], a, b, *e.type, n);
   }
-  // "!=" is only a lexer spelling; the row evaluator rejects it.
-  const std::optional<CmpOp> cmp =
-      op == "!=" ? std::nullopt : ParseCmpOp(op);
+  const std::optional<CmpOp> cmp = ParseCmpOp(op);
   if (!cmp) return Unsupported();  // ||
   return Compare(*cmp, a, b, n);
 }
 
-Result<Col> EvalCol(const Expr& e, const RowBatch& batch, bool top) {
+Result<Col> EvalCol(const Expr& e, const RowBatch& batch) {
   switch (e.kind) {
     case Expr::Kind::kLiteral:
       return ScalarCol(e.literal);
@@ -992,11 +660,12 @@ Result<Col> EvalCol(const Expr& e, const RowBatch& batch, bool top) {
     default:
       break;
   }
+  if (!e.type) return Untyped(e);
   std::vector<Col> args;
   args.reserve(e.args.size());
   bool constant = true;
   for (const auto& a : e.args) {
-    PIXELS_ASSIGN_OR_RETURN(Col c, EvalCol(*a, batch, false));
+    PIXELS_ASSIGN_OR_RETURN(Col c, EvalCol(*a, batch));
     constant = constant && c.vec == nullptr;
     args.push_back(std::move(c));
   }
@@ -1008,11 +677,11 @@ Result<Col> EvalCol(const Expr& e, const RowBatch& batch, bool top) {
   const size_t n = batch.num_rows();
   switch (e.kind) {
     case Expr::Kind::kUnary:
-      if (e.op == "-") return Negate(args[0], n);
+      if (e.op == "-") return Negate(args[0], *e.type, n);
       if (e.op == "NOT") return Not(args[0], n);
       return Unsupported();
     case Expr::Kind::kBinary:
-      return Binary(e.op, args[0], args[1], n);
+      return Binary(e, args[0], args[1], n);
     case Expr::Kind::kBetween:
       return Between(args[0], args[1], args[2], e.negated, n);
     case Expr::Kind::kInList:
@@ -1020,42 +689,28 @@ Result<Col> EvalCol(const Expr& e, const RowBatch& batch, bool top) {
     case Expr::Kind::kIsNull:
       return IsNullCol(args[0], e.negated, n);
     case Expr::Kind::kCase:
-      return Case(e, args, top, n);
+      return Case(e, args, n);
     default:
       return Unsupported();  // scalar functions over columns
   }
 }
 
-/// `n` copies of `v`, typed as BuildVectorFromValues types them.
-ColumnVectorPtr Broadcast(const Value& v, size_t n) {
-  if (v.is_null()) return NewVector(TypeId::kInt64, n);
-  const PayloadClass cls = ValueClass(v);
-  auto out = NewVector(TypeOf(cls), n);
-  std::fill_n(out->mutable_valid_data(), n, uint8_t{1});
-  switch (cls) {
-    case PayloadClass::kInt:
-      std::fill_n(out->mutable_ints_data(), n, v.i);
-      break;
-    case PayloadClass::kDouble:
-      std::fill_n(out->mutable_doubles_data(), n, v.d);
-      break;
-    case PayloadClass::kString:
-      std::fill_n(out->mutable_strings_data(), n, v.s);
-      break;
-  }
-  out->RecountNulls();
+/// `n` copies of `v` as a vector of `type` (AppendValue's conversions
+/// and TypeError, as the row path builds it).
+Result<ColumnVectorPtr> Broadcast(const Value& v, TypeId type, size_t n) {
+  auto out = MakeVector(type);
+  out->Reserve(n);
+  for (size_t i = 0; i < n; ++i) PIXELS_RETURN_NOT_OK(out->AppendValue(v));
   return out;
 }
 
+/// The kernel result, exactly of the bound type (anything else takes the
+/// row path, which builds the bound type).
 Result<ColumnVectorPtr> EvaluateKernels(const Expr& expr,
                                         const RowBatch& batch) {
-  PIXELS_ASSIGN_OR_RETURN(Col c, EvalCol(expr, batch, /*top=*/true));
-  const size_t n = batch.num_rows();
-  if (c.vec == nullptr) return Broadcast(c.scalar, n);
-  // A result with no non-null value is typed kInt64.
-  if (c.vec->NullCount() == n && c.vec->type() != TypeId::kInt64) {
-    return NewVector(TypeId::kInt64, n);
-  }
+  PIXELS_ASSIGN_OR_RETURN(Col c, EvalCol(expr, batch));
+  if (c.vec == nullptr) return Broadcast(c.scalar, *expr.type, batch.num_rows());
+  if (c.vec->type() != *expr.type) return Unsupported();
   return c.vec;
 }
 
@@ -1071,10 +726,11 @@ Result<ColumnVectorPtr> EvaluateExpr(const Expr& expr, const RowBatch& batch) {
     }
     return batch.column(static_cast<size_t>(idx));
   }
+  if (!expr.type) return Untyped(expr);
   // No rows: nothing is evaluated, so nothing can fail.
-  if (batch.num_rows() == 0) return MakeVector(TypeId::kInt64);
+  if (batch.num_rows() == 0) return MakeVector(*expr.type);
   Result<ColumnVectorPtr> out = EvaluateKernels(expr, batch);
-  if (out.ok()) return out;
+  if (out.ok() || out.status().code() == StatusCode::kInternal) return out;
   return EvaluateRows(expr, batch);
 }
 

@@ -6,13 +6,17 @@
 #include "common/result.h"
 #include "format/batch.h"
 #include "sql/ast.h"
+#include "sql/row_eval.h"
 
 namespace pixels {
 
 /// Evaluates `expr` against every row of `batch`, returning a vector of
 /// the same length: the one batch evaluator every operator uses. Column
 /// references resolve by qualified name with the batch's relaxed
-/// matching rules; a bare reference returns the column itself.
+/// matching rules; a bare reference returns the column itself. Any other
+/// expression must be typed (plan/binder.h BindTypes; an untyped node is
+/// an Internal error) and the result has exactly its bound type, for
+/// empty, all-null and sparse batches alike.
 ///
 /// Column refs, literals (as scalar operands), arithmetic, comparisons,
 /// Kleene AND/OR/NOT, BETWEEN, IN, IS [NOT] NULL, searched CASE and
@@ -20,20 +24,14 @@ namespace pixels {
 /// subtrees with no column fold to one scalar. Any other shape (scalar
 /// functions over columns, `||`, LIKE on a non-string) and any kernel
 /// error reruns the whole expression through EvaluateExprRow, so values,
-/// nulls, error statuses and the output type are always exactly those of
-/// BuildVectorFromValues over the per-row results.
+/// nulls and error statuses are always exactly those of the row
+/// evaluator, built into the bound type.
 Result<ColumnVectorPtr> EvaluateExpr(const Expr& expr, const RowBatch& batch);
 
-/// Evaluates `expr` for a single row. The semantics reference: AND/OR and
-/// CASE skip subexpressions per row, and errors surface per row.
-Result<Value> EvaluateExprRow(const Expr& expr, const RowBatch& batch,
-                              size_t row);
-
-/// SQL LIKE with % and _ wildcards.
-bool LikeMatch(const std::string& text, const std::string& pattern);
-
-/// Builds a typed vector from scalar values: strings force kString, any
-/// double forces kDouble, otherwise kInt64 (all-null defaults to kInt64).
-Result<ColumnVectorPtr> BuildVectorFromValues(const std::vector<Value>& values);
+/// Builds a vector of `type` from scalar values, converting numerics as
+/// ColumnVector::AppendValue does (a string next to a number is a
+/// TypeError).
+Result<ColumnVectorPtr> BuildVectorFromValues(const std::vector<Value>& values,
+                                              TypeId type);
 
 }  // namespace pixels

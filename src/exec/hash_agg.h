@@ -1,10 +1,10 @@
-// Hash aggregation supporting sum/count/avg/min/max, COUNT(DISTINCT),
+// Hash aggregation supporting sum/count/avg/min/max, DISTINCT arguments,
 // grouped and global aggregation, and the partial/merge modes used by the
 // CF sub-plan split (see plan/subplan.h for the partial-state layout).
 #pragma once
 
-#include <map>
-#include <set>
+#include <string>
+#include <vector>
 
 #include "exec/hash_table.h"
 #include "exec/operator.h"
@@ -13,17 +13,20 @@
 namespace pixels {
 
 /// Groups live in typed open-addressing tables keyed on batch-
-/// precomputed hashes (exec/hash_table.h), and SUM/COUNT/MIN/MAX update as
-/// typed flat loops over the child's selection vector (no Value boxing,
-/// per-row key serialization, or gather after a Filter unless
-/// SelBatch::Evaluate's seam rule asks for one). At parallelism 1
-/// the input is consumed streaming (one batch resident at a time). At
-/// parallelism N, input batches are collected, key/argument expressions
-/// are evaluated batch-parallel, and groups are built partition-parallel
-/// (partition = hash(key) % N); each partition scans rows in
-/// batch-then-row order, so group contents and emit order are
-/// deterministic. COUNT(DISTINCT) state and the CF partial-merge mode stay
-/// on boxed AggState (cold, cross-worker format).
+/// precomputed hashes (exec/hash_table.h). Open picks one typed state per
+/// aggregate from its function and bound argument type (a count array,
+/// an int or double NumAggState array, or a string min/max array), and
+/// every batch folds into it as a flat loop over the child's selection
+/// vector (no Value boxing, per-row key serialization, or gather after a
+/// Filter unless SelBatch::Evaluate's seam rule asks for one). A DISTINCT
+/// argument first keeps only the (group, value) pairs new to a second
+/// GroupTable. At parallelism 1 the input is consumed streaming (one
+/// batch resident at a time). At parallelism N, input batches are
+/// collected, key/argument expressions are evaluated batch-parallel, and
+/// groups are built partition-parallel (partition = hash(key) % N); each
+/// partition scans rows in batch-then-row order, so group contents and
+/// emit order are deterministic. The CF merge mode folds the partial-
+/// state columns through the same loops, in one partition.
 class HashAggOperator : public Operator {
  public:
   HashAggOperator(OperatorPtr child, const LogicalPlan& plan, ExecContext* ctx)
@@ -33,32 +36,18 @@ class HashAggOperator : public Operator {
   Result<SelBatch> Next() override;
   void Close() override { child_->Close(); }
 
-  /// Running state of one aggregate within one group (public so the
-  /// typed update kernels in hash_agg.cc and the tests can touch it).
-  struct AggState {
-    double sum_d = 0;
-    int64_t sum_i = 0;
-    bool any_double = false;
-    int64_t count = 0;
-    bool has_minmax = false;
-    Value min;
-    Value max;
-    std::set<std::string> distinct_keys;
-
-    void Update(const Value& v, bool distinct);
+ private:
+  /// How one aggregate folds its input column(s).
+  enum class AggKind : uint8_t {
+    kCount,       // COUNT(*): every row; COUNT(x): non-null rows
+    kAddCounts,   // merge COUNT: sums the partial counts
+    kInt,         // NumAggState over int payloads (a string reads as 0)
+    kDouble,      // NumAggState over doubles
+    kString,      // string MIN/MAX
+    kMergeAvg,    // merge AVG: sums $sum into sum_d and $cnt into count
   };
 
-  struct Group {
-    std::vector<Value> keys;
-    std::vector<AggState> states;
-  };
-
-  /// Compact, trivially-copyable per-group state used while an
-  /// aggregate's argument batches stay one numeric family (all
-  /// int-kinds or all doubles). One cache line instead of ~200 bytes of
-  /// AggState, so million-group updates stay dense; strings,
-  /// COUNT(DISTINCT), and mid-stream type flips convert the accumulated
-  /// state to AggState exactly and continue on the boxed loops.
+  /// Running SUM/AVG/MIN/MAX state of one group.
   struct NumAggState {
     int64_t count = 0;
     int64_t sum_i = 0;
@@ -67,66 +56,57 @@ class HashAggOperator : public Operator {
     int64_t max_i = 0;
     double min_d = 0;
     double max_d = 0;
-    bool has_minmax = false;
+  };
+  struct StrMinMax {
+    bool has = false;
+    std::string min;
+    std::string max;
   };
 
- private:
-  /// Per-(partition, aggregate) state representation. kUnset means no
-  /// row has reached this aggregate yet (its state is all-default).
-  enum class AggMode : uint8_t { kUnset, kCountStar, kInt, kDouble, kGeneral };
-
-  /// One partition of the typed aggregation state (a single partition at
-  /// parallelism 1): distinct keys in the table, agg states per mode —
-  /// a bare count per group for COUNT(*), a NumAggState per group for
-  /// single-family numeric aggs, and boxed AggState (flat
-  /// [group * num_aggs + agg]) only for the general fallback.
+  /// One partition of the aggregation state (a single partition at
+  /// parallelism 1 and in merge mode): distinct keys in the table, and
+  /// per aggregate the state array its kind uses, indexed by group id.
   struct TypedPart {
     GroupTable table;
-    std::vector<AggMode> modes;                 // per aggregate
-    std::vector<std::vector<int64_t>> counts;   // per aggregate, kCountStar
-    std::vector<std::vector<NumAggState>> nums; // per aggregate, kInt/kDouble
-    std::vector<AggState> states;               // kGeneral slots only
+    std::vector<std::vector<int64_t>> counts;
+    std::vector<std::vector<NumAggState>> nums;
+    std::vector<std::vector<StrMinMax>> strs;
+    /// Per aggregate, the (group id, value) pairs a DISTINCT one has seen.
+    std::vector<GroupTable> distinct;
   };
-  /// A batch prepared for typed aggregation: evaluated key/argument
-  /// columns and per-row key hashes, lined up with `in` (the upstream
-  /// batch, or its gather when SelBatch::Evaluate gathered).
+  /// A batch prepared for aggregation: evaluated key/input columns and
+  /// per-row key hashes, lined up with `in` (the upstream batch, or its
+  /// gather when SelBatch::Evaluate gathered).
   struct TypedBatch {
     SelBatch in;
     std::vector<ColumnVectorPtr> key_cols;
-    std::vector<ColumnVectorPtr> arg_cols;
+    std::vector<ColumnVectorPtr> arg_cols;  // per aggregate; null for COUNT(*)
+    std::vector<ColumnVectorPtr> cnt_cols;  // per aggregate; merge AVG's $cnt
     std::vector<uint64_t> hashes;
   };
 
   /// Serial streaming (par <= 1) or collect + partition-parallel build.
   Status Consume(int par);
-  /// CF final mode: folds per-worker partial states by group name.
-  Status ConsumeMerge();
   Status PrepareTypedBatch(TypedBatch* tb) const;
   /// Folds the rows of `tb` owned by partition `p` (hash % num_parts)
   /// into that partition's table and states.
   Status ApplyTypedBatch(TypedPart* part, const TypedBatch& tb, size_t p,
-                         size_t num_parts);
-  /// Converts aggregate `a`'s compact states in `part` to boxed AggState
-  /// (exact — the boxed state equals what AggState::Update would have
-  /// built) and flips its mode to kGeneral.
-  void ConvertTypedAggToGeneral(TypedPart* part, size_t a);
-  /// Builds the output batch directly from the typed tables: keys are
-  /// reboxed once from the KeyStore and aggregates finalize straight
-  /// from their flat state arrays — no per-group Group construction.
-  /// Output columns/types/order are identical to Emit's.
-  Result<RowBatchPtr> TypedEmit();
-  /// Emits the boxed `groups_` of the merge mode (or, for a global
-  /// aggregation over an empty input, its one default row).
+                         size_t num_parts) const;
+  /// Builds the output batch from the state arrays, one typed column per
+  /// group key and aggregate (two for a partial AVG); a global
+  /// aggregation over no rows emits one row of empty states.
   Result<RowBatchPtr> Emit();
 
   OperatorPtr child_;
   const LogicalPlan& plan_;
   ExecContext* ctx_;
-  std::map<std::string, size_t> group_index_;
-  std::vector<Group> groups_;
+  std::vector<AggKind> kinds_;  // per aggregate
   std::vector<TypedPart> typed_parts_;
-  /// Group keys, then one argument per aggregate (null for COUNT(*)).
+  /// Group keys, then one input per aggregate (null for COUNT(*)), then
+  /// one more per aggregate (merge AVG's $cnt, else null).
   std::vector<const Expr*> inputs_;
+  /// Merge mode's column refs to the partial-state columns.
+  std::vector<ExprPtr> merge_refs_;
   bool emitted_ = false;
 };
 

@@ -198,9 +198,12 @@ Status HashJoinOperator::BuildSide() {
     batches.push_back(std::move(batch));
   }
   if (right_names_.empty()) {
-    // Empty build side: take declared columns for null padding.
-    right_names_ = plan_.children[1]->OutputColumns();
-    types.assign(right_names_.size(), TypeId::kInt64);
+    // Empty build side: the padding columns take the build subtree's
+    // bound types.
+    PIXELS_ASSIGN_OR_RETURN(PlanSchema schema,
+                            OutputSchema(*plan_.children[1], ctx_->catalog));
+    right_names_ = std::move(schema.names);
+    types = std::move(schema.types);
   }
   if (total_rows >= std::numeric_limits<uint32_t>::max()) {
     return Status::NotImplemented("join build side exceeds 2^32 - 1 rows");

@@ -78,35 +78,22 @@ std::vector<uint64_t> HashKeyColumns(const std::vector<ColumnVectorPtr>& cols,
 
 bool ExprSafeToEvalUnselected(const Expr& expr) {
   switch (expr.kind) {
-    case Expr::Kind::kLiteral:
-    case Expr::Kind::kColumnRef:
-      return true;
     case Expr::Kind::kStar:
     case Expr::Kind::kFunction:  // length()/substr() type-check per row
-    case Expr::Kind::kCase:      // the output type follows the rows
       return false;
-    case Expr::Kind::kUnary:
-      if (expr.op != "NOT" && expr.op != "-") return false;
-      break;
     case Expr::Kind::kBinary:
-      // LIKE rejects non-string operands per row; every other known
-      // operator is total (/ and % by zero yield NULL).
-      if (expr.op == "LIKE") return false;
-      if (expr.op != "AND" && expr.op != "OR" && expr.op != "=" &&
-          expr.op != "<>" && expr.op != "<" && expr.op != "<=" &&
-          expr.op != ">" && expr.op != ">=" && expr.op != "||" &&
-          expr.op != "+" && expr.op != "-" && expr.op != "*" &&
-          expr.op != "/" && expr.op != "%") {
+      // LIKE rejects a non-string value per row; every other operator the
+      // binder accepts is total (/ and % by zero yield NULL).
+      if (expr.op == "LIKE" && (expr.args[0]->type != TypeId::kString ||
+                                expr.args[1]->type != TypeId::kString)) {
         return false;
       }
       break;
-    case Expr::Kind::kBetween:
-    case Expr::Kind::kInList:
-    case Expr::Kind::kIsNull:
+    default:
       break;
   }
   for (const auto& arg : expr.args) {
-    if (arg != nullptr && !ExprSafeToEvalUnselected(*arg)) return false;
+    if (!ExprSafeToEvalUnselected(*arg)) return false;
   }
   return true;
 }

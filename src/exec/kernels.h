@@ -31,13 +31,12 @@ std::vector<uint64_t> HashKeyColumns(const std::vector<ColumnVectorPtr>& cols,
                                      size_t num_rows,
                                      std::vector<uint8_t>* any_null);
 
-/// True when evaluating `expr` over a batch's deselected rows changes
-/// neither the status nor the selected rows' values and output type:
-/// literals, column refs, NOT/negate, BETWEEN, IN, IS NULL and the known
-/// binary operators are total (division by zero yields NULL). Functions
-/// and LIKE type-check per row and may error; CASE types its output by
-/// the branches rows take. SelBatch::Evaluate gathers before evaluating
-/// anything else.
+/// True when evaluating bound `expr` over a batch's deselected rows
+/// changes neither the status nor the selected rows' values: every node
+/// is total (division by zero yields NULL) except functions, which
+/// type-check per row, and LIKE over an operand not typed kString. The
+/// output type is the bound type either way. SelBatch::Evaluate gathers
+/// before evaluating anything else.
 bool ExprSafeToEvalUnselected(const Expr& expr);
 
 /// Keeps the rows of `sel` (or all rows when `sel` is null) whose key is

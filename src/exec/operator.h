@@ -141,9 +141,7 @@ struct SelBatch {
   /// columns line up with. That is `*this` when every expression is
   /// ExprSafeToEvalUnselected and at least a quarter of the rows are
   /// selected; otherwise the selected rows are gathered into a dense
-  /// batch first. Output types never depend on deselected rows: a
-  /// computed column with no non-null selected row is typed kInt64, as
-  /// the gathered evaluation types it.
+  /// batch first. Every column has its expression's bound type.
   Result<SelBatch> Evaluate(const std::vector<const Expr*>& exprs,
                             std::vector<ColumnVectorPtr>* cols) const;
 };

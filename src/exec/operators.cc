@@ -251,9 +251,9 @@ Result<SelBatch> SelBatch::Evaluate(const std::vector<const Expr*>& exprs,
                                     std::vector<ColumnVectorPtr>* cols) const {
   SelBatch in = *this;
   if (sel != nullptr) {
-    // In place only when no deselected row can change a status or a
-    // type, and when evaluating the deselected rows costs less than one
-    // gather (a quarter of the rows or more selected).
+    // In place only when no deselected row can change a status, and
+    // when evaluating the deselected rows costs less than one gather (a
+    // quarter of the rows or more selected).
     bool in_place = sel->size() * 4 >= batch->num_rows();
     for (const Expr* e : exprs) {
       in_place = in_place && (e == nullptr || ExprSafeToEvalUnselected(*e));
@@ -267,16 +267,6 @@ Result<SelBatch> SelBatch::Evaluate(const std::vector<const Expr*>& exprs,
       continue;
     }
     PIXELS_ASSIGN_OR_RETURN(ColumnVectorPtr col, EvaluateExpr(*e, *in.batch));
-    // A computed column whose values all sit on deselected rows is
-    // all-null over the selection, which EvaluateExpr types kInt64 (a
-    // bare column reference keeps its type either way).
-    if (in.sel != nullptr && e->kind != Expr::Kind::kColumnRef &&
-        col->type() != TypeId::kInt64 &&
-        std::none_of(in.sel->begin(), in.sel->end(),
-                     [&](uint32_t i) { return !col->IsNull(i); })) {
-      col = MakeVector(TypeId::kInt64);
-      col->Resize(in.batch->num_rows());
-    }
     cols->push_back(std::move(col));
   }
   return in;

@@ -20,18 +20,18 @@ void RowBatch::AddColumn(std::string name, ColumnVectorPtr col) {
   columns_.push_back(std::move(col));
 }
 
-int RowBatch::FindColumn(const std::string& name) const {
+int FindName(const std::vector<std::string>& names, const std::string& name) {
   // Pass 1: exact match.
-  for (size_t i = 0; i < names_.size(); ++i) {
-    if (names_[i] == name) return static_cast<int>(i);
+  for (size_t i = 0; i < names.size(); ++i) {
+    if (names[i] == name) return static_cast<int>(i);
   }
   // Pass 2: unqualified lookup against qualified columns (and vice versa),
   // only when unambiguous. Two qualified names never match across
   // qualifiers: `a.id` must not read `b.id`.
   int found = -1;
   const auto [qualifier, base] = SplitName(name);
-  for (size_t i = 0; i < names_.size(); ++i) {
-    const auto [col_qualifier, col_base] = SplitName(names_[i]);
+  for (size_t i = 0; i < names.size(); ++i) {
+    const auto [col_qualifier, col_base] = SplitName(names[i]);
     // Same qualifier and base would have matched exactly in pass 1.
     if (col_base != base || (!qualifier.empty() && !col_qualifier.empty())) {
       continue;

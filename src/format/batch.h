@@ -16,6 +16,11 @@ namespace pixels {
 /// operators).
 using SelectionVector = std::vector<uint32_t>;
 
+/// Index of `name` in `names`, or -1: an exact match first, then a bare
+/// name against a qualified one (or the reverse) when unambiguous. Two
+/// qualified names never match across qualifiers.
+int FindName(const std::vector<std::string>& names, const std::string& name);
+
 /// A batch of rows in columnar layout. Column names are carried alongside
 /// so operators can resolve columns produced by upstream operators.
 class RowBatch {
@@ -31,10 +36,8 @@ class RowBatch {
   const std::string& name(size_t i) const { return names_[i]; }
   const ColumnVectorPtr& column(size_t i) const { return columns_[i]; }
 
-  /// Index of the named column, or -1. Accepts both bare names ("x") and
-  /// qualified ones ("t.x"): a bare lookup matches a qualified column when
-  /// unambiguous, and vice versa.
-  int FindColumn(const std::string& name) const;
+  /// Index of the named column, or -1, by FindName's rules.
+  int FindColumn(const std::string& name) const { return FindName(names_, name); }
 
   /// Returns a batch with only the rows whose indices appear in `sel`.
   std::shared_ptr<RowBatch> Gather(const std::vector<uint32_t>& sel) const;

@@ -21,6 +21,13 @@ inline PayloadClass PayloadClassOf(TypeId t) {
   return PayloadClass::kInt;
 }
 
+/// The type a computed value of type `t` takes: kInt64, kDouble or
+/// kString (bools, int32s, dates and timestamps compute as kInt64).
+inline TypeId PayloadType(TypeId t) {
+  if (t == TypeId::kDouble || t == TypeId::kString) return t;
+  return TypeId::kInt64;
+}
+
 /// A column of values of a single type with a validity (non-null) mask.
 /// Integer-like types (bool, int32, int64, date, timestamp) share the
 /// int64 payload; doubles and strings have their own payloads.

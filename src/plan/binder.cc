@@ -1,8 +1,10 @@
 #include "plan/binder.h"
 
 #include <map>
+#include <optional>
 #include <set>
 
+#include "format/compare.h"
 #include "sql/parser.h"
 
 namespace pixels {
@@ -21,7 +23,8 @@ class Scope {
     return Status::OK();
   }
 
-  /// Resolves a column reference; fills the qualifier for bare names.
+  /// Resolves a column reference: fills the qualifier for bare names and
+  /// the type from the catalog.
   Status ResolveColumn(Expr* ref) const {
     if (!ref->qualifier.empty()) {
       auto it = by_qualifier_.find(ref->qualifier);
@@ -29,20 +32,25 @@ class Scope {
         return Status::InvalidArgument("unknown table alias '" +
                                        ref->qualifier + "'");
       }
-      if (it->second->FindColumn(ref->name) < 0) {
+      const int idx = it->second->FindColumn(ref->name);
+      if (idx < 0) {
         return Status::InvalidArgument("no column '" + ref->name +
                                        "' in table " + ref->qualifier);
       }
+      ref->type = it->second->columns[static_cast<size_t>(idx)].type;
       return Status::OK();
     }
     std::string found;
     for (const auto& q : order_) {
-      if (by_qualifier_.at(q)->FindColumn(ref->name) >= 0) {
+      const TableSchema* schema = by_qualifier_.at(q);
+      const int idx = schema->FindColumn(ref->name);
+      if (idx >= 0) {
         if (!found.empty()) {
           return Status::InvalidArgument("ambiguous column '" + ref->name +
                                          "' (in " + found + " and " + q + ")");
         }
         found = q;
+        ref->type = schema->columns[static_cast<size_t>(idx)].type;
       }
     }
     if (found.empty()) {
@@ -68,15 +76,146 @@ class Scope {
   std::vector<std::string> order_;
 };
 
-/// Recursively resolves all column refs in an expression.
-Status ResolveExpr(Expr* e, const Scope& scope) {
-  if (e->kind == Expr::Kind::kColumnRef) return scope.ResolveColumn(e);
-  if (e->kind == Expr::Kind::kStar) {
-    // Only COUNT(*) reaches here (SELECT * is expanded earlier).
-    return Status::OK();
+/// The values CASE or coalesce `e` returns: CASE's THEN args and ELSE,
+/// every coalesce arg.
+bool IsBranch(const Expr& e, size_t i) {
+  return e.kind != Expr::Kind::kCase || i % 2 == 1 ||
+         (e.has_else && i + 1 == e.args.size());
+}
+
+/// True when `e` is NULL on every row: a NULL literal, or a CASE or
+/// coalesce whose branches all are. It takes its type from context.
+bool OnlyNull(const Expr& e) {
+  if (e.kind == Expr::Kind::kLiteral) return e.literal.is_null();
+  const bool coalesce = e.kind == Expr::Kind::kFunction && e.name == "coalesce";
+  if (e.kind != Expr::Kind::kCase && !coalesce) return false;
+  for (size_t i = 0; i < e.args.size(); ++i) {
+    if (IsBranch(e, i) && !OnlyNull(*e.args[i])) return false;
   }
-  for (auto& a : e->args) PIXELS_RETURN_NOT_OK(ResolveExpr(a.get(), scope));
+  return true;
+}
+
+/// The common type of the values CASE or coalesce `e` returns.
+Result<TypeId> UnifyBranches(const Expr& e) {
+  const bool is_case = e.kind == Expr::Kind::kCase;
+  std::optional<TypeId> out;
+  for (size_t i = 0; i < e.args.size(); ++i) {
+    const Expr& b = *e.args[i];
+    if (!IsBranch(e, i) || OnlyNull(b)) continue;
+    const TypeId t = PayloadType(*b.type);
+    if (!out || *out == t) {
+      out = t;
+    } else if (*out == TypeId::kString || t == TypeId::kString) {
+      return Status::TypeError(std::string(is_case ? "CASE" : "coalesce") +
+                               " mixes string and numeric values");
+    } else {
+      out = TypeId::kDouble;
+    }
+  }
+  return out.value_or(TypeId::kInt64);
+}
+
+Result<TypeId> AggregateType(const Expr& e) {
+  if (e.name == "count") return TypeId::kInt64;
+  if (e.args.size() != 1 || e.args[0]->kind == Expr::Kind::kStar) {
+    return Status::InvalidArgument("aggregate " + e.name +
+                                   " takes one argument");
+  }
+  const TypeId arg = PayloadType(*e.args[0]->type);
+  if (e.name == "avg") return TypeId::kDouble;
+  if (e.name == "sum") return arg == TypeId::kDouble ? arg : TypeId::kInt64;
+  return arg;  // min, max
+}
+
+Result<TypeId> FunctionType(const Expr& e) {
+  const std::string& f = e.name;
+  if (IsAggregateFunction(f)) return AggregateType(e);
+  if (f == "coalesce") return UnifyBranches(e);
+  if (f == "abs") {
+    return !e.args.empty() && *e.args[0]->type == TypeId::kDouble
+               ? TypeId::kDouble
+               : TypeId::kInt64;
+  }
+  if (f == "round" || f == "floor" || f == "ceil" || f == "ceiling" ||
+      f == "sqrt" || f == "cast_double") {
+    return TypeId::kDouble;
+  }
+  if (f == "length" || f == "year" || f == "month" || f == "day" ||
+      f == "cast_int" || f == "cast_integer" || f == "cast_bigint") {
+    return TypeId::kInt64;
+  }
+  if (f == "lower" || f == "upper" || f == "substr" || f == "substring" ||
+      f == "concat" || f == "cast_varchar" || f == "cast_string") {
+    return TypeId::kString;
+  }
+  return Status::NotImplemented("unknown function: " + f);
+}
+
+/// The type of `e` from its children's types (TypeTree types column
+/// refs).
+Result<TypeId> NodeType(const Expr& e) {
+  auto arg = [&](size_t i) { return *e.args[i]->type; };
+  switch (e.kind) {
+    case Expr::Kind::kLiteral:  // NULL and bools compute as kInt64
+      if (e.literal.kind == Value::Kind::kDouble) return TypeId::kDouble;
+      return e.literal.kind == Value::Kind::kString ? TypeId::kString
+                                                    : TypeId::kInt64;
+    case Expr::Kind::kColumnRef:
+      return Status::Internal("untyped column ref: " + e.QualifiedName());
+    case Expr::Kind::kStar:  // COUNT(*)'s argument
+      return TypeId::kInt64;
+    case Expr::Kind::kUnary:
+      if (e.op == "NOT") return TypeId::kInt64;
+      if (e.op == "-") return arg(0) == TypeId::kDouble ? arg(0) : TypeId::kInt64;
+      return Status::NotImplemented("unary op " + e.op);
+    case Expr::Kind::kBinary: {
+      const std::string& op = e.op;
+      if (op == "||") return TypeId::kString;
+      if (op == "+" || op == "-" || op == "*" || op == "/") {
+        return arg(0) == TypeId::kDouble || arg(1) == TypeId::kDouble
+                   ? TypeId::kDouble
+                   : TypeId::kInt64;
+      }
+      if (op == "%" || op == "AND" || op == "OR" || op == "LIKE" ||
+          ParseCmpOp(op).has_value()) {
+        return TypeId::kInt64;
+      }
+      return Status::NotImplemented("binary op " + op);
+    }
+    case Expr::Kind::kFunction:
+      return FunctionType(e);
+    case Expr::Kind::kBetween:
+    case Expr::Kind::kInList:
+    case Expr::Kind::kIsNull:
+      return TypeId::kInt64;
+    case Expr::Kind::kCase:
+      return UnifyBranches(e);
+  }
+  return Status::Internal("unreachable expression kind");
+}
+
+/// Sets the type of every untyped node of `e`, bottom-up: `column(ref)`
+/// types a column ref, NodeType every other node.
+template <typename ColumnFn>
+Status TypeTree(Expr* e, const ColumnFn& column) {
+  if (e->type) return Status::OK();
+  if (e->kind == Expr::Kind::kColumnRef) return column(e);
+  for (auto& a : e->args) PIXELS_RETURN_NOT_OK(TypeTree(a.get(), column));
+  PIXELS_ASSIGN_OR_RETURN(TypeId t, NodeType(*e));
+  e->type = t;
   return Status::OK();
+}
+
+/// Resolves every column ref of `e` in `scope` and types every node.
+Status ResolveExpr(Expr* e, const Scope& scope) {
+  return TypeTree(e, [&](Expr* ref) { return scope.ResolveColumn(ref); });
+}
+
+/// A ref to output column `name` of the node below, typed `type`.
+ExprPtr OutputRef(const std::string& name, std::optional<TypeId> type) {
+  ExprPtr ref = MakeColumnRef("", name);
+  ref->type = type;
+  return ref;
 }
 
 /// Collects aggregate calls in an expression into `out` (deduplicated by
@@ -100,7 +239,7 @@ Result<ExprPtr> RewriteOverAggregate(
   // Group expression match first (a group key used verbatim).
   for (size_t g = 0; g < group_exprs.size(); ++g) {
     if (e.Equals(*group_exprs[g])) {
-      return MakeColumnRef("", group_names[g]);
+      return OutputRef(group_names[g], PayloadType(*group_exprs[g]->type));
     }
   }
   if (e.kind == Expr::Kind::kFunction && IsAggregateFunction(e.name)) {
@@ -108,7 +247,7 @@ Result<ExprPtr> RewriteOverAggregate(
     if (it == agg_name_of.end()) {
       return Status::Internal("aggregate not collected: " + e.ToString());
     }
-    return MakeColumnRef("", it->second);
+    return OutputRef(it->second, e.type);
   }
   if (e.kind == Expr::Kind::kColumnRef) {
     return Status::InvalidArgument(
@@ -155,6 +294,7 @@ Result<PlanPtr> BindSelect(const SelectStmt& stmt, const Catalog& catalog,
       names.push_back(item.alias.empty() ? DefaultItemName(*item.expr)
                                          : item.alias);
       exprs.push_back(item.expr->Clone());
+      PIXELS_RETURN_NOT_OK(ResolveExpr(exprs.back().get(), Scope()));
     }
     return MakeProject(std::move(plan), std::move(exprs), std::move(names));
   }
@@ -199,6 +339,7 @@ Result<PlanPtr> BindSelect(const SelectStmt& stmt, const Catalog& catalog,
     if (item.expr->kind == Expr::Kind::kStar) {
       for (const auto& [q, c] : scope.AllColumns()) {
         items.push_back(SelectItem{MakeColumnRef(q, c), ""});
+        PIXELS_RETURN_NOT_OK(ResolveExpr(items.back().expr.get(), scope));
       }
       continue;
     }
@@ -331,9 +472,10 @@ Result<PlanPtr> BindSelect(const SelectStmt& stmt, const Catalog& catalog,
       proj_expr = resolved.Clone();
     }
     std::string hidden = "$sort" + std::to_string(project_node->names.size());
+    ExprPtr key = OutputRef(hidden, proj_expr->type);
     project_node->exprs.push_back(std::move(proj_expr));
     project_node->names.push_back(hidden);
-    return MakeColumnRef("", hidden);
+    return key;
   };
 
   if (!stmt.order_by.empty()) {
@@ -348,14 +490,15 @@ Result<PlanPtr> BindSelect(const SelectStmt& stmt, const Catalog& catalog,
         if (pos < 1 || pos > static_cast<int64_t>(out_names.size())) {
           return Status::InvalidArgument("ORDER BY position out of range");
         }
-        key = MakeColumnRef("", out_names[static_cast<size_t>(pos - 1)]);
+        key = OutputRef(out_names[static_cast<size_t>(pos - 1)],
+                        project_node->exprs[static_cast<size_t>(pos - 1)]->type);
       } else if (o.expr->kind == Expr::Kind::kColumnRef &&
                  o.expr->qualifier.empty()) {
         // Try alias / output-name match first.
         bool matched = false;
-        for (const auto& n : out_names) {
-          if (n == o.expr->name) {
-            key = MakeColumnRef("", n);
+        for (size_t i = 0; i < out_names.size(); ++i) {
+          if (out_names[i] == o.expr->name) {
+            key = OutputRef(out_names[i], project_node->exprs[i]->type);
             matched = true;
             break;
           }
@@ -366,7 +509,7 @@ Result<PlanPtr> BindSelect(const SelectStmt& stmt, const Catalog& catalog,
           // Match against the original select expressions.
           for (size_t i = 0; i < select_originals.size(); ++i) {
             if (oe->Equals(*select_originals[i])) {
-              key = MakeColumnRef("", out_names[i]);
+              key = OutputRef(out_names[i], project_node->exprs[i]->type);
               matched = true;
               break;
             }
@@ -382,7 +525,7 @@ Result<PlanPtr> BindSelect(const SelectStmt& stmt, const Catalog& catalog,
         bool matched = false;
         for (size_t i = 0; i < select_originals.size(); ++i) {
           if (oe->Equals(*select_originals[i])) {
-            key = MakeColumnRef("", out_names[i]);
+            key = OutputRef(out_names[i], project_node->exprs[i]->type);
             matched = true;
             break;
           }
@@ -401,7 +544,8 @@ Result<PlanPtr> BindSelect(const SelectStmt& stmt, const Catalog& catalog,
     std::vector<ExprPtr> vis_exprs;
     std::vector<std::string> vis_names;
     for (size_t i = 0; i < visible_columns; ++i) {
-      vis_exprs.push_back(MakeColumnRef("", project_node->names[i]));
+      vis_exprs.push_back(
+          OutputRef(project_node->names[i], project_node->exprs[i]->type));
       vis_names.push_back(project_node->names[i]);
     }
     plan = MakeProject(std::move(plan), std::move(vis_exprs),
@@ -410,6 +554,17 @@ Result<PlanPtr> BindSelect(const SelectStmt& stmt, const Catalog& catalog,
 
   if (stmt.limit >= 0) plan = MakeLimit(std::move(plan), stmt.limit);
   return plan;
+}
+
+Status BindTypes(Expr* e, const PlanSchema& input) {
+  return TypeTree(e, [&](Expr* ref) {
+    const int idx = FindName(input.names, ref->QualifiedName());
+    if (idx < 0) {
+      return Status::InvalidArgument("column not found: " + ref->QualifiedName());
+    }
+    ref->type = input.types[static_cast<size_t>(idx)];
+    return Status::OK();
+  });
 }
 
 Result<PlanPtr> PlanQuery(const std::string& sql, const Catalog& catalog,

@@ -1,5 +1,7 @@
 #include "plan/logical_plan.h"
 
+#include <algorithm>
+
 namespace pixels {
 
 std::vector<std::string> LogicalPlan::OutputColumns() const {
@@ -61,6 +63,79 @@ size_t LogicalPlan::NumOutputColumns() const {
       return view_columns.size();
   }
   return 0;
+}
+
+Result<PlanSchema> OutputSchema(const LogicalPlan& plan,
+                                const Catalog* catalog) {
+  // The children's schemas, appended in child order.
+  PlanSchema input;
+  for (const auto& c : plan.children) {
+    PIXELS_ASSIGN_OR_RETURN(PlanSchema s, OutputSchema(*c, catalog));
+    input.names.insert(input.names.end(), s.names.begin(), s.names.end());
+    input.types.insert(input.types.end(), s.types.begin(), s.types.end());
+  }
+  PlanSchema out;
+  auto typed = [](const ExprPtr& e) -> Result<TypeId> {
+    if (!e->type) return Status::Internal("unbound expression: " + e->ToString());
+    return *e->type;
+  };
+  switch (plan.kind) {
+    case LogicalPlan::Kind::kScan: {
+      if (catalog == nullptr) return Status::Internal("scan schema needs a catalog");
+      PIXELS_ASSIGN_OR_RETURN(const TableSchema* schema,
+                              catalog->GetTable(plan.db, plan.table));
+      out.names = plan.OutputColumns();
+      for (const auto& c : plan.columns) {
+        PIXELS_ASSIGN_OR_RETURN(TypeId t, schema->ColumnType(c));
+        out.types.push_back(t);
+      }
+      return out;
+    }
+    case LogicalPlan::Kind::kFilter:
+    case LogicalPlan::Kind::kSort:
+    case LogicalPlan::Kind::kLimit:
+    case LogicalPlan::Kind::kDistinct:
+      return input;
+    case LogicalPlan::Kind::kJoin:
+      if (plan.columns.empty()) return input;
+      for (const auto& name : plan.columns) {
+        const auto it = std::find(input.names.begin(), input.names.end(), name);
+        if (it == input.names.end()) {
+          return Status::Internal("join keeps an unknown column: " + name);
+        }
+        out.names.push_back(name);
+        out.types.push_back(input.types[static_cast<size_t>(it - input.names.begin())]);
+      }
+      return out;
+    case LogicalPlan::Kind::kProject:
+    case LogicalPlan::Kind::kAggregate: {
+      // A group key outputs its payload type; a projection has none.
+      out.names = plan.OutputColumns();
+      for (const auto& e : plan.group_exprs) {
+        PIXELS_ASSIGN_OR_RETURN(TypeId t, typed(e));
+        out.types.push_back(PayloadType(t));
+      }
+      const bool project = plan.kind == LogicalPlan::Kind::kProject;
+      for (const auto& e : project ? plan.exprs : plan.agg_exprs) {
+        PIXELS_ASSIGN_OR_RETURN(TypeId t, typed(e));
+        out.types.push_back(t);
+      }
+      return out;
+    }
+    case LogicalPlan::Kind::kMaterializedView: {
+      out.names = plan.view_columns;
+      const RowBatch* first = plan.view != nullptr && !plan.view->batches().empty()
+                                  ? plan.view->batches()[0].get()
+                                  : nullptr;
+      for (const auto& name : out.names) {
+        const int idx = first != nullptr ? first->FindColumn(name) : -1;
+        out.types.push_back(
+            idx < 0 ? TypeId::kInt64 : first->column(static_cast<size_t>(idx))->type());
+      }
+      return out;
+    }
+  }
+  return out;
 }
 
 std::string LogicalPlan::ToString(int indent) const {

@@ -8,6 +8,7 @@
 #include <string>
 #include <vector>
 
+#include "catalog/catalog.h"
 #include "format/batch.h"
 #include "format/reader.h"
 #include "sql/ast.h"
@@ -112,6 +113,20 @@ struct LogicalPlan {
       const std::function<uint64_t(const std::string&, const std::string&)>&
           table_bytes) const;
 };
+
+/// A plan node's output columns and their bound types.
+struct PlanSchema {
+  std::vector<std::string> names;
+  std::vector<TypeId> types;
+};
+
+/// `plan`'s output columns in OutputColumns() order with their types: the
+/// catalog's for scans, Expr::type for projections, the payload type of
+/// each group key and the aggregate call's type for aggregations (a
+/// partial AVG reports its call's type), a view's first batch (kInt64 for
+/// a view without batches). Expressions must be bound (BindTypes).
+/// `catalog` may be null when the subtree has no scan.
+Result<PlanSchema> OutputSchema(const LogicalPlan& plan, const Catalog* catalog);
 
 /// Factory helpers used by binder/optimizer/tests.
 PlanPtr MakeScan(std::string db, std::string table, std::string alias);

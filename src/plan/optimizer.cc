@@ -1,9 +1,10 @@
 #include "plan/optimizer.h"
 
 #include <algorithm>
-#include <cmath>
 #include <set>
 #include <string_view>
+
+#include "sql/row_eval.h"
 
 namespace pixels {
 
@@ -11,153 +12,7 @@ namespace {
 
 bool IsLiteral(const Expr& e) { return e.kind == Expr::Kind::kLiteral; }
 
-/// LIKE pattern matching with % (any run) and _ (any char).
-bool LikeMatch(const std::string& text, const std::string& pattern) {
-  // Iterative two-pointer algorithm with backtracking on '%'.
-  size_t t = 0, p = 0, star_p = std::string::npos, star_t = 0;
-  while (t < text.size()) {
-    if (p < pattern.size() && (pattern[p] == '_' || pattern[p] == text[t])) {
-      ++t;
-      ++p;
-    } else if (p < pattern.size() && pattern[p] == '%') {
-      star_p = p++;
-      star_t = t;
-    } else if (star_p != std::string::npos) {
-      p = star_p + 1;
-      t = ++star_t;
-    } else {
-      return false;
-    }
-  }
-  while (p < pattern.size() && pattern[p] == '%') ++p;
-  return p == pattern.size();
-}
-
 }  // namespace
-
-Result<Value> EvaluateConstant(const Expr& e) {
-  switch (e.kind) {
-    case Expr::Kind::kLiteral:
-      return e.literal;
-    case Expr::Kind::kUnary: {
-      PIXELS_ASSIGN_OR_RETURN(Value v, EvaluateConstant(*e.args[0]));
-      if (e.op == "NOT") {
-        if (v.is_null()) return Value::Null();
-        return Value::Bool(!v.AsBool());
-      }
-      if (e.op == "-") {
-        if (v.is_null()) return Value::Null();
-        if (v.kind == Value::Kind::kDouble) return Value::Double(-v.d);
-        return Value::Int(-v.i);
-      }
-      return Status::NotImplemented("constant unary op " + e.op);
-    }
-    case Expr::Kind::kBinary: {
-      PIXELS_ASSIGN_OR_RETURN(Value a, EvaluateConstant(*e.args[0]));
-      // Short-circuit logic with SQL three-valued semantics approximated.
-      if (e.op == "AND") {
-        if (!a.is_null() && !a.AsBool()) return Value::Bool(false);
-        PIXELS_ASSIGN_OR_RETURN(Value b2, EvaluateConstant(*e.args[1]));
-        if (!b2.is_null() && !b2.AsBool()) return Value::Bool(false);
-        if (a.is_null() || b2.is_null()) return Value::Null();
-        return Value::Bool(true);
-      }
-      if (e.op == "OR") {
-        if (!a.is_null() && a.AsBool()) return Value::Bool(true);
-        PIXELS_ASSIGN_OR_RETURN(Value b2, EvaluateConstant(*e.args[1]));
-        if (!b2.is_null() && b2.AsBool()) return Value::Bool(true);
-        if (a.is_null() || b2.is_null()) return Value::Null();
-        return Value::Bool(false);
-      }
-      PIXELS_ASSIGN_OR_RETURN(Value b, EvaluateConstant(*e.args[1]));
-      if (a.is_null() || b.is_null()) return Value::Null();
-      if (e.op == "=") return Value::Bool(a.Compare(b) == 0);
-      if (e.op == "<>") return Value::Bool(a.Compare(b) != 0);
-      if (e.op == "<") return Value::Bool(a.Compare(b) < 0);
-      if (e.op == "<=") return Value::Bool(a.Compare(b) <= 0);
-      if (e.op == ">") return Value::Bool(a.Compare(b) > 0);
-      if (e.op == ">=") return Value::Bool(a.Compare(b) >= 0);
-      if (e.op == "LIKE") {
-        if (a.kind != Value::Kind::kString || b.kind != Value::Kind::kString) {
-          return Status::TypeError("LIKE requires strings");
-        }
-        return Value::Bool(LikeMatch(a.s, b.s));
-      }
-      if (e.op == "||") {
-        if (a.kind != Value::Kind::kString || b.kind != Value::Kind::kString) {
-          return Status::TypeError("|| requires strings");
-        }
-        return Value::String(a.s + b.s);
-      }
-      // Arithmetic.
-      const bool dbl =
-          a.kind == Value::Kind::kDouble || b.kind == Value::Kind::kDouble;
-      if (e.op == "+") {
-        return dbl ? Value::Double(a.AsDouble() + b.AsDouble())
-                   : Value::Int(a.i + b.i);
-      }
-      if (e.op == "-") {
-        return dbl ? Value::Double(a.AsDouble() - b.AsDouble())
-                   : Value::Int(a.i - b.i);
-      }
-      if (e.op == "*") {
-        return dbl ? Value::Double(a.AsDouble() * b.AsDouble())
-                   : Value::Int(a.i * b.i);
-      }
-      if (e.op == "/") {
-        if (dbl) {
-          if (b.AsDouble() == 0) return Value::Null();
-          return Value::Double(a.AsDouble() / b.AsDouble());
-        }
-        if (b.i == 0) return Value::Null();
-        return Value::Int(a.i / b.i);
-      }
-      if (e.op == "%") {
-        if (b.AsInt() == 0) return Value::Null();
-        return Value::Int(a.AsInt() % b.AsInt());
-      }
-      return Status::NotImplemented("constant binary op " + e.op);
-    }
-    case Expr::Kind::kBetween: {
-      PIXELS_ASSIGN_OR_RETURN(Value v, EvaluateConstant(*e.args[0]));
-      PIXELS_ASSIGN_OR_RETURN(Value lo, EvaluateConstant(*e.args[1]));
-      PIXELS_ASSIGN_OR_RETURN(Value hi, EvaluateConstant(*e.args[2]));
-      if (v.is_null() || lo.is_null() || hi.is_null()) return Value::Null();
-      bool in = v.Compare(lo) >= 0 && v.Compare(hi) <= 0;
-      return Value::Bool(e.negated ? !in : in);
-    }
-    case Expr::Kind::kInList: {
-      PIXELS_ASSIGN_OR_RETURN(Value v, EvaluateConstant(*e.args[0]));
-      if (v.is_null()) return Value::Null();
-      bool found = false;
-      for (size_t i = 1; i < e.args.size(); ++i) {
-        PIXELS_ASSIGN_OR_RETURN(Value item, EvaluateConstant(*e.args[i]));
-        if (!item.is_null() && v.Compare(item) == 0) {
-          found = true;
-          break;
-        }
-      }
-      return Value::Bool(e.negated ? !found : found);
-    }
-    case Expr::Kind::kIsNull: {
-      PIXELS_ASSIGN_OR_RETURN(Value v, EvaluateConstant(*e.args[0]));
-      return Value::Bool(e.negated ? !v.is_null() : v.is_null());
-    }
-    case Expr::Kind::kCase: {
-      size_t pairs = (e.args.size() - (e.has_else ? 1 : 0)) / 2;
-      for (size_t i = 0; i < pairs; ++i) {
-        PIXELS_ASSIGN_OR_RETURN(Value cond, EvaluateConstant(*e.args[2 * i]));
-        if (!cond.is_null() && cond.AsBool()) {
-          return EvaluateConstant(*e.args[2 * i + 1]);
-        }
-      }
-      if (e.has_else) return EvaluateConstant(*e.args.back());
-      return Value::Null();
-    }
-    default:
-      return Status::InvalidArgument("not a constant expression");
-  }
-}
 
 ExprPtr FoldConstants(ExprPtr expr) {
   for (auto& a : expr->args) a = FoldConstants(std::move(a));
@@ -171,9 +26,13 @@ ExprPtr FoldConstants(ExprPtr expr) {
   bool all_literal = true;
   for (const auto& a : expr->args) all_literal &= IsLiteral(*a);
   if (!all_literal) return expr;
-  auto value = EvaluateConstant(*expr);
+  // The row evaluator over no columns; an error leaves the expression
+  // for execution to report.
+  auto value = EvaluateExprRow(*expr, RowBatch(), 0);
   if (!value.ok()) return expr;
-  return MakeLiteral(std::move(value).ValueOrDie());
+  ExprPtr out = MakeLiteral(std::move(value).ValueOrDie());
+  out->type = expr->type;  // the folded expression's
+  return out;
 }
 
 std::vector<ExprPtr> SplitConjuncts(const Expr& expr) {
@@ -194,6 +53,7 @@ ExprPtr CombineConjuncts(std::vector<ExprPtr> conjuncts) {
   ExprPtr out = std::move(conjuncts[0]);
   for (size_t i = 1; i < conjuncts.size(); ++i) {
     out = MakeBinary("AND", std::move(out), std::move(conjuncts[i]));
+    out->type = TypeId::kInt64;
   }
   return out;
 }

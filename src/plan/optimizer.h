@@ -31,9 +31,6 @@ Result<PlanPtr> Optimize(PlanPtr plan, const Catalog& catalog,
 /// for tests and the NL benchmark's equivalence checks.
 ExprPtr FoldConstants(ExprPtr expr);
 
-/// Evaluates an expression of literals; non-constant nodes yield an error.
-Result<Value> EvaluateConstant(const Expr& expr);
-
 /// Collects top-level AND-conjuncts of an expression (clones).
 std::vector<ExprPtr> SplitConjuncts(const Expr& expr);
 

@@ -68,9 +68,11 @@ Result<SubPlanSplit> SplitForCf(const PlanPtr& plan) {
     final_agg->kind = LogicalPlan::Kind::kAggregate;
     final_agg->merge_partials = true;
     // Group by the partial output group columns.
-    for (const auto& gname : heavy->group_names) {
-      final_agg->group_exprs.push_back(MakeColumnRef("", gname));
-      final_agg->group_names.push_back(gname);
+    for (size_t g = 0; g < heavy->group_names.size(); ++g) {
+      ExprPtr ref = MakeColumnRef("", heavy->group_names[g]);
+      ref->type = PayloadType(*heavy->group_exprs[g]->type);
+      final_agg->group_exprs.push_back(std::move(ref));
+      final_agg->group_names.push_back(heavy->group_names[g]);
     }
     for (size_t i = 0; i < heavy->agg_exprs.size(); ++i) {
       final_agg->agg_exprs.push_back(heavy->agg_exprs[i]->Clone());

@@ -47,9 +47,10 @@ Result<std::string> AuthService::Login(const std::string& user,
     // Identical error for unknown user and bad password.
     return Status::InvalidArgument("invalid credentials");
   }
-  std::string token =
-      "tok-" + std::to_string(next_token_++) + "-" +
-      std::to_string(HashPassword(user, next_token_ * 0x5851f42d4c957f2dULL));
+  // Both parts come from one read of the counter.
+  const uint64_t id = next_token_++;
+  std::string token = "tok-" + std::to_string(id) + "-" +
+                      std::to_string(HashPassword(user, id * 0x5851f42d4c957f2dULL));
   sessions_[token] = user;
   return token;
 }

@@ -63,6 +63,7 @@ ExprPtr Expr::Clone() const {
   e->negated = negated;
   e->distinct = distinct;
   e->has_else = has_else;
+  e->type = type;
   for (const auto& a : args) e->args.push_back(a->Clone());
   return e;
 }

@@ -2,6 +2,7 @@
 #pragma once
 
 #include <memory>
+#include <optional>
 #include <string>
 #include <vector>
 
@@ -38,6 +39,10 @@ struct Expr {
   bool negated = false;    // NOT BETWEEN / NOT IN / IS NOT NULL
   bool distinct = false;   // COUNT(DISTINCT x)
   bool has_else = false;   // kCase
+  /// Output type, set by the binder (plan/binder.h BindTypes) and kept by
+  /// Clone. Unset on a parsed tree. Equals, ToString and fingerprints
+  /// ignore it.
+  std::optional<TypeId> type;
 
   /// Fully qualified column name ("q.name" or "name").
   std::string QualifiedName() const {

@@ -2,7 +2,7 @@
 
 #include <gtest/gtest.h>
 
-#include "sql/parser.h"
+#include "testing/reference_eval.h"
 
 namespace pixels {
 namespace {
@@ -27,10 +27,10 @@ RowBatchPtr MakeBatch() {
   return batch;
 }
 
+// Binds `expr` against the batch's columns, then evaluates it.
 Result<ColumnVectorPtr> Eval(const std::string& expr, const RowBatch& batch) {
-  auto e = ParseExpression(expr);
-  EXPECT_TRUE(e.ok()) << e.status().ToString();
-  return EvaluateExpr(**e, batch);
+  PIXELS_ASSIGN_OR_RETURN(ExprPtr e, BindExpr(expr, batch));
+  return EvaluateExpr(*e, batch);
 }
 
 TEST(ExpressionTest, ColumnRefFastPath) {
@@ -247,20 +247,51 @@ TEST(ExpressionTest, WrongArgCountFails) {
 }
 
 TEST(ExpressionTest, MixedStringNumericOutputFails) {
+  // The binder rejects the mix: no batch decides it.
   auto batch = MakeBatch();
-  EXPECT_FALSE(Eval("CASE WHEN a = 1 THEN 's' ELSE 2 END", *batch).ok());
+  auto r = Eval("CASE WHEN a = 1 THEN 's' ELSE 2 END", *batch);
+  EXPECT_EQ(r.status().code(), StatusCode::kTypeError);
 }
 
-TEST(BuildVectorTest, TypeInference) {
-  auto ints = BuildVectorFromValues({Value::Int(1), Value::Null()});
+TEST(ExpressionTest, OutputHasTheBoundTypeOnEveryBatch) {
+  auto batch = MakeBatch();
+  auto empty = batch->Gather({});
+  auto all_null = batch->Gather({2, 2});  // a is NULL on row 2
+  for (const RowBatchPtr& b : {batch, empty, all_null}) {
+    EXPECT_EQ((*Eval("a + 1", *b))->type(), TypeId::kInt64);
+    EXPECT_EQ((*Eval("a * b", *b))->type(), TypeId::kDouble);
+    EXPECT_EQ((*Eval("CASE WHEN a > 1 THEN b ELSE 0 END", *b))->type(),
+              TypeId::kDouble);
+    EXPECT_EQ((*Eval("CASE WHEN a > 1 THEN s END", *b))->type(), TypeId::kString);
+  }
+}
+
+TEST(ExpressionTest, UnboundExpressionIsInternalError) {
+  auto batch = MakeBatch();
+  auto e = ParseExpression("a + 1");
+  ASSERT_TRUE(e.ok());
+  EXPECT_EQ(EvaluateExpr(**e, *batch).status().code(), StatusCode::kInternal);
+  // A bare column reference needs no type: it is the column itself.
+  auto ref = ParseExpression("a");
+  EXPECT_TRUE(EvaluateExpr(**ref, *batch).ok());
+}
+
+TEST(BuildVectorTest, BuildsTheBoundType) {
+  auto ints = BuildVectorFromValues({Value::Int(1), Value::Null()}, TypeId::kInt64);
   ASSERT_TRUE(ints.ok());
   EXPECT_EQ((*ints)->type(), TypeId::kInt64);
-  auto dbls = BuildVectorFromValues({Value::Int(1), Value::Double(2.5)});
+  auto dbls = BuildVectorFromValues({Value::Int(1), Value::Double(2.5)},
+                                    TypeId::kDouble);
   EXPECT_EQ((*dbls)->type(), TypeId::kDouble);
-  auto strs = BuildVectorFromValues({Value::String("x")});
+  EXPECT_DOUBLE_EQ((*dbls)->GetDouble(0), 1.0);
+  auto strs = BuildVectorFromValues({Value::String("x")}, TypeId::kString);
   EXPECT_EQ((*strs)->type(), TypeId::kString);
-  auto empty = BuildVectorFromValues({});
-  EXPECT_EQ((*empty)->type(), TypeId::kInt64);
+  auto empty = BuildVectorFromValues({}, TypeId::kDouble);
+  EXPECT_EQ((*empty)->type(), TypeId::kDouble);
+  EXPECT_EQ(BuildVectorFromValues({Value::String("x")}, TypeId::kInt64)
+                .status()
+                .code(),
+            StatusCode::kTypeError);
 }
 
 }  // namespace

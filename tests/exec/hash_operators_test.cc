@@ -6,8 +6,9 @@
 // null join keys, null agg arguments), key cardinality (2 ..
 // every-row-distinct), duplicate build keys, residual conditions, LEFT
 // JOIN padding, and COUNT(DISTINCT). Aggregate arguments (arithmetic,
-// CASE, LIKE in CASE, and CASE arguments whose type flips between
-// batches) must match the reference value for value and type for type.
+// CASE, LIKE in CASE, and CASE arguments whose early batches take only
+// the int branch) must match the reference value for value and type for
+// type, and every output column has its bound type on every path.
 //
 // Join output pruning is checked shape by shape (LEFT JOIN, residual,
 // cross and nested-loop, SELECT *, equal-basename self-join, count(*),
@@ -20,6 +21,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cmath>
 #include <map>
 #include <string>
 #include <vector>
@@ -169,6 +171,37 @@ class VectorizedHashTest : public ::testing::Test {
     auto fleet = RunFleet(sql, unpruned);
     ASSERT_TRUE(fleet.ok()) << sql << " -> " << fleet.status().ToString();
     EXPECT_EQ(expected, SortedRows(*fleet->result)) << sql << " unpruned";
+  }
+
+  /// Runs `sql` through the reference, serial, at parallelism 4 and
+  /// through a 3-worker CF fleet: every path returns the reference rows,
+  /// and every batch's columns have `types`.
+  void ExpectTypedPathsAgree(const std::string& sql,
+                             const std::vector<TypeId>& types) {
+    uint64_t ref_bytes = 0;
+    TablePtr reference = Reference(sql, &ref_bytes);
+    TablePtr serial = Run(sql, 1, nullptr);
+    TablePtr par = Run(sql, 4, nullptr);
+    auto fleet = RunFleet(sql);
+    ASSERT_NE(reference, nullptr) << sql;
+    ASSERT_NE(serial, nullptr) << sql;
+    ASSERT_NE(par, nullptr) << sql;
+    ASSERT_TRUE(fleet.ok()) << sql << " -> " << fleet.status().ToString();
+    const std::pair<const char*, const Table*> paths[] = {
+        {"reference", reference.get()},
+        {"serial", serial.get()},
+        {"parallel", par.get()},
+        {"fleet", fleet->result.get()}};
+    for (const auto& [path, table] : paths) {
+      EXPECT_EQ(SortedRows(*table), SortedRows(*reference)) << sql << " " << path;
+      for (const auto& batch : table->batches()) {
+        ASSERT_EQ(batch->num_columns(), types.size()) << sql << " " << path;
+        for (size_t c = 0; c < types.size(); ++c) {
+          EXPECT_EQ(batch->column(c)->type(), types[c])
+              << sql << " " << path << " col=" << c;
+        }
+      }
+    }
   }
 
   std::shared_ptr<MemoryStore> storage_;
@@ -397,8 +430,8 @@ TEST_F(VectorizedHashTest, AggregateArgumentsMatchReferenceColumns) {
       "CASE WHEN nint > 5 THEN ndbl END",
       "CASE WHEN kstr LIKE 's1%' THEN vdbl * 2 ELSE 0 END",
       "CASE WHEN nstr LIKE 't_' THEN nint ELSE vdbl END",
-      // Int in early batches, double in later ones (and the reverse):
-      // the typed states change numeric family mid-stream.
+      // Int rows in early batches, double rows in later ones (and the
+      // reverse): the CASE is typed double from the first batch.
       "CASE WHEN id < 1000 THEN vint ELSE vdbl END",
       "CASE WHEN id >= 2600 THEN vint ELSE vdbl END"};
   for (const char* arg : args) {
@@ -439,6 +472,86 @@ TEST_F(VectorizedHashTest, AggregateArgumentsMatchReferenceColumns) {
       }
     }
   }
+}
+
+TEST_F(VectorizedHashTest, ElseOnlyEarlyBatchesKeepTheDoubleState) {
+  // Rows with id < 3000 (the first files' batches) all take ELSE 0: the
+  // CASE is still typed double there, so SUM/MIN/MAX fold one double
+  // state from the first batch on.
+  const std::string arg = "CASE WHEN id >= 3000 THEN vdbl ELSE 0 END";
+  const TypeId i64 = TypeId::kInt64, dbl = TypeId::kDouble;
+  ExpectTypedPathsAgree("SELECT grpk, sum(" + arg + ") AS s, min(" + arg +
+                            ") AS lo, max(" + arg + ") AS hi FROM t GROUP BY grpk",
+                        {i64, dbl, dbl, dbl});
+  ExpectTypedPathsAgree("SELECT sum(" + arg + ") AS s, min(" + arg +
+                            ") AS lo, max(" + arg + ") AS hi FROM t",
+                        {dbl, dbl, dbl});
+}
+
+TEST_F(VectorizedHashTest, CountDistinctOverDoubleAndStringKeys) {
+  // 0.0 and -0.0 are distinct keys, NaN equals NaN, NULL never counts.
+  FileSchema schema = {{"g", TypeId::kInt64},
+                       {"d", TypeId::kDouble},
+                       {"s", TypeId::kString}};
+  ASSERT_TRUE(catalog_->CreateTable("db", "dk", schema).ok());
+  const Value doubles[] = {Value::Double(0.0), Value::Double(-0.0),
+                           Value::Double(std::nan("")), Value::Null(),
+                           Value::Double(1.5)};
+  const Value strings[] = {Value::String("x"), Value::String(""),
+                           Value::Null(), Value::String("x0"),
+                           Value::String("X")};
+  for (int file = 0; file < 3; ++file) {
+    PixelsWriter writer(schema);
+    for (int i = 0; i < 40; ++i) {
+      ASSERT_TRUE(writer
+                      .AppendRow({Value::Int(i % 3), doubles[(i + file) % 5],
+                                  strings[(i * 7 + file) % 5]})
+                      .ok());
+    }
+    const std::string path = "db/dk/part" + std::to_string(file) + ".pxl";
+    ASSERT_TRUE(writer.Finish(storage_.get(), path).ok());
+    ASSERT_TRUE(catalog_->AddTableFile("db", "dk", path).ok());
+  }
+  const TypeId i64 = TypeId::kInt64;
+  ExpectTypedPathsAgree(
+      "SELECT g, count(DISTINCT d) AS nd, count(DISTINCT s) AS ns, "
+      "count(d) AS n FROM dk GROUP BY g",
+      {i64, i64, i64, i64});
+  ExpectTypedPathsAgree(
+      "SELECT count(DISTINCT d) AS nd, count(DISTINCT s) AS ns FROM dk",
+      {i64, i64});
+  TablePtr serial = Run("SELECT count(DISTINCT d), count(DISTINCT s) FROM dk",
+                        1, nullptr);
+  ASSERT_NE(serial, nullptr);
+  EXPECT_EQ(SortedRows(*serial), (std::vector<std::string>{"4\t4"}));
+}
+
+TEST_F(VectorizedHashTest, GlobalAggregateOverNoRowsHasBoundTypes) {
+  const TypeId i64 = TypeId::kInt64, dbl = TypeId::kDouble;
+  ExpectTypedPathsAgree(
+      "SELECT count(*) AS n, sum(vint) AS si, sum(vdbl) AS sd, avg(vint) AS a, "
+      "min(kstr) AS lo, max(vdbl) AS hi, count(DISTINCT kstr) AS nd, "
+      "sum(CASE WHEN vint > 3 THEN vdbl ELSE 0 END) AS c FROM t WHERE id < 0",
+      {i64, i64, dbl, dbl, TypeId::kString, dbl, i64, dbl});
+  TablePtr serial = Run("SELECT count(*), sum(vint), min(kstr) FROM t WHERE id < 0",
+                        1, nullptr);
+  ASSERT_NE(serial, nullptr);
+  EXPECT_EQ(SortedRows(*serial), (std::vector<std::string>{"0\tNULL\tNULL"}));
+}
+
+TEST_F(VectorizedHashTest, LeftJoinPaddingTakesTheBuildSideTypes) {
+  // An empty build side pads every probe row; the padding columns keep
+  // the build table's string and double types.
+  FileSchema schema = {{"k", TypeId::kInt64},
+                       {"s", TypeId::kString},
+                       {"d", TypeId::kDouble}};
+  ASSERT_TRUE(catalog_->CreateTable("db", "e", schema).ok());
+  const std::string sql =
+      "SELECT t.id, e.s, e.d FROM t LEFT JOIN e ON t.id = e.k WHERE t.id < 5";
+  ExpectTypedPathsAgree(sql, {TypeId::kInt64, TypeId::kString, TypeId::kDouble});
+  TablePtr serial = Run(sql + " ORDER BY t.id", 1, nullptr);
+  ASSERT_NE(serial, nullptr);
+  EXPECT_EQ(serial->num_rows(), 5u);
 }
 
 TEST_F(VectorizedHashTest, HighParallelismPartitionBuildStaysDeterministic) {

@@ -7,6 +7,7 @@
 
 #include <gtest/gtest.h>
 
+#include <map>
 #include <utility>
 
 #include "common/random.h"
@@ -71,8 +72,14 @@ SelectionVector ScalarSelect(const Expr& pred, const RowBatch& batch) {
   return sel;
 }
 
+// Parses `text` and binds it against RandomBatch's columns (every batch
+// here has them).
+Result<ExprPtr> Bind(const std::string& text) {
+  return BindExpr(text, *RandomBatch(0, 0));
+}
+
 ExprPtr Parse(const std::string& text) {
-  auto e = ParseExpression(text);
+  auto e = Bind(text);
   EXPECT_TRUE(e.ok()) << text << ": " << e.status().ToString();
   return e.ok() ? std::move(*e) : nullptr;
 }
@@ -182,20 +189,34 @@ TEST(FilterPredicateTest, AndShortCircuitsPerRowError) {
 }
 
 TEST(FilterPredicateTest, UnknownColumnFailsLikeScalar) {
-  auto pred = Parse("zz > 3");
-  EXPECT_FALSE(FilterRows(*pred, RandomBatch(3, 10), nullptr).ok());
+  // The binder reports the unknown column, with the code evaluation
+  // returned for it.
+  EXPECT_EQ(Bind("zz > 3").status().code(), StatusCode::kInvalidArgument);
 }
 
 // ---- column-kernel expression evaluation ----
 
 class VectorizedExprTest : public ::testing::TestWithParam<const char*> {};
 
+// Shapes the binder rejects, with the code evaluation returned for them
+// when the rows decided the output type.
+const std::map<std::string, StatusCode> kBindErrors = {
+    {"CASE WHEN flag THEN s ELSE 1 END", StatusCode::kTypeError},
+    {"CASE WHEN a > 100 THEN 'x' ELSE 1 END", StatusCode::kTypeError},
+    {"CASE WHEN a > 100 THEN zz ELSE 1 END", StatusCode::kInvalidArgument},
+    {"zz + 1", StatusCode::kInvalidArgument}};
+
 TEST_P(VectorizedExprTest, MatchesScalarEvaluator) {
   const std::string text = GetParam();
-  auto expr = Parse(text);
-  ASSERT_NE(expr, nullptr);
-  // Random batches, small ones where the output type hangs on which rows
-  // take which CASE branch, an empty one and an all-null one.
+  auto bound = Bind(text);
+  if (kBindErrors.count(text) > 0) {
+    EXPECT_EQ(bound.status().code(), kBindErrors.at(text)) << text;
+    return;
+  }
+  ASSERT_TRUE(bound.ok()) << text << ": " << bound.status().ToString();
+  const ExprPtr expr = std::move(*bound);
+  // Random batches, small ones, an empty one and an all-null one: the
+  // output type is the bound type on every one.
   const RowBatchPtr batches[] = {RandomBatch(2, 389), RandomBatch(11, 389),
                                  RandomBatch(3, 4),   RandomBatch(8, 2),
                                  RandomBatch(5, 0),   NullBatch(17)};
@@ -212,6 +233,7 @@ TEST_P(VectorizedExprTest, MatchesScalarEvaluator) {
     }
     ASSERT_EQ((*ref)->size(), (*got)->size()) << text;
     EXPECT_EQ((*ref)->type(), (*got)->type()) << text << " rows=" << rows;
+    EXPECT_EQ((*got)->type(), *expr->type) << text << " rows=" << rows;
     EXPECT_EQ((*ref)->NullCount(), (*got)->NullCount()) << text;
     for (size_t i = 0; i < (*ref)->size(); ++i) {
       ASSERT_EQ((*ref)->IsNull(i), (*got)->IsNull(i)) << text << " row " << i;
@@ -246,7 +268,8 @@ INSTANTIATE_TEST_SUITE_P(
         "s BETWEEN 'b' AND 'd'", "a IN (1, 2, 3)", "a NOT IN (1, NULL, 3)",
         "s IN ('apple', 5)", "b IN (0.5, a)", "a IS NULL", "s IS NOT NULL",
         "a + b IS NULL",
-        // CASE with and without ELSE; the output type follows the rows.
+        // CASE with and without ELSE; int and double branches unify to
+        // double whichever branches the rows take.
         "CASE WHEN a > 0 THEN 1 ELSE 0 END", "CASE WHEN a > 0 THEN b END",
         "CASE WHEN a > 100 THEN b ELSE 0 END",
         "CASE WHEN a > 18 THEN b ELSE 0 END",

@@ -256,13 +256,14 @@ TEST_F(QueryTest, ZoneMapPruningStillReturnsExactResults) {
 TEST_F(QueryTest, OutputTypeIgnoresRowsTheFilterDropped) {
   // `dept = 'sales'` is pushed into the scan; the OR is not, so its
   // Filter hands Project and HashAgg a selection over the whole batch.
-  // Only deselected rows have salary > 100, so the CASE must stay int.
+  // Only deselected rows have salary > 100; the CASE is typed double by
+  // the binder whichever rows reach it.
   const std::string proj =
       "SELECT id, CASE WHEN salary > 100 THEN 1.5 ELSE 0 END AS c FROM emp ";
   auto pushed = Run(proj + "WHERE dept = 'sales' ORDER BY id");
   auto filtered = Run(proj + "WHERE dept = 'sales' OR id > 100 ORDER BY id");
   EXPECT_EQ(Rows(*filtered), Rows(*pushed));
-  EXPECT_EQ(ColumnTypes(*pushed, 1), std::vector<TypeId>{TypeId::kInt64});
+  EXPECT_EQ(ColumnTypes(*pushed, 1), std::vector<TypeId>{TypeId::kDouble});
   EXPECT_EQ(ColumnTypes(*filtered, 1), ColumnTypes(*pushed, 1));
 
   const std::string agg =
@@ -296,8 +297,9 @@ TEST_F(QueryTest, AllNullSelectedRowsTypeAsGathered) {
   auto t = Run("SELECT id, b * 2 AS x FROM nt WHERE grp = 'x' OR id > 100");
   EXPECT_EQ(Rows(*t), (std::vector<std::string>{"1\tNULL", "2\tNULL",
                                                 "3\tNULL", "4\tNULL"}));
-  // The gathered batch's b * 2 has no non-null value: typed kInt64.
-  EXPECT_EQ(ColumnTypes(*t, 1), std::vector<TypeId>{TypeId::kInt64});
+  // b * 2 has no non-null value over the selection, and keeps its bound
+  // type, as the gathered batch does.
+  EXPECT_EQ(ColumnTypes(*t, 1), std::vector<TypeId>{TypeId::kDouble});
 }
 
 }  // namespace

@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include <functional>
+
 #include "testing/test_db.h"
 
 namespace pixels {
@@ -215,6 +217,107 @@ TEST_F(BinderTest, OutputColumnsPropagate) {
   ASSERT_NE(plan, nullptr);
   EXPECT_EQ(plan->OutputColumns(),
             (std::vector<std::string>{"n", "salary"}));
+}
+
+TEST_F(BinderTest, EveryExpressionCarriesItsBoundType) {
+  // emp(id bigint, name varchar, dept varchar, salary double, hired date)
+  auto plan = MustBind(
+      "SELECT id, hired, id + 1, id / 2, salary * 2, id % 2.5, id > 1, "
+      "CASE WHEN id > 3 THEN 1.5 ELSE 0 END, "
+      "CASE WHEN id > 3 THEN name END, coalesce(NULL, name), "
+      "CAST(id AS varchar), abs(salary), NULL FROM emp");
+  ASSERT_NE(plan, nullptr);
+  const TypeId i64 = TypeId::kInt64, dbl = TypeId::kDouble,
+               str = TypeId::kString;
+  const std::vector<TypeId> want = {i64, TypeId::kDate, i64, i64, dbl, i64, i64,
+                                    dbl, str, str, str, dbl, i64};
+  ASSERT_EQ(plan->exprs.size(), want.size());
+  for (size_t i = 0; i < want.size(); ++i) {
+    ASSERT_TRUE(plan->exprs[i]->type.has_value()) << i;
+    EXPECT_EQ(*plan->exprs[i]->type, want[i]) << plan->exprs[i]->ToString();
+  }
+}
+
+TEST_F(BinderTest, AggregateOutputsAndRefsAboveThemAreTyped) {
+  auto plan = MustBind(
+      "SELECT hired, count(*), sum(id), sum(salary), avg(id), min(name), "
+      "max(hired), sum(id) + 1 FROM emp GROUP BY hired "
+      "HAVING count(*) > 0 ORDER BY 2");
+  ASSERT_NE(plan, nullptr);
+  const LogicalPlan* project = plan.get();
+  while (project->kind != LogicalPlan::Kind::kProject) {
+    project = project->children[0].get();
+  }
+  const TypeId i64 = TypeId::kInt64, dbl = TypeId::kDouble;
+  // A date group key comes out as its payload type.
+  const std::vector<TypeId> want = {i64, i64, i64, dbl, dbl,
+                                    TypeId::kString, i64, i64};
+  ASSERT_EQ(project->exprs.size(), want.size());
+  for (size_t i = 0; i < want.size(); ++i) {
+    EXPECT_EQ(project->exprs[i]->type, want[i]) << project->exprs[i]->ToString();
+  }
+  auto schema = OutputSchema(*plan, catalog_.get());
+  ASSERT_TRUE(schema.ok()) << schema.status().ToString();
+  EXPECT_EQ(schema->types, want);
+}
+
+// Every node of every expression in `plan`'s tree has a type.
+void ExpectAllTyped(const LogicalPlan& plan, const std::string& sql) {
+  std::function<void(const Expr&)> check = [&](const Expr& e) {
+    EXPECT_TRUE(e.type.has_value()) << sql << ": " << e.ToString();
+    for (const auto& a : e.args) check(*a);
+  };
+  if (plan.predicate) check(*plan.predicate);
+  if (plan.join_condition) check(*plan.join_condition);
+  for (const auto& e : plan.exprs) check(*e);
+  for (const auto& e : plan.group_exprs) check(*e);
+  for (const auto& e : plan.agg_exprs) check(*e);
+  for (const auto& o : plan.order_by) check(*o.expr);
+  for (const auto& c : plan.children) ExpectAllTyped(*c, sql);
+}
+
+TEST_F(BinderTest, EveryNodeOfEveryPlanIsTyped) {
+  const char* queries[] = {
+      "SELECT * FROM emp",
+      "SELECT 1 + 2.5, 'x', NULL",
+      "SELECT e.name, d.location FROM emp e JOIN dept d ON e.dept = d.name "
+      "WHERE e.salary > 50 ORDER BY e.salary DESC LIMIT 3",
+      "SELECT dept, count(*) AS n, avg(salary) FROM emp GROUP BY dept "
+      "HAVING sum(salary) > 100 ORDER BY n, 3",
+      "SELECT dept FROM emp GROUP BY dept ORDER BY max(hired)",
+      "SELECT DISTINCT dept FROM emp ORDER BY dept",
+      "SELECT name FROM emp ORDER BY salary * 2",
+      "SELECT id % 3, sum(CASE WHEN salary > 80 THEN 1.5 ELSE 0 END) FROM emp "
+      "GROUP BY id % 3 ORDER BY id % 3"};
+  for (const char* sql : queries) {
+    auto plan = MustBind(sql);
+    ASSERT_NE(plan, nullptr) << sql;
+    ExpectAllTyped(*plan, sql);
+    auto schema = OutputSchema(*plan, catalog_.get());
+    EXPECT_TRUE(schema.ok()) << sql << ": " << schema.status().ToString();
+  }
+}
+
+TEST_F(BinderTest, UntypableShapesAreBindErrors) {
+  // String and number branches of one CASE or coalesce.
+  EXPECT_EQ(Bind("SELECT CASE WHEN id > 1 THEN name ELSE 0 END FROM emp")
+                .status()
+                .code(),
+            StatusCode::kTypeError);
+  EXPECT_EQ(Bind("SELECT coalesce(name, 1) FROM emp").status().code(),
+            StatusCode::kTypeError);
+  // A NULL-only branch takes the others' type.
+  EXPECT_TRUE(Bind("SELECT coalesce(CASE WHEN id > 1 THEN NULL END, name) "
+                   "FROM emp")
+                  .ok());
+  EXPECT_EQ(Bind("SELECT frobnicate(id) FROM emp").status().code(),
+            StatusCode::kNotImplemented);
+  EXPECT_EQ(Bind("SELECT CAST(id AS real) FROM emp").status().code(),
+            StatusCode::kNotImplemented);
+  EXPECT_EQ(Bind("SELECT sum(*) FROM emp").status().code(),
+            StatusCode::kInvalidArgument);
+  EXPECT_EQ(Bind("SELECT max(id, salary) FROM emp").status().code(),
+            StatusCode::kInvalidArgument);
 }
 
 }  // namespace

@@ -5,14 +5,20 @@
 //    exactly, for every forced encoding;
 //  * partial/merge aggregation — splitting any aggregate query for CF
 //    workers and merging partials equals direct execution, across worker
-//    counts.
+//    counts;
+//  * the type contract — a generated expression bound over a mixed-type
+//    schema evaluates, through SelBatch::Evaluate, to exactly its bound
+//    type on empty, all-null, dense and sparsely selected batches, with
+//    the values and nulls of the row-at-a-time reference.
 #include <gtest/gtest.h>
 
 #include "exec/executor.h"
+#include "exec/operators.h"
 #include "plan/binder.h"
 #include "plan/optimizer.h"
 #include "plan/subplan.h"
 #include "storage/memory_store.h"
+#include "testing/reference_eval.h"
 #include "testing/test_db.h"
 #include "turbo/cf_worker.h"
 #include "workload/tpch.h"
@@ -283,6 +289,205 @@ INSTANTIATE_TEST_SUITE_P(
             "SELECT l_linestatus, count(*) FROM lineitem WHERE l_shipdate < "
             "DATE '1995-01-01' GROUP BY l_linestatus",
             5}));
+
+// ---- the type contract: EvaluateExpr returns the bound type ----
+
+/// Random SQL expressions over TypedBatch's columns. Numbers stay small
+/// and products shallow, so int64 arithmetic never overflows. Without
+/// `functions`, every shape has a column kernel; with them, most
+/// expressions take the row path.
+class ExprGen {
+ public:
+  explicit ExprGen(uint64_t seed) : rng_(seed) {}
+
+  bool functions = true;
+
+  std::string Any(int depth) {
+    switch (rng_.Uniform(0, 2)) {
+      case 0:
+        return Num(depth);
+      case 1:
+        return Str(depth);
+      default:
+        return Bool(depth);
+    }
+  }
+
+  std::string Num(int depth) {
+    static const char* kLeaves[] = {"i", "t.d", "j", "dt", "b", "7", "-3",
+                                    "2.5", "0", "NULL"};
+    if (depth <= 0 || rng_.Bernoulli(0.15)) return kLeaves[rng_.Uniform(0, 9)];
+    // Products only near the leaves, so no value leaves int64.
+    static const char* kOps[] = {"+", "-", "/", "/", "%", "*"};
+    switch (rng_.Uniform(0, functions ? 7 : 4)) {
+      case 0:
+      case 1:
+        return "(" + Num(depth - 1) + " " + kOps[rng_.Uniform(0, depth > 2 ? 4 : 5)] +
+               " " + Num(depth - 1) + ")";
+      case 2:
+        return "(-(" + Num(depth - 1) + "))";
+      case 3:
+        return "CASE WHEN " + Bool(depth - 1) + " THEN " + Num(depth - 1) +
+               " ELSE " + Num(depth - 1) + " END";
+      case 4:
+        return "CASE WHEN " + Bool(depth - 1) + " THEN " + Num(depth - 1) +
+               " WHEN " + Bool(depth - 1) + " THEN " + Num(depth - 1) + " END";
+      case 5:
+        return "coalesce(" + Num(depth - 1) + ", " + Num(depth - 1) + ")";
+      case 6:
+        return rng_.Bernoulli(0.5) ? "CAST(" + Num(depth - 1) + " AS double)"
+                                   : "CAST(" + Num(depth - 1) + " AS bigint)";
+      default:
+        return "abs(" + Num(depth - 1) + ")";
+    }
+  }
+
+  std::string Str(int depth) {
+    static const char* kLeaves[] = {"s", "t.s", "'pear'", "''", "NULL"};
+    if (depth <= 0 || rng_.Bernoulli(0.3)) return kLeaves[rng_.Uniform(0, 4)];
+    switch (functions ? rng_.Uniform(0, 3) : 0) {
+      case 0:
+        return "CASE WHEN " + Bool(depth - 1) + " THEN " + Str(depth - 1) +
+               " ELSE " + Str(depth - 1) + " END";
+      case 1:
+        return "coalesce(" + Str(depth - 1) + ", 'none')";
+      case 2:
+        return "CAST(" + Num(depth - 1) + " AS varchar)";
+      default:
+        return "lower(" + Str(depth - 1) + ")";
+    }
+  }
+
+  std::string Bool(int depth) {
+    static const char* kCmp[] = {"=", "<>", "<", "<=", ">", ">="};
+    if (depth <= 0) return rng_.Bernoulli(0.5) ? "b" : "(i > 0)";
+    switch (rng_.Uniform(0, 8)) {
+      case 0:
+        return "(" + Num(depth - 1) + " " + kCmp[rng_.Uniform(0, 5)] + " " +
+               Num(depth - 1) + ")";
+      case 1:
+        return "(" + Str(depth - 1) + " " + kCmp[rng_.Uniform(0, 5)] + " " +
+               Str(depth - 1) + ")";
+      case 2:
+        return "(" + Num(depth - 1) + " BETWEEN " + Num(depth - 1) + " AND " +
+               Num(depth - 1) + ")";
+      case 3:
+        return "(" + Num(depth - 1) + (rng_.Bernoulli(0.5) ? " NOT" : "") +
+               " IN (1, 2.5, NULL, " + Num(depth - 1) + "))";
+      case 4:
+        return "(" + Str(depth - 1) +
+               (rng_.Bernoulli(0.5) ? " LIKE 'p%'" : " LIKE '%e_'") + ")";
+      case 5:
+        return "(" + Any(depth - 1) + " IS " +
+               (rng_.Bernoulli(0.5) ? "NOT " : "") + "NULL)";
+      case 6:
+        return "(NOT " + Bool(depth - 1) + ")";
+      case 7:
+        return "(" + Bool(depth - 1) + " AND " + Bool(depth - 1) + ")";
+      default:
+        return "(" + Bool(depth - 1) + " OR " + Bool(depth - 1) + ")";
+    }
+  }
+
+ private:
+  Random rng_;
+};
+
+/// `rows` rows of t.i (int64), t.d (double), t.s (string), t.b (bool),
+/// t.dt (date) and t.j (int32); each value NULL with probability
+/// `null_p`.
+RowBatchPtr TypedBatch(uint64_t seed, int rows, double null_p) {
+  Random rng(seed);
+  const std::pair<const char*, TypeId> cols[] = {
+      {"t.i", TypeId::kInt64}, {"t.d", TypeId::kDouble},
+      {"t.s", TypeId::kString}, {"t.b", TypeId::kBool},
+      {"t.dt", TypeId::kDate}, {"t.j", TypeId::kInt32}};
+  const char* words[] = {"pear", "plum", "apple", "", "peel"};
+  auto batch = std::make_shared<RowBatch>();
+  for (const auto& [name, type] : cols) {
+    auto v = MakeVector(type);
+    for (int r = 0; r < rows; ++r) {
+      if (rng.Bernoulli(null_p)) {
+        v->AppendNull();
+      } else if (type == TypeId::kDouble) {
+        v->AppendDouble(rng.UniformDouble(-20.0, 20.0));
+      } else if (type == TypeId::kString) {
+        v->AppendString(words[rng.Uniform(0, 4)]);
+      } else if (type == TypeId::kBool) {
+        v->AppendBool(rng.Bernoulli(0.5));
+      } else {
+        v->AppendInt(rng.Uniform(-20, 20));
+      }
+    }
+    batch->AddColumn(name, std::move(v));
+  }
+  return batch;
+}
+
+class TypeContractTest : public ::testing::TestWithParam<int> {};
+
+TEST_P(TypeContractTest, EvaluateReturnsTheBoundType) {
+  ExprGen gen(static_cast<uint64_t>(GetParam()) * 6151 + 11);
+  const RowBatchPtr dense = TypedBatch(GetParam(), 211, 0.15);
+  const RowBatchPtr batches[] = {TypedBatch(1, 0, 0.0), TypedBatch(2, 37, 1.0),
+                                 dense};
+  std::vector<SelectionVector> sels;  // over `dense`: in place, then gathered
+  sels.emplace_back();
+  for (uint32_t r = 0; r < dense->num_rows(); r += 2) sels.back().push_back(r);
+  sels.emplace_back();
+  for (uint32_t r = 3; r < dense->num_rows(); r += 9) sels.back().push_back(r);
+
+  for (int k = 0; k < 80; ++k) {
+    gen.functions = k % 2 == 1;
+    const std::string text = gen.Any(4);
+    auto bound = BindExpr(text, *dense);
+    ASSERT_TRUE(bound.ok()) << text << ": " << bound.status().ToString();
+    const Expr& e = **bound;
+    const TypeId type = *e.type;
+    // Output column `col` (rows `rows` of it) against the reference over
+    // `ref_batch`, row for row.
+    auto check = [&](const ColumnVector& col, const std::vector<uint32_t>& rows,
+                     const RowBatch& ref_batch, const std::string& what) {
+      EXPECT_EQ(col.type(), type) << text << " " << what;
+      auto ref = ReferenceEvaluate(e, ref_batch);
+      ASSERT_TRUE(ref.ok()) << text << " " << what << ": " << ref.status().ToString();
+      EXPECT_EQ((*ref)->type(), type) << text << " " << what;
+      ASSERT_EQ((*ref)->size(), rows.size()) << text << " " << what;
+      for (size_t i = 0; i < rows.size(); ++i) {
+        ASSERT_EQ(col.IsNull(rows[i]), (*ref)->IsNull(i))
+            << text << " " << what << " row " << i;
+        if (!col.IsNull(rows[i])) {
+          EXPECT_EQ(col.GetValue(rows[i]).Compare((*ref)->GetValue(i)), 0)
+              << text << " " << what << " row " << i << ": "
+              << col.GetValue(rows[i]).ToString() << " vs "
+              << (*ref)->GetValue(i).ToString();
+        }
+      }
+    };
+    for (const auto& batch : batches) {
+      std::vector<ColumnVectorPtr> cols;
+      auto in = SelBatch{batch}.Evaluate({&e}, &cols);
+      ASSERT_TRUE(in.ok()) << text << ": " << in.status().ToString();
+      std::vector<uint32_t> all(batch->num_rows());
+      for (uint32_t r = 0; r < all.size(); ++r) all[r] = r;
+      check(*cols[0], all, *batch, "rows=" + std::to_string(all.size()));
+    }
+    for (const auto& sel : sels) {
+      SelBatch sb{dense, std::make_shared<SelectionVector>(sel)};
+      std::vector<ColumnVectorPtr> cols;
+      auto in = sb.Evaluate({&e}, &cols);
+      ASSERT_TRUE(in.ok()) << text << ": " << in.status().ToString();
+      std::vector<uint32_t> rows = sel;  // in place: the selected rows
+      if (in->sel == nullptr) {          // gathered: every row
+        for (uint32_t i = 0; i < rows.size(); ++i) rows[i] = i;
+      }
+      check(*cols[0], rows, *dense->Gather(sel),
+            "selected=" + std::to_string(sel.size()));
+    }
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(Seeds, TypeContractTest, ::testing::Range(0, 8));
 
 }  // namespace
 }  // namespace pixels

@@ -2,6 +2,9 @@
 
 #include <gtest/gtest.h>
 
+#include <string>
+#include <vector>
+
 namespace pixels {
 namespace {
 
@@ -42,6 +45,25 @@ TEST(AuthTest, TokensAreUniquePerLogin) {
   // Both sessions valid simultaneously.
   EXPECT_TRUE(auth.Authenticate(*t1).ok());
   EXPECT_TRUE(auth.Authenticate(*t2).ok());
+}
+
+TEST(AuthTest, ConsecutiveLoginsYieldDistinctTokensThatEachAuthenticate) {
+  AuthService auth;
+  ASSERT_TRUE(auth.RegisterUser("alice", "secret", {}).ok());
+  std::vector<std::string> tokens;
+  for (int i = 0; i < 8; ++i) {
+    auto t = auth.Login("alice", "secret");
+    ASSERT_TRUE(t.ok());
+    // "tok-<session id>-<hash>": ids count up from 1, one per login.
+    EXPECT_EQ(t->rfind("tok-" + std::to_string(i + 1) + "-", 0), 0u) << *t;
+    for (const auto& prev : tokens) EXPECT_NE(*t, prev);
+    tokens.push_back(*t);
+  }
+  for (const auto& t : tokens) {
+    auto user = auth.Authenticate(t);
+    ASSERT_TRUE(user.ok()) << t;
+    EXPECT_EQ(*user, "alice");
+  }
 }
 
 TEST(AuthTest, LogoutInvalidatesToken) {

@@ -1,16 +1,36 @@
 // Row-at-a-time reference for EvaluateExpr: every row through
-// EvaluateExprRow, the whole result typed by BuildVectorFromValues, and a
-// bare column reference returned as the column itself. The column-kernel
+// EvaluateExprRow, built into the expression's bound type, and a bare
+// column reference returned as the column itself. The column-kernel
 // evaluator must match it in values, nulls, output type and status. Also
 // the decode-then-filter reference of the reader's fused scan.
 #pragma once
 
+#include <string>
 #include <vector>
 
 #include "exec/expression.h"
 #include "format/reader.h"
+#include "plan/binder.h"
+#include "sql/parser.h"
 
 namespace pixels {
+
+/// The columns of `batch` with the types they hold.
+inline PlanSchema SchemaOf(const RowBatch& batch) {
+  PlanSchema out;
+  for (size_t c = 0; c < batch.num_columns(); ++c) {
+    out.names.push_back(batch.name(c));
+    out.types.push_back(batch.column(c)->type());
+  }
+  return out;
+}
+
+/// Parses `text` and binds its types against the columns of `batch`.
+inline Result<ExprPtr> BindExpr(const std::string& text, const RowBatch& batch) {
+  PIXELS_ASSIGN_OR_RETURN(ExprPtr e, ParseExpression(text));
+  PIXELS_RETURN_NOT_OK(BindTypes(e.get(), SchemaOf(batch)));
+  return e;
+}
 
 inline Result<ColumnVectorPtr> ReferenceEvaluate(const Expr& expr,
                                                  const RowBatch& batch) {
@@ -22,13 +42,14 @@ inline Result<ColumnVectorPtr> ReferenceEvaluate(const Expr& expr,
     }
     return batch.column(static_cast<size_t>(idx));
   }
+  if (!expr.type) return Status::Internal("unbound: " + expr.ToString());
   std::vector<Value> values;
   values.reserve(batch.num_rows());
   for (size_t row = 0; row < batch.num_rows(); ++row) {
     PIXELS_ASSIGN_OR_RETURN(Value v, EvaluateExprRow(expr, batch, row));
     values.push_back(std::move(v));
   }
-  return BuildVectorFromValues(values);
+  return BuildVectorFromValues(values, *expr.type);
 }
 
 /// Reference for PixelsReader::ReadRowGroupFiltered: the full

@@ -1,6 +1,8 @@
 // Row-at-a-time reference for the hash operators: grouped aggregation
-// folded value by value (the fold of HashAggOperator::AggState::Update)
-// and a nested-loop equi-join, both over ReferenceEvaluate columns.
+// folded value by value (boxed Values, Value::Compare for MIN/MAX, a
+// DISTINCT argument folded once per distinct ValuesKey) and a nested-loop
+// equi-join, both over ReferenceEvaluate columns. Output columns are
+// built into the plan's bound types.
 // ReferenceQuery runs a query with every Join and Aggregate node replaced
 // by its reference result; the other nodes (scan, filter, project, sort)
 // run on the production operators. Join keys compare with ValuesKey
@@ -34,10 +36,7 @@ struct AggAcc {
 
   void Add(const Value& v, bool is_distinct) {
     if (v.is_null()) return;
-    if (is_distinct) {
-      distinct.insert(ValuesKey({v}));
-      return;
-    }
+    if (is_distinct && !distinct.insert(ValuesKey({v})).second) return;
     ++count;
     if (v.kind == Value::Kind::kDouble) {
       any_double = true;
@@ -50,11 +49,8 @@ struct AggAcc {
     if (count == 1 || v.Compare(max) > 0) max = v;
   }
 
-  Value Final(const std::string& fn, bool is_distinct) const {
-    if (fn == "count") {
-      return Value::Int(is_distinct ? static_cast<int64_t>(distinct.size())
-                                    : count);
-    }
+  Value Final(const std::string& fn) const {
+    if (fn == "count") return Value::Int(count);
     if (count == 0) return Value::Null();
     if (fn == "sum") {
       return any_double ? Value::Double(sum_d) : Value::Int(sum_i);
@@ -111,15 +107,18 @@ inline Result<TablePtr> Aggregate(const LogicalPlan& node, const Table& in) {
   std::vector<Value> vals(keys.size());
   for (size_t k = 0; k < node.group_names.size(); ++k) {
     for (size_t g = 0; g < keys.size(); ++g) vals[g] = keys[g][k];
-    PIXELS_ASSIGN_OR_RETURN(ColumnVectorPtr col, BuildVectorFromValues(vals));
+    PIXELS_ASSIGN_OR_RETURN(
+        ColumnVectorPtr col,
+        BuildVectorFromValues(vals, PayloadType(*node.group_exprs[k]->type)));
     out->AddColumn(node.group_names[k], std::move(col));
   }
   for (size_t a = 0; a < num_aggs; ++a) {
     const Expr& call = *node.agg_exprs[a];
     for (size_t g = 0; g < keys.size(); ++g) {
-      vals[g] = accs[g][a].Final(call.name, call.distinct);
+      vals[g] = accs[g][a].Final(call.name);
     }
-    PIXELS_ASSIGN_OR_RETURN(ColumnVectorPtr col, BuildVectorFromValues(vals));
+    PIXELS_ASSIGN_OR_RETURN(ColumnVectorPtr col,
+                            BuildVectorFromValues(vals, *call.type));
     out->AddColumn(node.agg_names[a], std::move(col));
   }
   auto table = std::make_shared<Table>();
@@ -160,9 +159,11 @@ inline bool RefsIn(const Expr& e, const std::vector<std::string>& cols) {
 
 /// Every probe row against every build row: key equality selects the
 /// pairs, the remaining conjuncts filter them, and an unmatched LEFT JOIN
-/// probe row is padded with nulls. One output batch per probe batch.
+/// probe row is padded with nulls. One output batch per probe batch; the
+/// build columns take `right_types`, the build subtree's bound types.
 inline Result<TablePtr> Join(const LogicalPlan& node, const Table& left,
-                             const Table& right) {
+                             const Table& right,
+                             const std::vector<TypeId>& right_types) {
   const auto lcols = node.children[0]->OutputColumns();
   const auto rcols = node.children[1]->OutputColumns();
   std::vector<ExprPtr> conjuncts, rest;
@@ -223,7 +224,8 @@ inline Result<TablePtr> Join(const LogicalPlan& node, const Table& left,
         vals.push_back(br == nullptr ? Value::Null()
                                      : br->batch->column(c)->GetValue(br->row));
       }
-      PIXELS_ASSIGN_OR_RETURN(ColumnVectorPtr col, BuildVectorFromValues(vals));
+      PIXELS_ASSIGN_OR_RETURN(ColumnVectorPtr col,
+                              BuildVectorFromValues(vals, right_types[c]));
       combined->AddColumn(rnames[c], std::move(col));
     }
     if (residual != nullptr && combined->num_rows() > 0) {
@@ -243,11 +245,16 @@ inline Result<TablePtr> Join(const LogicalPlan& node, const Table& left,
 /// Replaces every Join and Aggregate node under `*node`, bottom-up, with a
 /// materialized view of its reference result.
 inline Status ReplaceHashNodes(PlanPtr* node, ExecContext* ctx) {
+  const LogicalPlan& n = **node;
+  const bool join = n.kind == LogicalPlan::Kind::kJoin;
+  // Typed before the build subtree becomes a view of its result.
+  PlanSchema right;
+  if (join) {
+    PIXELS_ASSIGN_OR_RETURN(right, OutputSchema(*n.children[1], ctx->catalog));
+  }
   for (auto& child : (*node)->children) {
     PIXELS_RETURN_NOT_OK(ReplaceHashNodes(&child, ctx));
   }
-  const LogicalPlan& n = **node;
-  const bool join = n.kind == LogicalPlan::Kind::kJoin;
   if (!join && n.kind != LogicalPlan::Kind::kAggregate) return Status::OK();
   std::vector<TablePtr> inputs;
   for (const auto& child : n.children) {
@@ -255,7 +262,7 @@ inline Status ReplaceHashNodes(PlanPtr* node, ExecContext* ctx) {
     inputs.push_back(std::move(t));
   }
   PIXELS_ASSIGN_OR_RETURN(TablePtr result,
-                          join ? Join(n, *inputs[0], *inputs[1])
+                          join ? Join(n, *inputs[0], *inputs[1], right.types)
                                : Aggregate(n, *inputs[0]));
   PlanPtr view = MakeMaterializedView(std::move(result));
   view->view_columns = n.OutputColumns();
