@@ -324,7 +324,7 @@ Status HashAggOperator::Open() {
   return Consume(merge ? 1 : ctx_->EffectiveParallelism());
 }
 
-Result<RowBatchPtr> HashAggOperator::Emit() {
+Result<RowBatchPtr> HashAggOperator::TypedEmit() {
   size_t total = 0;
   for (const auto& part : typed_parts_) total += part.table.num_entries();
   if (total == 0 && plan_.group_exprs.empty()) {
@@ -431,7 +431,7 @@ Result<RowBatchPtr> HashAggOperator::Emit() {
 Result<SelBatch> HashAggOperator::Next() {
   if (emitted_) return SelBatch{};
   emitted_ = true;
-  PIXELS_ASSIGN_OR_RETURN(RowBatchPtr out, Emit());
+  PIXELS_ASSIGN_OR_RETURN(RowBatchPtr out, TypedEmit());
   return SelBatch{std::move(out)};
 }
 

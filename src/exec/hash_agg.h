@@ -95,7 +95,7 @@ class HashAggOperator : public Operator {
   /// Builds the output batch from the state arrays, one typed column per
   /// group key and aggregate (two for a partial AVG); a global
   /// aggregation over no rows emits one row of empty states.
-  Result<RowBatchPtr> Emit();
+  Result<RowBatchPtr> TypedEmit();
 
   OperatorPtr child_;
   const LogicalPlan& plan_;
