@@ -8,7 +8,8 @@
 //   * pushdown results exactly match direct execution,
 //   * per-worker runtime shrinks as the fleet grows (the reason CF can
 //     absorb spikes),
-//   * materialized views flow through object storage.
+//   * materialized views flow through object storage, and each query's
+//     sweep leaves none behind.
 #include <chrono>
 #include <cstdio>
 #include <numeric>
@@ -18,6 +19,7 @@
 #include "plan/binder.h"
 #include "plan/optimizer.h"
 #include "storage/memory_store.h"
+#include "storage/object_store.h"
 #include "turbo/cf_worker.h"
 #include "workload/tpch.h"
 
@@ -41,6 +43,8 @@ int main() {
 
   auto storage = std::make_shared<MemoryStore>();
   auto catalog = std::make_shared<Catalog>(storage);
+  // Worker views go through a PUT-counting object store over the same data.
+  auto views = std::make_shared<ObjectStore>(storage);
   TpchOptions options;
   options.scale_factor = 0.01;
   options.rows_per_file = 4000;  // 15 lineitem files -> fleets up to 15
@@ -94,7 +98,7 @@ int main() {
       auto optimized = Optimize(std::move(plan).ValueOrDie(), *catalog);
       CfWorkerOptions wopts;
       wopts.num_workers = workers;
-      wopts.intermediate_store = storage.get();
+      wopts.intermediate_store = views.get();
       wopts.view_prefix =
           "intermediate/" + std::string(c.name) + "." + std::to_string(workers);
       auto exec = ExecuteWithCfPushdown(*optimized, catalog.get(), wopts);
@@ -139,7 +143,7 @@ int main() {
     CfWorkerOptions wopts;
     wopts.num_workers = 8;
     wopts.fleet_parallelism = fleet_par;
-    wopts.intermediate_store = storage.get();
+    wopts.intermediate_store = views.get();
     wopts.view_prefix = "intermediate/overlap." + std::to_string(fleet_par);
     const auto t0 = std::chrono::steady_clock::now();
     auto exec = ExecuteWithCfPushdown(*optimized, catalog.get(), wopts);
@@ -173,10 +177,11 @@ int main() {
               "concurrent fleet elapsed < sum of per-worker wall times");
   std::printf("\n");
 
-  auto views = storage->List("intermediate/");
+  auto left = storage->List("intermediate/");
   bool views_ok =
-      Check(views.ok() && views->size() >= 15,
-            "worker materialized views persisted in object storage");
+      Check(views->stats().put_requests >= 15 && left.ok() && left->empty(),
+            "worker views written to object storage and swept after each "
+            "query");
 
   std::printf("\nE7 overall: %s\n", ok && views_ok ? "PASS" : "FAIL");
   return ok && views_ok ? 0 : 1;

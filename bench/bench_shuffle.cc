@@ -179,7 +179,7 @@ RunOut RunConfig(Catalog* catalog, bool shuffle, int partitions, bool hedging,
   out.exchange_read = exec->shuffle_bytes_read;
   out.critical_path_ms = exec->shuffle_critical_path_ms;
   out.objects_swept = exec->shuffle_objects_swept;
-  auto leftovers = catalog->storage()->List("intermediate/view.shuffle");
+  auto leftovers = catalog->storage()->List("intermediate/view/");
   out.leaked_objects = leftovers.ok() ? leftovers->size() : 1;
   return out;
 }

@@ -5,6 +5,7 @@
 #include <string_view>
 #include <type_traits>
 
+#include "common/int_arith.h"
 #include "format/compare.h"
 
 namespace pixels {
@@ -259,21 +260,6 @@ Col Compare(CmpOp op, const Col& a, const Col& b, size_t n) {
   return out.Done();
 }
 
-// Two's-complement wraparound, as the row evaluator's int64 arithmetic
-// behaves in practice, without signed-overflow UB in the kernels.
-inline int64_t WrapAdd(int64_t x, int64_t y) {
-  return static_cast<int64_t>(static_cast<uint64_t>(x) +
-                              static_cast<uint64_t>(y));
-}
-inline int64_t WrapSub(int64_t x, int64_t y) {
-  return static_cast<int64_t>(static_cast<uint64_t>(x) -
-                              static_cast<uint64_t>(y));
-}
-inline int64_t WrapMul(int64_t x, int64_t y) {
-  return static_cast<int64_t>(static_cast<uint64_t>(x) *
-                              static_cast<uint64_t>(y));
-}
-
 /// Int-result arithmetic. Only `%` sees double operands here, and reads
 /// them through Value::AsInt's truncation. A zero divisor yields NULL.
 template <typename RA, typename RB>
@@ -296,10 +282,8 @@ void IntArith(char op, RA a, RB b, uint8_t* ok, int64_t* v, size_t n) {
         if (!ok[i] || d == 0) {
           ok[i] = 0;
           v[i] = 0;
-        } else if (d == -1) {  // INT64_MIN / -1 would trap
-          v[i] = op == '/' ? WrapSub(0, x(i)) : 0;
         } else {
-          v[i] = op == '/' ? x(i) / d : x(i) % d;
+          v[i] = op == '/' ? WrapDiv(x(i), d) : WrapMod(x(i), d);
         }
       }
       return;

@@ -148,23 +148,38 @@ void ColumnVector::RecountNulls() {
 std::shared_ptr<ColumnVector> ColumnVector::Gather(
     const std::vector<uint32_t>& sel) const {
   auto out = std::make_shared<ColumnVector>(type_);
-  const size_t n = sel.size();
-  out->valid_.resize(n);
-  for (size_t i = 0; i < n; ++i) out->valid_[i] = valid_[sel[i]];
-  size_t nulls = 0;
-  for (size_t i = 0; i < n; ++i) nulls += (out->valid_[i] == 0);
-  out->null_count_ = nulls;
-  if (type_ == TypeId::kDouble) {
-    out->doubles_.resize(n);
-    for (size_t i = 0; i < n; ++i) out->doubles_[i] = doubles_[sel[i]];
-  } else if (type_ == TypeId::kString) {
-    out->strings_.resize(n);
-    for (size_t i = 0; i < n; ++i) out->strings_[i] = strings_[sel[i]];
-  } else {
-    out->ints_.resize(n);
-    for (size_t i = 0; i < n; ++i) out->ints_[i] = ints_[sel[i]];
-  }
+  out->AppendGather(*this, sel);
   return out;
+}
+
+void ColumnVector::AppendGather(const ColumnVector& src,
+                                const std::vector<uint32_t>& sel) {
+  const size_t base = size();
+  const size_t n = sel.size();
+  const uint32_t* at = sel.data();
+  valid_.resize(base + n);
+  uint8_t* valid = valid_.data() + base;
+  const uint8_t* src_valid = src.valid_.data();
+  for (size_t i = 0; i < n; ++i) valid[i] = src_valid[at[i]];
+  size_t nulls = 0;
+  for (size_t i = 0; i < n; ++i) nulls += (valid[i] == 0);
+  null_count_ += nulls;
+  if (type_ == TypeId::kDouble) {
+    doubles_.resize(base + n);
+    double* out = doubles_.data() + base;
+    const double* in = src.doubles_.data();
+    for (size_t i = 0; i < n; ++i) out[i] = in[at[i]];
+  } else if (type_ == TypeId::kString) {
+    strings_.resize(base + n);
+    std::string* out = strings_.data() + base;
+    const std::string* in = src.strings_.data();
+    for (size_t i = 0; i < n; ++i) out[i] = in[at[i]];
+  } else {
+    ints_.resize(base + n);
+    int64_t* out = ints_.data() + base;
+    const int64_t* in = src.ints_.data();
+    for (size_t i = 0; i < n; ++i) out[i] = in[at[i]];
+  }
 }
 
 ColumnVectorPtr MakeVector(TypeId type) {

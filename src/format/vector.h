@@ -77,6 +77,9 @@ class ColumnVector {
   /// Returns a new vector containing rows `sel` in order. Bulk-copies the
   /// payload arrays (one type dispatch per call, not per row).
   std::shared_ptr<ColumnVector> Gather(const std::vector<uint32_t>& sel) const;
+  /// Appends rows `sel` of `src`, another vector of this vector's type,
+  /// the same way.
+  void AppendGather(const ColumnVector& src, const std::vector<uint32_t>& sel);
 
   /// Raw payload access for vectorized kernels. The payload that matches
   /// the vector's type class is dense (one slot per row, nulls zeroed);

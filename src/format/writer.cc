@@ -70,13 +70,18 @@ void PixelsWriter::ResetBuffer() {
   for (const auto& col : schema_) buffer_.push_back(MakeVector(col.type));
 }
 
-Status PixelsWriter::Append(const RowBatch& batch) {
+Status PixelsWriter::CheckWidth(size_t columns) const {
   if (finished_) return Status::FailedPrecondition("writer already finished");
-  if (batch.num_columns() != schema_.size()) {
+  if (columns != schema_.size()) {
     return Status::InvalidArgument(
-        "batch has " + std::to_string(batch.num_columns()) +
-        " columns, schema has " + std::to_string(schema_.size()));
+        "batch has " + std::to_string(columns) + " columns, schema has " +
+        std::to_string(schema_.size()));
   }
+  return Status::OK();
+}
+
+Status PixelsWriter::Append(const RowBatch& batch) {
+  PIXELS_RETURN_NOT_OK(CheckWidth(batch.num_columns()));
   for (size_t c = 0; c < schema_.size(); ++c) {
     const bool want_str = schema_[c].type == TypeId::kString;
     const bool have_str = batch.column(c)->type() == TypeId::kString;
@@ -98,6 +103,23 @@ Status PixelsWriter::Append(const RowBatch& batch) {
   return Status::OK();
 }
 
+Status PixelsWriter::AppendRowGroup(const RowBatch& batch) {
+  PIXELS_RETURN_NOT_OK(CheckWidth(batch.num_columns()));
+  std::vector<ColumnVectorPtr> cols;
+  for (size_t c = 0; c < schema_.size(); ++c) {
+    if (batch.column(c)->type() != schema_[c].type) {
+      return Status::TypeError("column " + schema_[c].name + " is " +
+                               TypeName(batch.column(c)->type()) +
+                               ", schema says " + TypeName(schema_[c].type));
+    }
+    cols.push_back(batch.column(c));
+  }
+  PIXELS_RETURN_NOT_OK(FlushRowGroup());
+  PIXELS_RETURN_NOT_OK(WriteRowGroup(cols));
+  rows_appended_ += batch.num_rows();
+  return Status::OK();
+}
+
 Status PixelsWriter::AppendRow(const std::vector<Value>& row) {
   if (finished_) return Status::FailedPrecondition("writer already finished");
   if (row.size() != schema_.size()) {
@@ -114,26 +136,30 @@ Status PixelsWriter::AppendRow(const std::vector<Value>& row) {
 }
 
 Status PixelsWriter::FlushRowGroup() {
-  const size_t rows = buffer_[0]->size();
-  if (rows == 0) return Status::OK();
+  if (buffer_.empty() || buffer_[0]->empty()) return Status::OK();
+  PIXELS_RETURN_NOT_OK(WriteRowGroup(buffer_));
+  ResetBuffer();
+  return Status::OK();
+}
+
+Status PixelsWriter::WriteRowGroup(const std::vector<ColumnVectorPtr>& cols) {
   RowGroupMeta rg;
-  rg.num_rows = rows;
+  rg.num_rows = cols.empty() ? 0 : cols[0]->size();
   for (size_t c = 0; c < schema_.size(); ++c) {
     ChunkMeta chunk;
     chunk.encoding = options_.forced_encoding.has_value()
                          ? *options_.forced_encoding
-                         : ChooseEncoding(*buffer_[c]);
+                         : ChooseEncoding(*cols[c]);
     if (!EncodingSupports(chunk.encoding, schema_[c].type)) {
       chunk.encoding = Encoding::kPlain;
     }
     chunk.offset = body_.size();
-    chunk.stats.UpdateVector(*buffer_[c]);
-    PIXELS_RETURN_NOT_OK(EncodeColumn(*buffer_[c], chunk.encoding, &body_));
+    chunk.stats.UpdateVector(*cols[c]);
+    PIXELS_RETURN_NOT_OK(EncodeColumn(*cols[c], chunk.encoding, &body_));
     chunk.length = body_.size() - chunk.offset;
     rg.chunks.push_back(std::move(chunk));
   }
   footer_.row_groups.push_back(std::move(rg));
-  ResetBuffer();
   return Status::OK();
 }
 

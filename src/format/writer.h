@@ -34,14 +34,25 @@ class PixelsWriter {
   /// Appends one row of scalar values (schema order).
   Status AppendRow(const std::vector<Value>& row);
 
+  /// Flushes any buffered rows, then encodes `batch` straight from its
+  /// columns as exactly one row group, which may have zero rows. Column
+  /// types must equal the schema's.
+  Status AppendRowGroup(const RowBatch& batch);
+
   /// Encodes all buffered data and writes the complete file.
   Status Finish(Storage* storage, const std::string& path);
 
   /// Rows appended so far.
   uint64_t rows_appended() const { return rows_appended_; }
 
+  /// Size of the written file (valid after Finish).
+  uint64_t file_bytes() const { return body_.size(); }
+
  private:
+  Status CheckWidth(size_t columns) const;
   Status FlushRowGroup();
+  /// Encodes `cols` (schema order, equal lengths) as one row group.
+  Status WriteRowGroup(const std::vector<ColumnVectorPtr>& cols);
   void ResetBuffer();
 
   FileSchema schema_;

@@ -122,6 +122,10 @@ Result<TypeId> AggregateType(const Expr& e) {
                                    " takes one argument");
   }
   const TypeId arg = PayloadType(*e.args[0]->type);
+  if ((e.name == "sum" || e.name == "avg") && arg == TypeId::kString) {
+    return Status::TypeError(e.name + " needs a numeric argument: " +
+                             e.ToString());
+  }
   if (e.name == "avg") return TypeId::kDouble;
   if (e.name == "sum") return arg == TypeId::kDouble ? arg : TypeId::kInt64;
   return arg;  // min, max

@@ -5,6 +5,8 @@
 #include <cmath>
 #include <cstdlib>
 
+#include "common/int_arith.h"
+
 namespace pixels {
 
 bool LikeMatch(const std::string& text, const std::string& pattern) {
@@ -201,7 +203,7 @@ Result<Value> EvaluateExprRow(const Expr& e, const RowBatch& batch, size_t row) 
       if (e.op == "NOT") return Value::Bool(!v.AsBool());
       if (e.op == "-") {
         if (v.kind == Value::Kind::kDouble) return Value::Double(-v.d);
-        return Value::Int(-v.i);
+        return Value::Int(WrapSub(0, v.i));
       }
       return Status::NotImplemented("unary op " + e.op);
     }
@@ -246,15 +248,15 @@ Result<Value> EvaluateExprRow(const Expr& e, const RowBatch& batch, size_t row) 
           a.kind == Value::Kind::kDouble || b.kind == Value::Kind::kDouble;
       if (e.op == "+") {
         return dbl ? Value::Double(a.AsDouble() + b.AsDouble())
-                   : Value::Int(a.i + b.i);
+                   : Value::Int(WrapAdd(a.i, b.i));
       }
       if (e.op == "-") {
         return dbl ? Value::Double(a.AsDouble() - b.AsDouble())
-                   : Value::Int(a.i - b.i);
+                   : Value::Int(WrapSub(a.i, b.i));
       }
       if (e.op == "*") {
         return dbl ? Value::Double(a.AsDouble() * b.AsDouble())
-                   : Value::Int(a.i * b.i);
+                   : Value::Int(WrapMul(a.i, b.i));
       }
       if (e.op == "/") {
         if (dbl) {
@@ -262,11 +264,11 @@ Result<Value> EvaluateExprRow(const Expr& e, const RowBatch& batch, size_t row) 
           return Value::Double(a.AsDouble() / b.AsDouble());
         }
         if (b.i == 0) return Value::Null();
-        return Value::Int(a.i / b.i);
+        return Value::Int(WrapDiv(a.i, b.i));
       }
       if (e.op == "%") {
         if (b.AsInt() == 0) return Value::Null();
-        return Value::Int(a.AsInt() % b.AsInt());
+        return Value::Int(WrapMod(a.AsInt(), b.AsInt()));
       }
       return Status::NotImplemented("binary op " + e.op);
     }

@@ -3,6 +3,7 @@
 #include "exec/executor.h"
 #include "format/writer.h"
 #include "plan/fingerprint.h"
+#include "turbo/shuffle/exchange.h"
 #include "turbo/shuffle/stage_scheduler.h"
 
 namespace pixels {
@@ -25,7 +26,8 @@ Result<TablePtr> RoundTripView(const Table& view, Storage* storage,
   }
   PIXELS_RETURN_NOT_OK(writer.Finish(storage, path));
 
-  PIXELS_ASSIGN_OR_RETURN(auto reader, PixelsReader::Open(storage, path));
+  PIXELS_ASSIGN_OR_RETURN(auto reader,
+                          PixelsReader::Open(storage, path, IntermediateIo()));
   auto out = std::make_shared<Table>();
   for (size_t g = 0; g < reader->NumRowGroups(); ++g) {
     PIXELS_ASSIGN_OR_RETURN(RowBatchPtr batch, reader->ReadRowGroup(g, {}));
@@ -105,9 +107,10 @@ Result<FragmentRun> RunFragment(const PlanPtr& plan, Catalog* catalog,
   return out;
 }
 
-Result<CfExecution> ExecuteWithCfPushdown(const PlanPtr& plan,
-                                          Catalog* catalog,
-                                          const CfWorkerOptions& options) {
+namespace {
+
+Result<CfExecution> RunWithCfPushdown(const PlanPtr& plan, Catalog* catalog,
+                                      const CfWorkerOptions& options) {
   CfExecution out;
   Tracer* tracer = LiveTracer(options);
 
@@ -277,6 +280,23 @@ Result<CfExecution> ExecuteWithCfPushdown(const PlanPtr& plan,
   // top-level merge.
   CommitMvInsert(options.mv_store, std::move(full_snap), out.result,
                  out.bytes_scanned);
+  return out;
+}
+
+}  // namespace
+
+Result<CfExecution> ExecuteWithCfPushdown(const PlanPtr& plan,
+                                          Catalog* catalog,
+                                          const CfWorkerOptions& options) {
+  Result<CfExecution> out = RunWithCfPushdown(plan, catalog, options);
+  // One sweep per query, whichever way it ended: views and exchange
+  // objects alike live under the query's prefix.
+  Storage* store = options.intermediate_store != nullptr
+                       ? options.intermediate_store
+                       : catalog->storage();
+  const size_t swept = SweepExchangePrefix(store, options.view_prefix + "/");
+  PIXELS_RETURN_NOT_OK(out.status());
+  out->shuffle_objects_swept = swept;
   return out;
 }
 

@@ -78,7 +78,8 @@ struct CfExecution {
   /// and the DAG makespan.
   std::vector<double> shuffle_stage_wall_ms;
   double shuffle_critical_path_ms = 0;
-  /// Intermediate objects removed by the end-of-query GC sweep.
+  /// Intermediate objects (worker views and exchange objects) removed by
+  /// the end-of-query GC sweep.
   size_t shuffle_objects_swept = 0;
   /// Runtime-filter totals across every context that ran part of this
   /// query (workers, VM fallbacks, top-level/final plan), merged in
@@ -112,9 +113,12 @@ struct ShuffleOptions {
 struct CfWorkerOptions {
   int num_workers = 8;
   /// Storage for worker-produced materialized views (paper: S3). Null
-  /// keeps views in memory.
+  /// keeps views in memory (the shuffle then exchanges through the
+  /// catalog's storage).
   Storage* intermediate_store = nullptr;
-  /// Path prefix for materialized-view objects.
+  /// Everything the query writes lives under `view_prefix + "/"`: views
+  /// at <view_prefix>/s0/..., exchange objects at <view_prefix>/shuffle/...
+  /// The trailing "/" keeps query q1's sweep off q10's objects.
   std::string view_prefix = "intermediate/view";
   /// Scan throughput per vCPU used to convert bytes to work (bytes/s).
   double bytes_per_vcpu_second = 100e6;
@@ -173,6 +177,15 @@ struct CfWorkerOptions {
 /// concurrency is the unit of scaling, mirroring 1-vCPU cloud functions.
 inline constexpr int kCfWorkerThreads = 1;
 
+/// I/O policy for reading a CF intermediate (view or exchange object):
+/// it is read once and then deleted, so it bypasses the footer and chunk
+/// caches instead of evicting table entries from them.
+inline IoOptions IntermediateIo() {
+  IoOptions io;
+  io.use_footer_cache = false;
+  return io;
+}
+
 /// The options' tracer when tracing is actually on, else null.
 inline Tracer* LiveTracer(const CfWorkerOptions& options) {
   return options.tracer != nullptr && options.tracer->enabled()
@@ -200,7 +213,9 @@ Result<FragmentRun> RunFragment(const PlanPtr& plan, Catalog* catalog,
                                 QueryProfile* profile = nullptr);
 
 /// Executes `plan` with the sub-plan pushed down to a simulated CF worker
-/// fleet. Falls back to plain execution when nothing is pushable.
+/// fleet. Falls back to plain execution when nothing is pushable. Every
+/// object under `options.view_prefix + "/"` is swept before returning, on
+/// success and on failure alike.
 Result<CfExecution> ExecuteWithCfPushdown(const PlanPtr& plan,
                                           Catalog* catalog,
                                           const CfWorkerOptions& options);

@@ -1,103 +1,53 @@
-// Storage-mediated exchange format for the multi-stage CF shuffle
-// (Starling arXiv 1911.11727 / Lambada arXiv 1912.00937). Each producer
-// task hash-partitions its output and writes ONE object per (stage, task)
+// Storage-mediated exchange for the multi-stage CF shuffle (Starling arXiv
+// 1911.11727 / Lambada arXiv 1912.00937). Each producer task
+// hash-partitions its output and writes ONE object per (stage, task)
 // holding every partition, so the object count scales with tasks, not
-// tasks × partitions. Layout:
+// tasks × partitions.
 //
-//   [magic "PXSH"]
-//   [partition 0: col 0 chunk][col 1 chunk]...
-//   [partition 1: ...]...
-//   [footer: schema, per-partition rows + per-column (offset, len, enc)]
-//   [footer length: u32][magic "PXSH"]
-//
-// Chunks reuse the Pixels column encodings (encoding.h) and a partition's
-// chunks are laid out contiguously, so a consumer assembles its partition
-// with ONE combined ranged GET per producer object: the per-column ranges
-// coalesce into a single underlying request through Storage::ReadRanges.
-// The footer is self-describing (schema travels with the data), read once
-// per object by the scheduler and shared across consumer tasks.
+// The object is an ordinary Pixels file (format/file_format.h) whose row
+// group p is partition p: the footer carries the schema, per-partition row
+// counts, chunk offsets and zone maps. A consumer opens each producer
+// object once with PixelsReader and reads its partition with
+// ReadRowGroup(p), one gap-coalesced ranged GET, because a row group's
+// chunks are contiguous. An empty partition is a zero-row row group and
+// costs no GET. CF worker views are Pixels files too, so every CF
+// intermediate has one format and one sweep (SweepExchangePrefix).
 #pragma once
 
 #include "format/batch.h"
-#include "format/encoding.h"
 #include "format/file_format.h"
+#include "format/writer.h"
 #include "sql/ast.h"
 #include "storage/storage.h"
 
 namespace pixels {
 
-/// Location + encoding of one column chunk inside an exchange object.
-struct ExchangeChunk {
-  uint64_t offset = 0;
-  uint64_t length = 0;
-  Encoding encoding = Encoding::kPlain;
-};
+/// Hash-partitions `table`, whose batches have `schema`'s columns in order
+/// and of exactly its types, into `num_partitions` batches of that schema
+/// by the kind-tagged hash of `key_exprs` (HashKeyColumns — consistent
+/// with join equality, so partitioning both join sides by their respective
+/// keys routes every matching pair to the same partition). Rows whose key
+/// is null route to partition (hash % P) of the fixed null tag —
+/// deterministic, and harmless for inner joins since nulls never match.
+/// Each partition keeps the input's row order, so partitioning is
+/// deterministic regardless of upstream thread interleaving. Empty
+/// partitions are empty batches of the schema.
+Result<std::vector<RowBatchPtr>> HashPartitionTable(
+    const Table& table, const FileSchema& schema,
+    const std::vector<const Expr*>& key_exprs, int num_partitions);
 
-/// Parsed footer of one exchange object. An object written from an empty
-/// producer result has an empty schema (consumers skip it); an empty
-/// partition of a non-empty object has rows == 0 and zero-length chunks.
-struct ExchangeFooter {
-  /// Column names (qualified, e.g. "l.l_orderkey") and types.
-  FileSchema schema;
-  std::vector<uint64_t> partition_rows;
-  /// [partition][column] chunk locations.
-  std::vector<std::vector<ExchangeChunk>> chunks;
-  /// Total object size in bytes (set by ReadExchangeFooter).
-  uint64_t object_bytes = 0;
-
-  size_t num_partitions() const { return partition_rows.size(); }
-};
-
-/// Outcome of writing one exchange object.
-struct ExchangeWriteInfo {
-  uint64_t bytes_written = 0;
-  size_t num_partitions = 0;
-};
-
-/// Hash-partitions `table` into `num_partitions` tables by the kind-tagged
-/// hash of `key_exprs` (HashKeyColumns — consistent with join equality, so
-/// partitioning both join sides by their respective keys routes every
-/// matching pair to the same partition). Rows whose key is null route to
-/// partition (hash % P) of the fixed null tag — deterministic, and
-/// harmless for inner joins since nulls never match. Each output table
-/// holds one batch (possibly empty) concatenating the input batches'
-/// selected rows in input order, so partitioning is deterministic
-/// regardless of upstream thread interleaving.
-Result<std::vector<TablePtr>> HashPartitionTable(
-    const Table& table, const std::vector<const Expr*>& key_exprs,
-    int num_partitions);
-
-/// Writes `partitions` (all sharing one schema; empty tables allowed) as
-/// one exchange object at `path`. The schema is derived from the first
-/// non-empty partition; when every partition is empty the object records
-/// an empty schema and consumers skip it. `forced_encoding` < 0 lets
-/// ChooseEncoding pick per chunk; otherwise every chunk uses the given
-/// Encoding (falling back to plain when it cannot represent the type).
-Result<ExchangeWriteInfo> WriteExchangeObject(
-    Storage* storage, const std::string& path,
-    const std::vector<TablePtr>& partitions, int forced_encoding = -1);
-
-/// Reads and parses the footer: one Size probe plus one tail ranged GET
-/// (a second GET only when the footer exceeds the 4 KiB tail guess).
-Result<ExchangeFooter> ReadExchangeFooter(Storage* storage,
-                                          const std::string& path);
-
-/// Assembles partition `p` of one exchange object with a single combined
-/// ReadRanges call (per-column ranges are contiguous, so they coalesce to
-/// one underlying GET). Returns an empty batch for empty partitions and
-/// for empty-schema objects. `bytes_read`, when non-null, accumulates the
-/// exchange bytes fetched (gap bytes excluded — the ranges are adjacent).
-Result<RowBatchPtr> ReadExchangePartition(Storage* storage,
-                                          const std::string& path,
-                                          const ExchangeFooter& footer,
-                                          size_t p,
-                                          uint64_t* bytes_read = nullptr);
+/// Writes `partitions` (all of `schema`) as one Pixels file at `path`, row
+/// group p = partition p. Returns the object's size in bytes.
+Result<uint64_t> WriteExchangeObject(Storage* storage, const std::string& path,
+                                     const FileSchema& schema,
+                                     const std::vector<RowBatchPtr>& partitions,
+                                     const WriterOptions& options = {});
 
 /// Best-effort GC sweep of every object under `prefix` (List + Delete,
 /// with a small bounded retry per object so a transient injected fault
 /// cannot leak an intermediate object). Returns the number of objects
-/// removed. Mirrors the MvStore spill-prefix sweep; invoked on query
-/// completion AND on failure paths by the shuffle driver.
+/// removed. Mirrors the MvStore spill-prefix sweep; ExecuteWithCfPushdown
+/// runs it over the query's prefix on success and failure alike.
 size_t SweepExchangePrefix(Storage* storage, const std::string& prefix);
 
 }  // namespace pixels

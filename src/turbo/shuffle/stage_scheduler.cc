@@ -6,6 +6,7 @@
 
 #include "cloud/metrics.h"
 #include "common/thread_pool.h"
+#include "format/reader.h"
 #include "storage/object_store.h"
 #include "storage/retrying_storage.h"
 #include "turbo/shuffle/exchange.h"
@@ -311,7 +312,7 @@ Result<StageOutcome> RunStage(const CfWorkerOptions& options,
     const bool hedge_wins = held.attempt_rank == 1;
     if (hedge_wins) ++hedges_won;
     // A finished hedge leaves a loser: best-effort delete its object; the
-    // DAG's prefix sweep catches anything a transient fault leaves behind.
+    // query's prefix sweep catches anything a transient fault leaves behind.
     const TaskOutcome& loser = hedge_wins ? primary[t] : hedge[t];
     if (hedge_ok[t] && stage.store != nullptr && !loser.object.empty()) {
       stage.store->Delete(loser.object).ok();
@@ -400,7 +401,7 @@ Result<TablePtr> ExecuteShuffleDag(const StageGraph& graph, Catalog* catalog,
   Storage* store = options.intermediate_store != nullptr
                        ? options.intermediate_store
                        : catalog->storage();
-  const std::string prefix = options.view_prefix + ".shuffle";
+  const std::string prefix = options.view_prefix + "/shuffle";
   const int fleet = std::max(options.num_workers, 1);
   const int P =
       options.shuffle.partitions > 0 ? options.shuffle.partitions : fleet;
@@ -437,122 +438,119 @@ Result<TablePtr> ExecuteShuffleDag(const StageGraph& graph, Catalog* catalog,
   for (const auto& k : graph.left_keys) left_keys.push_back(k.get());
   for (const auto& k : graph.right_keys) right_keys.push_back(k.get());
 
-  auto run_dag = [&]() -> Result<TablePtr> {
-    PIXELS_ASSIGN_OR_RETURN(std::vector<PlanPtr> left_plans,
-                            PartitionSubplan(graph.left, producers, *catalog));
-    PIXELS_ASSIGN_OR_RETURN(
-        std::vector<PlanPtr> right_plans,
-        PartitionSubplan(graph.right, producers, *catalog));
+  PIXELS_ASSIGN_OR_RETURN(std::vector<PlanPtr> left_plans,
+                          PartitionSubplan(graph.left, producers, *catalog));
+  PIXELS_ASSIGN_OR_RETURN(
+      std::vector<PlanPtr> right_plans,
+      PartitionSubplan(graph.right, producers, *catalog));
 
-    // Producer runner: execute the subtree partition, hash-partition the
-    // output by the stage's join keys, write one exchange object. A VM
-    // fallback writes its object too: consumers need every partition.
-    auto producer = [&](const std::vector<PlanPtr>& plans,
-                        const std::vector<const Expr*>& keys) -> TaskRunner {
-      return [&](size_t t, const std::string& path, uint64_t attempt_span,
-                 bool) -> Result<TaskOutcome> {
-        TaskOutcome o;
-        PIXELS_ASSIGN_OR_RETURN(o.fragment,
-                                RunFragment(plans[t], catalog, options,
-                                            kCfWorkerThreads, attempt_span));
-        o.rows = o.fragment.table->num_rows();
-        PIXELS_ASSIGN_OR_RETURN(std::vector<TablePtr> parts,
-                                HashPartitionTable(*o.fragment.table, keys, P));
-        o.fragment.table.reset();
-        PIXELS_ASSIGN_OR_RETURN(ExchangeWriteInfo info,
-                                WriteExchangeObject(store, path, parts));
-        o.object = path;
-        o.exchange_bytes_written = info.bytes_written;
-        o.io_ms = EstimateIoMs(store, info.bytes_written);
-        return o;
-      };
-    };
-    PIXELS_ASSIGN_OR_RETURN(
-        StageOutcome left,
-        RunStage(options, stage(0, "produce-left", left_plans.size()),
-                 producer(left_plans, left_keys), exec));
-    PIXELS_ASSIGN_OR_RETURN(
-        StageOutcome right,
-        RunStage(options, stage(1, "produce-right", right_plans.size()),
-                 producer(right_plans, right_keys), exec));
-
-    // Read every winner object's footer once; consumer tasks share them.
-    // Footer GETs are control-plane reads — their request accounting flows
-    // through the storage stats as usual, but they sit outside the
-    // per-task simulated durations (read before the join stage starts).
-    struct ProducerObject {
-      std::string path;
-      ExchangeFooter footer;
-    };
-    auto collect = [&](const StageOutcome& producers_out)
-        -> Result<std::vector<ProducerObject>> {
-      std::vector<ProducerObject> objs;
-      for (const TaskOutcome& w : producers_out.winners) {
-        ProducerObject po;
-        po.path = w.object;
-        PIXELS_ASSIGN_OR_RETURN(po.footer, ReadExchangeFooter(store, po.path));
-        objs.push_back(std::move(po));
-      }
-      return objs;
-    };
-    PIXELS_ASSIGN_OR_RETURN(std::vector<ProducerObject> left_objs,
-                            collect(left));
-    PIXELS_ASSIGN_OR_RETURN(std::vector<ProducerObject> right_objs,
-                            collect(right));
-
-    // Consumer runner: assemble this partition from every producer object
-    // (one combined ranged GET each), then run the join + the unary chain
-    // above it over the two assembled sides. Its compute is priced on the
-    // exchange bytes it ingests.
-    auto consumer = [&](size_t p, const std::string&, uint64_t attempt_span,
-                        bool) -> Result<TaskOutcome> {
+  // Producer runner: execute the subtree partition, hash-partition the
+  // output by the stage's join keys, write one exchange object typed by
+  // the subtree's bound schema (so an empty output is still a typed
+  // file). A VM fallback writes its object too: consumers need every
+  // partition.
+  auto producer = [&](const std::vector<PlanPtr>& plans,
+                      const std::vector<const Expr*>& keys) -> TaskRunner {
+    return [&](size_t t, const std::string& path, uint64_t attempt_span,
+               bool) -> Result<TaskOutcome> {
       TaskOutcome o;
-      auto assemble = [&](const std::vector<ProducerObject>& objs)
-          -> Result<TablePtr> {
-        auto side = std::make_shared<Table>();
-        for (const auto& obj : objs) {
-          if (obj.footer.schema.empty()) continue;  // empty producer output
-          uint64_t got = 0;
-          PIXELS_ASSIGN_OR_RETURN(
-              RowBatchPtr batch,
-              ReadExchangePartition(store, obj.path, obj.footer, p, &got));
-          o.exchange_bytes_read += got;
-          o.io_ms += EstimateIoMs(store, got);
-          side->AddBatch(std::move(batch));
-        }
-        return side;
-      };
-      PIXELS_ASSIGN_OR_RETURN(TablePtr left_side, assemble(left_objs));
-      PIXELS_ASSIGN_OR_RETURN(TablePtr right_side, assemble(right_objs));
-      PIXELS_ASSIGN_OR_RETURN(
-          PlanPtr plan, InstantiateConsumer(graph, std::move(left_side),
-                                            std::move(right_side)));
+      PIXELS_ASSIGN_OR_RETURN(PlanSchema out,
+                              OutputSchema(*plans[t], catalog));
+      FileSchema schema;
+      for (size_t c = 0; c < out.names.size(); ++c) {
+        schema.push_back(ColumnDef{out.names[c], out.types[c]});
+      }
       PIXELS_ASSIGN_OR_RETURN(o.fragment,
-                              RunFragment(plan, catalog, options,
+                              RunFragment(plans[t], catalog, options,
                                           kCfWorkerThreads, attempt_span));
       o.rows = o.fragment.table->num_rows();
+      PIXELS_ASSIGN_OR_RETURN(
+          std::vector<RowBatchPtr> parts,
+          HashPartitionTable(*o.fragment.table, schema, keys, P));
+      o.fragment.table.reset();
+      PIXELS_ASSIGN_OR_RETURN(o.exchange_bytes_written,
+                              WriteExchangeObject(store, path, schema, parts));
+      o.object = path;
+      o.io_ms = EstimateIoMs(store, o.exchange_bytes_written);
       return o;
     };
-    PIXELS_ASSIGN_OR_RETURN(
-        StageOutcome join,
-        RunStage(options, stage(2, "join", static_cast<size_t>(P)), consumer,
-                 exec));
-
-    // DAG timing: both producer stages start at 0; the join stage starts
-    // when the slower one drains.
-    exec->shuffle_stages = 3;
-    exec->shuffle_stage_wall_ms = {left.wall_ms, right.wall_ms, join.wall_ms};
-    exec->shuffle_critical_path_ms =
-        std::max(left.wall_ms, right.wall_ms) + join.wall_ms;
-    return join.ConcatTables();
   };
-  Result<TablePtr> view = run_dag();
+  PIXELS_ASSIGN_OR_RETURN(
+      StageOutcome left,
+      RunStage(options, stage(0, "produce-left", left_plans.size()),
+               producer(left_plans, left_keys), exec));
+  PIXELS_ASSIGN_OR_RETURN(
+      StageOutcome right,
+      RunStage(options, stage(1, "produce-right", right_plans.size()),
+               producer(right_plans, right_keys), exec));
 
-  // GC on success and failure alike: sweep the whole prefix (winner and
-  // any leaked loser objects) — a failed query must not leak either.
-  const size_t swept = SweepExchangePrefix(store, prefix);
-  PIXELS_RETURN_NOT_OK(view.status());
-  exec->shuffle_objects_swept = swept;
+  // Open every winner object once; consumer tasks share the readers
+  // (ReadRowGroup is const and thread-safe). Footer GETs are
+  // control-plane reads — their request accounting flows through the
+  // storage stats as usual, but they sit outside the per-task simulated
+  // durations (read before the join stage starts).
+  using Readers = std::vector<std::unique_ptr<PixelsReader>>;
+  auto collect = [&](const StageOutcome& producers_out) -> Result<Readers> {
+    Readers readers;
+    for (const TaskOutcome& w : producers_out.winners) {
+      PIXELS_ASSIGN_OR_RETURN(
+          auto reader, PixelsReader::Open(store, w.object, IntermediateIo()));
+      readers.push_back(std::move(reader));
+    }
+    return readers;
+  };
+  PIXELS_ASSIGN_OR_RETURN(Readers left_objs, collect(left));
+  PIXELS_ASSIGN_OR_RETURN(Readers right_objs, collect(right));
+
+  // Consumer runner: assemble this partition from every producer object
+  // (one combined ranged GET each, none for an empty partition), then
+  // run the join + the unary chain above it over the two assembled
+  // sides. Its compute is priced on the exchange bytes it ingests, which
+  // are never billed as scanned bytes.
+  auto consumer = [&](size_t p, const std::string&, uint64_t attempt_span,
+                      bool) -> Result<TaskOutcome> {
+    TaskOutcome o;
+    auto assemble = [&](const Readers& objs) -> Result<TablePtr> {
+      auto side = std::make_shared<Table>();
+      for (const auto& obj : objs) {
+        RowBatchPtr batch;
+        if (obj->RowGroupRows(p) == 0) {
+          batch = std::make_shared<RowBatch>();
+          for (const auto& def : obj->schema()) {
+            batch->AddColumn(def.name, MakeVector(def.type));
+          }
+        } else {
+          ScanStats stats;
+          PIXELS_ASSIGN_OR_RETURN(batch, obj->ReadRowGroup(p, {}, &stats));
+          o.exchange_bytes_read += stats.bytes_scanned;
+          o.io_ms += EstimateIoMs(store, stats.bytes_scanned);
+        }
+        side->AddBatch(std::move(batch));
+      }
+      return side;
+    };
+    PIXELS_ASSIGN_OR_RETURN(TablePtr left_side, assemble(left_objs));
+    PIXELS_ASSIGN_OR_RETURN(TablePtr right_side, assemble(right_objs));
+    PIXELS_ASSIGN_OR_RETURN(
+        PlanPtr plan, InstantiateConsumer(graph, std::move(left_side),
+                                          std::move(right_side)));
+    PIXELS_ASSIGN_OR_RETURN(o.fragment,
+                            RunFragment(plan, catalog, options,
+                                        kCfWorkerThreads, attempt_span));
+    o.rows = o.fragment.table->num_rows();
+    return o;
+  };
+  PIXELS_ASSIGN_OR_RETURN(
+      StageOutcome join,
+      RunStage(options, stage(2, "join", static_cast<size_t>(P)), consumer,
+               exec));
+
+  // DAG timing: both producer stages start at 0; the join stage starts
+  // when the slower one drains.
+  exec->shuffle_stages = 3;
+  exec->shuffle_stage_wall_ms = {left.wall_ms, right.wall_ms, join.wall_ms};
+  exec->shuffle_critical_path_ms =
+      std::max(left.wall_ms, right.wall_ms) + join.wall_ms;
   if (tracer != nullptr) {
     tracer->Annotate(
         shuffle_span, "critical_path_ms",
@@ -561,9 +559,8 @@ Result<TablePtr> ExecuteShuffleDag(const StageGraph& graph, Catalog* catalog,
                      static_cast<uint64_t>(exec->hedges_fired));
     tracer->Annotate(shuffle_span, "hedges_won",
                      static_cast<uint64_t>(exec->hedges_won));
-    tracer->Annotate(shuffle_span, "swept", static_cast<uint64_t>(swept));
   }
-  return view;
+  return join.ConcatTables();
 }
 
 }  // namespace pixels

@@ -116,9 +116,9 @@ Result<StageOutcome> RunStage(const CfWorkerOptions& options,
                               CfExecution* exec);
 
 /// Runs the three-stage shuffle DAG for `graph` with its exchange objects
-/// under `options.view_prefix + ".shuffle"`, filling the counters of
-/// `exec`. The exchange prefix is swept before returning, on success and
-/// on failure alike. Returns the view: the join stage's outputs
+/// under `options.view_prefix + "/shuffle"`, filling the counters of
+/// `exec`. The objects stay for the caller's end-of-query sweep
+/// (ExecuteWithCfPushdown). Returns the view: the join stage's outputs
 /// concatenated in partition order.
 Result<TablePtr> ExecuteShuffleDag(const StageGraph& graph, Catalog* catalog,
                                    const CfWorkerOptions& options,

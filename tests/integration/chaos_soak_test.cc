@@ -37,9 +37,10 @@ struct SoakOutcome {
   uint64_t retry_exhausted = 0;
   double storage_retries_metric = 0;
   uint64_t injected_errors = 0;
-  /// Intermediate exchange objects still in storage after the soak
-  /// (cf_shuffle is on for every run; the GC sweep must leave zero).
-  size_t leaked_shuffle_objects = 0;
+  /// CF intermediates (views and exchange objects) still in storage after
+  /// the soak (cf_shuffle is on for every run; the GC sweep must leave
+  /// zero).
+  size_t leaked_intermediates = 0;
 };
 
 std::vector<std::string> SortedRows(const Table& t) {
@@ -146,15 +147,11 @@ SoakOutcome RunSoak(double fault_rate) {
   if (injector != nullptr) {
     out.injected_errors = injector->stats().injected_read_errors;
   }
-  // No-leak scan: nothing under any ".shuffle" exchange prefix survives
-  // the queries, chaos or not.
-  auto all = mem->List("");
-  EXPECT_TRUE(all.ok());
-  if (all.ok()) {
-    for (const auto& f : *all) {
-      if (f.find(".shuffle/") != std::string::npos) ++out.leaked_shuffle_objects;
-    }
-  }
+  // No-leak scan: no CF intermediate (worker view or exchange object)
+  // survives the queries, chaos or not.
+  auto left = mem->List("intermediate/");
+  EXPECT_TRUE(left.ok());
+  if (left.ok()) out.leaked_intermediates = left->size();
   return out;
 }
 
@@ -174,7 +171,7 @@ void ExpectIdentical(const SoakOutcome& baseline, const SoakOutcome& chaotic,
                      chaotic.queries[i].bill_usd);
   }
   EXPECT_DOUBLE_EQ(baseline.total_billed, chaotic.total_billed);
-  EXPECT_EQ(chaotic.leaked_shuffle_objects, 0u);
+  EXPECT_EQ(chaotic.leaked_intermediates, 0u);
   // Every injected fault was either recovered by a retry or never blocked
   // an op (no query failed, so nothing was exhausted).
   EXPECT_EQ(chaotic.retry_exhausted, 0u);
@@ -194,7 +191,7 @@ TEST(ChaosSoakTest, FaultRatesNeverChangeResultsOrBills) {
   EXPECT_EQ(baseline.retry_recovered, 0u);
   EXPECT_EQ(baseline.retry_exhausted, 0u);
   EXPECT_DOUBLE_EQ(baseline.storage_retries_metric, 0.0);
-  EXPECT_EQ(baseline.leaked_shuffle_objects, 0u);
+  EXPECT_EQ(baseline.leaked_intermediates, 0u);
 
   for (double rate : {0.01, 0.05, 0.20}) {
     const SoakOutcome chaotic = RunSoak(rate);
@@ -287,11 +284,9 @@ TEST(ChaosSoakTest, ShuffleUnderChaosNeverLeaksOrDiverges) {
     coord.Stop();
     clock.RunAll();
 
-    auto all = mem->List("");
-    ASSERT_TRUE(all.ok());
-    for (const auto& f : *all) {
-      EXPECT_EQ(f.find(".shuffle/"), std::string::npos) << "leaked: " << f;
-    }
+    auto left = mem->List("intermediate/");
+    ASSERT_TRUE(left.ok());
+    for (const auto& f : *left) ADD_FAILURE() << "leaked: " << f;
   }
   // The chaos was real: faults hit this workload and were absorbed.
   EXPECT_GT(injector->stats().injected_read_errors, 0u);

@@ -122,12 +122,30 @@ TEST_F(EndToEndTest, TpchQueriesThroughAllServiceLevels) {
 }
 
 TEST_F(EndToEndTest, CfPushdownUnderLoadProducesCorrectResults) {
+  // Serve the data behind a PUT-counting object store so the workers'
+  // intermediate views can be seen going in (the same cluster shape as
+  // the fixture's).
+  ASSERT_TRUE(catalog_->SaveToStorage("meta/catalog.json").ok());
+  auto object_store = std::make_shared<ObjectStore>(storage_);
+  auto catalog = std::make_shared<Catalog>(object_store);
+  ASSERT_TRUE(catalog->LoadFromStorage("meta/catalog.json").ok());
+  CoordinatorParams cparams;
+  cparams.vm.initial_vms = 1;
+  cparams.vm.slots_per_vm = 2;
+  cparams.vm.high_watermark = 2.0;
+  cparams.vm.low_watermark = 0.75;
+  cparams.vm.monitor_interval = 5 * kSeconds;
+  Coordinator coordinator(&clock_, &rng_, cparams, catalog);
+  QueryServerParams sparams;
+  sparams.poll_interval = 1 * kSeconds;
+  QueryServer server(&clock_, &coordinator, sparams);
+
   // Saturate the VM cluster with synthetic work.
   for (int i = 0; i < 2; ++i) {
     Submission filler;
     filler.level = ServiceLevel::kImmediate;
     filler.query.work_vcpu_seconds = 500.0;
-    server_->Submit(filler);
+    server.Submit(filler);
   }
   // An immediate TPC-H aggregation must run via CF pushdown now.
   Submission s;
@@ -139,7 +157,8 @@ TEST_F(EndToEndTest, CfPushdownUnderLoadProducesCorrectResults) {
   s.query.execute_real = true;
   TablePtr result;
   bool used_cf = false;
-  server_->Submit(s, [&](const SubmissionRecord&, const QueryRecord& qrec) {
+  const uint64_t puts_before = object_store->stats().put_requests;
+  server.Submit(s, [&](const SubmissionRecord&, const QueryRecord& qrec) {
     result = qrec.result;
     used_cf = qrec.used_cf;
   });
@@ -158,10 +177,14 @@ TEST_F(EndToEndTest, CfPushdownUnderLoadProducesCorrectResults) {
   for (size_t k = 0; k < got.size(); ++k) {
     EXPECT_EQ(got[k].i, want[k].i);
   }
-  // Intermediate views landed in object storage (paper: S3).
+  // Intermediate views went through object storage (paper: S3), and the
+  // query's sweep removed them when it returned.
+  EXPECT_GT(object_store->stats().put_requests, puts_before);
   auto views = storage_->List("intermediate/");
   ASSERT_TRUE(views.ok());
-  EXPECT_GE(views->size(), 1u);
+  EXPECT_TRUE(views->empty());
+  server.Stop();
+  coordinator.Stop();
 }
 
 TEST_F(EndToEndTest, LogAnalyticsNlFlow) {

@@ -318,6 +318,17 @@ TEST_F(BinderTest, UntypableShapesAreBindErrors) {
             StatusCode::kInvalidArgument);
   EXPECT_EQ(Bind("SELECT max(id, salary) FROM emp").status().code(),
             StatusCode::kInvalidArgument);
+  // SUM and AVG need numbers; MIN, MAX and COUNT take strings.
+  EXPECT_EQ(Bind("SELECT sum(name) FROM emp").status().code(),
+            StatusCode::kTypeError);
+  EXPECT_EQ(Bind("SELECT avg(name) FROM emp").status().code(),
+            StatusCode::kTypeError);
+  EXPECT_EQ(Bind("SELECT dept, sum(DISTINCT name) FROM emp GROUP BY dept")
+                .status()
+                .code(),
+            StatusCode::kTypeError);
+  EXPECT_TRUE(
+      Bind("SELECT min(name), max(name), count(name) FROM emp").ok());
 }
 
 }  // namespace

@@ -2,9 +2,13 @@
 
 #include <gtest/gtest.h>
 
+#include <limits>
+
+#include "exec/expression.h"
 #include "plan/binder.h"
 #include "sql/parser.h"
 #include "storage/memory_store.h"
+#include "testing/reference_eval.h"
 #include "testing/test_db.h"
 #include "workload/tpch.h"
 
@@ -60,6 +64,45 @@ TEST(FoldConstantsTest, DivisionByZeroBecomesNull) {
   auto folded = FoldConstants(*ParseExpression("1 / 0"));
   ASSERT_EQ(folded->kind, Expr::Kind::kLiteral);
   EXPECT_TRUE(folded->literal.is_null());
+}
+
+// The constant fold (the row evaluator) and the column kernels share one
+// int64 rule: + - * and unary - wrap on overflow, and a -1 divisor
+// negates with wraparound (remainder 0) where INT64_MIN / -1 would trap.
+// CI runs this under ASan+UBSan, where the old signed overflow aborted.
+TEST(FoldConstantsTest, Int64OverflowFoldsLikeTheKernels) {
+  auto x = MakeVector(TypeId::kInt64);
+  x->AppendInt(std::numeric_limits<int64_t>::min());
+  x->AppendInt(std::numeric_limits<int64_t>::max());
+  RowBatch batch;
+  batch.AddColumn("x", x);
+  const char* literals[] = {"(-9223372036854775807 - 1)",
+                            "9223372036854775807"};
+  for (const std::string shape :
+       {"x / -1", "x % -1", "x + 1", "x - 1", "x * 2", "-x"}) {
+    auto bound = BindExpr(shape, batch);
+    ASSERT_TRUE(bound.ok()) << bound.status().ToString();
+    auto kernel = EvaluateExpr(**bound, batch);
+    ASSERT_TRUE(kernel.ok()) << kernel.status().ToString();
+    for (size_t r = 0; r < 2; ++r) {
+      std::string text = shape;
+      text.replace(text.find('x'), 1, literals[r]);
+      SCOPED_TRACE(text);
+      auto folded = FoldConstants(*ParseExpression(text));
+      ASSERT_EQ(folded->kind, Expr::Kind::kLiteral);
+      ASSERT_FALSE((*kernel)->IsNull(r));
+      EXPECT_EQ(folded->literal.i, (*kernel)->GetInt(r));
+    }
+  }
+  // The two shapes that used to trap, pinned.
+  EXPECT_EQ(
+      FoldConstants(*ParseExpression("(-9223372036854775807 - 1) / -1"))
+          ->literal.i,
+      std::numeric_limits<int64_t>::min());
+  EXPECT_EQ(
+      FoldConstants(*ParseExpression("(-9223372036854775807 - 1) % -1"))
+          ->literal.i,
+      0);
 }
 
 TEST(FoldConstantsTest, FoldsCaseAndBetween) {

@@ -9,6 +9,7 @@
 #include "plan/optimizer.h"
 #include "storage/fault_injection.h"
 #include "storage/memory_store.h"
+#include "storage/object_store.h"
 #include "testing/switchable_storage.h"
 #include "testing/test_db.h"
 #include "turbo/cf_worker.h"
@@ -174,6 +175,61 @@ TEST_F(CfRetryTest, PermanentErrorFailsWithoutRetry) {
   auto exec = ExecuteWithCfPushdown(Plan(sql_), catalog_.get(), options);
   ASSERT_FALSE(exec.ok());
   EXPECT_TRUE(exec.status().IsNotFound());
+}
+
+// Single-stage views live under the query's prefix and are swept when the
+// query returns: after a success and after a permanent failure alike.
+TEST_F(CfRetryTest, SingleStageViewsAreSweptOnSuccessAndFailure) {
+  auto views = std::make_shared<ObjectStore>(mem_);
+  auto options = FleetOptions();
+  options.intermediate_store = views.get();
+  options.view_prefix = "intermediate/q1";
+  auto ok = ExecuteWithCfPushdown(Plan(sql_), catalog_.get(), options);
+  ASSERT_TRUE(ok.ok()) << ok.status().ToString();
+  ASSERT_GT(ok->workers_used, 1);
+  EXPECT_EQ(views->stats().put_requests,
+            static_cast<uint64_t>(ok->workers_used));
+  EXPECT_EQ(ok->shuffle_objects_swept,
+            static_cast<size_t>(ok->workers_used));
+  EXPECT_TRUE(mem_->List("intermediate/")->empty());
+
+  // Remove the last lineitem file: the serial fleet's first task writes
+  // its view, then the task that scans the missing file fails with
+  // NotFound, which is permanent and fails the query.
+  auto files = mem_->List("");
+  ASSERT_TRUE(files.ok());
+  std::string victim;
+  for (const auto& f : *files) {
+    if (f.find("lineitem") != std::string::npos) victim = f;
+  }
+  ASSERT_FALSE(victim.empty());
+  ASSERT_TRUE(mem_->Delete(victim).ok());
+  const uint64_t puts = views->stats().put_requests;
+  options.view_prefix = "intermediate/q2";
+  auto failed = ExecuteWithCfPushdown(Plan(sql_), catalog_.get(), options);
+  ASSERT_FALSE(failed.ok());
+  EXPECT_TRUE(failed.status().IsNotFound());
+  EXPECT_GT(views->stats().put_requests, puts);  // views were written...
+  EXPECT_TRUE(mem_->List("intermediate/")->empty());  // ...and swept
+}
+
+// Query 1's sweep covers "intermediate/q1/" only: query 10's views and
+// exchange objects stay where they are.
+TEST_F(CfRetryTest, QuerySweepLeavesOtherQueriesObjects) {
+  const std::vector<std::string> q10 = {"intermediate/q10/s0/t0.a1",
+                                        "intermediate/q10/shuffle/s0/t0.a1"};
+  for (const auto& path : q10) ASSERT_TRUE(mem_->Write(path, {1}).ok());
+  for (bool shuffle : {false, true}) {
+    SCOPED_TRACE(shuffle ? "shuffle" : "single-stage");
+    auto options = shuffle ? ShuffleFleetOptions() : FleetOptions();
+    options.intermediate_store = mem_.get();
+    options.view_prefix = "intermediate/q1";
+    auto exec = ExecuteWithCfPushdown(Plan(join_sql_), catalog_.get(), options);
+    ASSERT_TRUE(exec.ok()) << exec.status().ToString();
+    EXPECT_EQ(exec->shuffle_used, shuffle);
+    EXPECT_GT(exec->shuffle_objects_swept, 0u);
+    EXPECT_EQ(*mem_->List("intermediate/"), q10);
+  }
 }
 
 TEST_F(CfRetryTest, CoordinatorDegradesToVmPricingOnFullFallback) {

@@ -5,6 +5,8 @@
 #include "exec/executor.h"
 #include "plan/binder.h"
 #include "plan/optimizer.h"
+#include "storage/memory_store.h"
+#include "storage/object_store.h"
 #include "testing/test_db.h"
 #include "workload/tpch.h"
 
@@ -86,18 +88,22 @@ TEST_F(CfWorkerTest, PushdownWithIntermediateStore) {
   const std::string sql = "SELECT dept, avg(salary) FROM emp GROUP BY dept "
                           "ORDER BY dept";
   auto direct = Direct(sql, catalog_.get(), "db");
+  auto views = std::make_shared<ObjectStore>(std::make_shared<MemoryStore>());
   CfWorkerOptions options;
   options.num_workers = 2;
-  options.intermediate_store = catalog_->storage();
+  options.intermediate_store = views.get();
   options.view_prefix = "intermediate/test";
   auto exec = ExecuteWithCfPushdown(Plan(sql, catalog_.get(), "db"),
                                     catalog_.get(), options);
   ASSERT_TRUE(exec.ok()) << exec.status().ToString();
   EXPECT_EQ(Rows(*direct), Rows(*exec->result));
-  // The worker's view landed in object storage.
-  auto files = catalog_->storage()->List("intermediate/test");
+  // The workers' views went through object storage, and the end-of-query
+  // sweep removed every one of them.
+  EXPECT_GE(views->stats().put_requests, 1u);
+  EXPECT_EQ(exec->shuffle_objects_swept, views->stats().put_requests);
+  auto files = views->List("intermediate/");
   ASSERT_TRUE(files.ok());
-  EXPECT_GE(files->size(), 1u);
+  EXPECT_TRUE(files->empty());
 }
 
 TEST_F(CfWorkerTest, NoPushableSubtreeFallsBack) {
@@ -166,10 +172,11 @@ TEST_F(CfWorkerTest, ConcurrentFleetMatchesSerialFleet) {
   const std::string sql =
       "SELECT l_returnflag, sum(l_extendedprice) AS rev, count(*) AS n FROM "
       "lineitem GROUP BY l_returnflag ORDER BY l_returnflag";
+  auto views = std::make_shared<ObjectStore>(storage);
   CfWorkerOptions serial_opts;
   serial_opts.num_workers = 6;
   serial_opts.fleet_parallelism = 1;
-  serial_opts.intermediate_store = storage.get();
+  serial_opts.intermediate_store = views.get();
   serial_opts.view_prefix = "intermediate/serial";
   auto serial = ExecuteWithCfPushdown(Plan(sql, catalog.get(), "tpch"),
                                       catalog.get(), serial_opts);
@@ -186,13 +193,19 @@ TEST_F(CfWorkerTest, ConcurrentFleetMatchesSerialFleet) {
   EXPECT_EQ(parallel->workers_used, serial->workers_used);
   EXPECT_EQ(Rows(*serial->result), Rows(*parallel->result));
   EXPECT_EQ(serial->bytes_scanned, parallel->bytes_scanned);
-  // Both fleets report per-worker wall times and views made it to storage.
+  // Both fleets report per-worker wall times; every worker's view made it
+  // to storage and was swept when its query returned.
   ASSERT_EQ(parallel->worker_elapsed_seconds.size(),
             static_cast<size_t>(parallel->workers_used));
   for (double t : parallel->worker_elapsed_seconds) EXPECT_GE(t, 0.0);
-  auto views = storage->List("intermediate/parallel");
-  ASSERT_TRUE(views.ok());
-  EXPECT_EQ(views->size(), static_cast<size_t>(parallel->workers_used));
+  EXPECT_EQ(views->stats().put_requests,
+            static_cast<uint64_t>(serial->workers_used +
+                                  parallel->workers_used));
+  EXPECT_EQ(parallel->shuffle_objects_swept,
+            static_cast<size_t>(parallel->workers_used));
+  auto left = storage->List("intermediate/");
+  ASSERT_TRUE(left.ok());
+  EXPECT_TRUE(left->empty());
 }
 
 TEST_F(CfWorkerTest, WorkEstimateDerivedFromBytes) {

@@ -1,7 +1,8 @@
-// Exchange-format property tests: partition-write → combined-read
-// round-trips every type × null pattern × forced encoding, including the
-// empty-partition and single-row-partition edges; plus the combined-read
-// GET guarantee and the first-writer-wins commit race (a TSan subject).
+// Exchange property tests: partition → Pixels-file write → per-partition
+// row-group read round-trips every type × null pattern × forced encoding,
+// including the empty-output, empty-partition and single-row-partition
+// edges; plus the one-GET-per-partition guarantee, the prefix sweep and
+// the first-writer-wins commit race (a TSan subject).
 #include "turbo/shuffle/exchange.h"
 
 #include <gtest/gtest.h>
@@ -13,6 +14,7 @@
 #include "common/random.h"
 #include "common/thread_pool.h"
 #include "storage/memory_store.h"
+#include "format/reader.h"
 #include "storage/object_store.h"
 #include "turbo/shuffle/stage_scheduler.h"
 
@@ -70,6 +72,23 @@ std::string RowKey(const RowBatch& b, size_t r) {
   return key;
 }
 
+/// The partitions a producer writes for `table` under `schema`.
+std::vector<RowBatchPtr> Partition(const Table& table, const FileSchema& schema,
+                                   int P) {
+  ExprPtr key = MakeColumnRef("t", "k");
+  auto parts = HashPartitionTable(table, schema, {key.get()}, P);
+  EXPECT_TRUE(parts.ok()) << parts.status().ToString();
+  return parts.ok() ? *parts : std::vector<RowBatchPtr>{};
+}
+
+/// Opens an exchange object the way the scheduler does.
+std::unique_ptr<PixelsReader> OpenExchange(Storage* storage,
+                                           const std::string& path) {
+  auto reader = PixelsReader::Open(storage, path, IntermediateIo());
+  EXPECT_TRUE(reader.ok()) << reader.status().ToString();
+  return reader.ok() ? std::move(*reader) : nullptr;
+}
+
 class ExchangeRoundTripTest : public ::testing::TestWithParam<ExchangeCase> {};
 
 TEST_P(ExchangeRoundTripTest, PartitionWriteCombinedReadRoundTrips) {
@@ -78,88 +97,90 @@ TEST_P(ExchangeRoundTripTest, PartitionWriteCombinedReadRoundTrips) {
              static_cast<uint64_t>(c.nulls) * 10 +
              static_cast<uint64_t>(c.forced_encoding + 1));
   const int kRows = 301;
-  auto key_col = std::make_shared<ColumnVector>(TypeId::kInt64);
-  auto payload = std::make_shared<ColumnVector>(c.type);
-  for (int i = 0; i < kRows; ++i) {
-    // Skewed keys so some partitions are heavy and (with small key space)
-    // some are empty.
-    key_col->AppendInt(rng.Uniform(0, 6));
-    if (IsNullAt(c.nulls, i, kRows)) {
-      payload->AppendNull();
-    } else {
-      AppendTyped(payload.get(), c.type, &rng);
-    }
-  }
-  auto batch = std::make_shared<RowBatch>();
-  batch->AddColumn("t.k", key_col);
-  batch->AddColumn("t.v", payload);
+  // Two input batches, so each partition gathers across batches.
   Table table;
-  table.AddBatch(batch);
+  for (int lo : {0, 151}) {
+    const int hi = lo == 0 ? 151 : kRows;
+    auto key_col = std::make_shared<ColumnVector>(TypeId::kInt64);
+    auto payload = std::make_shared<ColumnVector>(c.type);
+    for (int i = lo; i < hi; ++i) {
+      // Skewed keys so some partitions are heavy and (with small key
+      // space) some are empty.
+      key_col->AppendInt(rng.Uniform(0, 6));
+      if (IsNullAt(c.nulls, i, kRows)) {
+        payload->AppendNull();
+      } else {
+        AppendTyped(payload.get(), c.type, &rng);
+      }
+    }
+    auto batch = std::make_shared<RowBatch>();
+    batch->AddColumn("t.k", key_col);
+    batch->AddColumn("t.v", payload);
+    table.AddBatch(batch);
+  }
+  const FileSchema schema = {{"t.k", TypeId::kInt64}, {"t.v", c.type}};
 
   const int P = 4;
-  ExprPtr key = MakeColumnRef("t", "k");
-  auto parts = HashPartitionTable(table, {key.get()}, P);
-  ASSERT_TRUE(parts.ok()) << parts.status().ToString();
-  ASSERT_EQ(parts->size(), static_cast<size_t>(P));
+  const std::vector<RowBatchPtr> parts = Partition(table, schema, P);
+  ASSERT_EQ(parts.size(), static_cast<size_t>(P));
 
   // Same key always routes to the same partition.
   std::map<int64_t, size_t> key_home;
   size_t total = 0;
-  for (size_t p = 0; p < parts->size(); ++p) {
-    for (const auto& b : (*parts)[p]->batches()) {
-      for (size_t r = 0; r < b->num_rows(); ++r) {
-        const int64_t k = b->column(0)->GetValue(r).AsInt();
-        auto it = key_home.find(k);
-        if (it == key_home.end()) {
-          key_home[k] = p;
-        } else {
-          EXPECT_EQ(it->second, p) << "key " << k << " split across partitions";
-        }
-        ++total;
+  for (size_t p = 0; p < parts.size(); ++p) {
+    ASSERT_EQ(parts[p]->num_columns(), 2u);
+    EXPECT_EQ(parts[p]->column(1)->type(), c.type);
+    for (size_t r = 0; r < parts[p]->num_rows(); ++r) {
+      const int64_t k = parts[p]->column(0)->GetValue(r).AsInt();
+      auto it = key_home.find(k);
+      if (it == key_home.end()) {
+        key_home[k] = p;
+      } else {
+        EXPECT_EQ(it->second, p) << "key " << k << " split across partitions";
       }
+      ++total;
     }
   }
   EXPECT_EQ(total, static_cast<size_t>(kRows));
 
   auto storage = std::make_shared<MemoryStore>();
-  auto info = WriteExchangeObject(storage.get(), "x/t0.a1", *parts,
-                                  c.forced_encoding);
-  ASSERT_TRUE(info.ok()) << info.status().ToString();
-  EXPECT_GT(info->bytes_written, 0u);
-  EXPECT_EQ(info->num_partitions, static_cast<size_t>(P));
+  WriterOptions options;
+  if (c.forced_encoding >= 0) {
+    options.forced_encoding = static_cast<Encoding>(c.forced_encoding);
+  }
+  auto bytes = WriteExchangeObject(storage.get(), "x/t0.a1", schema, parts,
+                                   options);
+  ASSERT_TRUE(bytes.ok()) << bytes.status().ToString();
+  EXPECT_EQ(*bytes, *storage->Size("x/t0.a1"));
 
-  auto footer = ReadExchangeFooter(storage.get(), "x/t0.a1");
-  ASSERT_TRUE(footer.ok()) << footer.status().ToString();
-  ASSERT_EQ(footer->num_partitions(), static_cast<size_t>(P));
-  ASSERT_EQ(footer->schema.size(), 2u);
-  EXPECT_EQ(footer->schema[0].name, "t.k");
-  EXPECT_EQ(footer->schema[1].type, c.type);
+  auto reader = OpenExchange(storage.get(), "x/t0.a1");
+  ASSERT_NE(reader, nullptr);
+  ASSERT_EQ(reader->NumRowGroups(), static_cast<size_t>(P));
+  ASSERT_EQ(reader->schema().size(), 2u);
+  EXPECT_EQ(reader->schema()[0].name, "t.k");
+  EXPECT_EQ(reader->schema()[1].type, c.type);
 
   // Every row comes back, partition by partition, values and nulls intact.
   std::multiset<std::string> want, got;
   for (const auto& b : table.batches()) {
     for (size_t r = 0; r < b->num_rows(); ++r) want.insert(RowKey(*b, r));
   }
-  uint64_t bytes_read = 0;
+  ScanStats stats;
   for (int p = 0; p < P; ++p) {
-    auto read = ReadExchangePartition(storage.get(), "x/t0.a1", *footer, p,
-                                      &bytes_read);
+    ASSERT_EQ(reader->RowGroupRows(p), parts[p]->num_rows());
+    if (parts[p]->num_rows() == 0) continue;
+    auto read = reader->ReadRowGroup(p, {}, &stats);
     ASSERT_TRUE(read.ok()) << read.status().ToString();
-    ASSERT_EQ((*read)->num_rows(), footer->partition_rows[p]);
+    ASSERT_EQ((*read)->num_rows(), parts[p]->num_rows());
+    EXPECT_EQ((*read)->column(1)->type(), c.type);
     // The read batch matches the partition we wrote, row for row.
-    const Table& part = *(*parts)[p];
-    size_t off = 0;
-    for (const auto& pb : part.batches()) {
-      for (size_t r = 0; r < pb->num_rows(); ++r, ++off) {
-        EXPECT_EQ(RowKey(**read, off), RowKey(*pb, r));
-      }
-    }
     for (size_t r = 0; r < (*read)->num_rows(); ++r) {
+      EXPECT_EQ(RowKey(**read, r), RowKey(*parts[p], r));
       got.insert(RowKey(**read, r));
     }
   }
   EXPECT_EQ(want, got);
-  EXPECT_GT(bytes_read, 0u);
+  EXPECT_GT(stats.bytes_scanned, 0u);
 }
 
 INSTANTIATE_TEST_SUITE_P(
@@ -194,22 +215,27 @@ INSTANTIATE_TEST_SUITE_P(
         ExchangeCase{TypeId::kDouble, NullPattern::kAlternating,
                      static_cast<int>(Encoding::kDictionary)}));
 
-TEST(ExchangeFormatTest, EmptyTableWritesEmptySchemaObject) {
-  Table empty;
-  ExprPtr key = MakeColumnRef("t", "k");
-  auto parts = HashPartitionTable(empty, {key.get()}, 3);
-  ASSERT_TRUE(parts.ok());
+TEST(ExchangeFormatTest, EmptyTableWritesTypedObject) {
+  // An empty producer output is still a typed file: every partition is a
+  // zero-row row group of the producer plan's schema.
+  const FileSchema schema = {{"t.k", TypeId::kInt64}, {"t.v", TypeId::kDate}};
+  const std::vector<RowBatchPtr> parts = Partition(Table{}, schema, 3);
+  ASSERT_EQ(parts.size(), 3u);
   auto storage = std::make_shared<MemoryStore>();
-  auto info = WriteExchangeObject(storage.get(), "x/empty", *parts);
-  ASSERT_TRUE(info.ok()) << info.status().ToString();
-  auto footer = ReadExchangeFooter(storage.get(), "x/empty");
-  ASSERT_TRUE(footer.ok()) << footer.status().ToString();
-  EXPECT_TRUE(footer->schema.empty());
-  EXPECT_EQ(footer->num_partitions(), 3u);
+  auto bytes = WriteExchangeObject(storage.get(), "x/empty", schema, parts);
+  ASSERT_TRUE(bytes.ok()) << bytes.status().ToString();
+  auto reader = OpenExchange(storage.get(), "x/empty");
+  ASSERT_NE(reader, nullptr);
+  EXPECT_EQ(reader->schema(), schema);
+  ASSERT_EQ(reader->NumRowGroups(), 3u);
   for (int p = 0; p < 3; ++p) {
-    auto read = ReadExchangePartition(storage.get(), "x/empty", *footer, p);
-    ASSERT_TRUE(read.ok());
+    EXPECT_EQ(reader->RowGroupRows(p), 0u);
+    ScanStats stats;
+    auto read = reader->ReadRowGroup(p, {}, &stats);
+    ASSERT_TRUE(read.ok()) << read.status().ToString();
     EXPECT_EQ((*read)->num_rows(), 0u);
+    ASSERT_EQ((*read)->num_columns(), 2u);
+    EXPECT_EQ((*read)->column(1)->type(), TypeId::kDate);
   }
 }
 
@@ -223,25 +249,32 @@ TEST(ExchangeFormatTest, SingleRowLeavesOtherPartitionsEmpty) {
   batch->AddColumn("t.v", val_col);
   Table table;
   table.AddBatch(batch);
-  ExprPtr key = MakeColumnRef("t", "k");
+  const FileSchema schema = {{"t.k", TypeId::kInt64},
+                             {"t.v", TypeId::kString}};
   const int P = 8;
-  auto parts = HashPartitionTable(table, {key.get()}, P);
-  ASSERT_TRUE(parts.ok());
-  auto storage = std::make_shared<MemoryStore>();
-  auto info = WriteExchangeObject(storage.get(), "x/one", *parts);
-  ASSERT_TRUE(info.ok());
-  auto footer = ReadExchangeFooter(storage.get(), "x/one");
-  ASSERT_TRUE(footer.ok());
+  const std::vector<RowBatchPtr> parts = Partition(table, schema, P);
+  ASSERT_EQ(parts.size(), static_cast<size_t>(P));
+  auto store = std::make_shared<ObjectStore>(std::make_shared<MemoryStore>());
+  ASSERT_TRUE(WriteExchangeObject(store.get(), "x/one", schema, parts).ok());
+  auto reader = OpenExchange(store.get(), "x/one");
+  ASSERT_NE(reader, nullptr);
   size_t nonempty = 0, total = 0;
   for (int p = 0; p < P; ++p) {
-    auto read = ReadExchangePartition(storage.get(), "x/one", *footer, p);
-    ASSERT_TRUE(read.ok()) << read.status().ToString();
-    total += (*read)->num_rows();
-    if ((*read)->num_rows() > 0) {
-      ++nonempty;
-      EXPECT_EQ((*read)->column(0)->GetValue(0).AsInt(), 42);
-      EXPECT_EQ((*read)->column(1)->GetValue(0).s, "lonely");
+    if (reader->RowGroupRows(p) == 0) {
+      // The scheduler skips an empty partition without a GET; its row
+      // group has no bytes to fetch.
+      EXPECT_EQ(*reader->RowGroupProjectedBytes(p, {}), 0u);
+      continue;
     }
+    const uint64_t before = store->stats().get_requests;
+    ScanStats stats;
+    auto read = reader->ReadRowGroup(p, {}, &stats);
+    ASSERT_TRUE(read.ok()) << read.status().ToString();
+    EXPECT_EQ(store->stats().get_requests - before, 1u) << "partition " << p;
+    total += (*read)->num_rows();
+    ++nonempty;
+    EXPECT_EQ((*read)->column(0)->GetValue(0).AsInt(), 42);
+    EXPECT_EQ((*read)->column(1)->GetValue(0).s, "lonely");
   }
   EXPECT_EQ(nonempty, 1u);
   EXPECT_EQ(total, 1u);
@@ -263,39 +296,63 @@ TEST(ExchangeFormatTest, CombinedReadIssuesOneGetPerPartition) {
   batch->AddColumn("t.b", b_col);
   Table table;
   table.AddBatch(batch);
-  ExprPtr key = MakeColumnRef("t", "k");
-  auto parts = HashPartitionTable(table, {key.get()}, 4);
-  ASSERT_TRUE(parts.ok());
+  const FileSchema schema = {{"t.k", TypeId::kInt64},
+                             {"t.a", TypeId::kDouble},
+                             {"t.b", TypeId::kString}};
+  const std::vector<RowBatchPtr> parts = Partition(table, schema, 4);
 
   auto store = std::make_shared<ObjectStore>(std::make_shared<MemoryStore>());
-  ASSERT_TRUE(WriteExchangeObject(store.get(), "x/g", *parts).ok());
-  auto footer = ReadExchangeFooter(store.get(), "x/g");
-  ASSERT_TRUE(footer.ok());
+  ASSERT_TRUE(WriteExchangeObject(store.get(), "x/g", schema, parts).ok());
+  auto reader = OpenExchange(store.get(), "x/g");
+  ASSERT_NE(reader, nullptr);
   for (int p = 0; p < 4; ++p) {
+    ASSERT_GT(reader->RowGroupRows(p), 0u);
     const uint64_t before = store->stats().get_requests;
-    auto read = ReadExchangePartition(store.get(), "x/g", *footer, p);
+    ScanStats stats;
+    auto read = reader->ReadRowGroup(p, {}, &stats);
     ASSERT_TRUE(read.ok());
-    // The per-column ranges are contiguous, so they coalesce into exactly
+    // A row group's chunks are contiguous, so they coalesce into exactly
     // one underlying GET — the combined-read guarantee.
     EXPECT_EQ(store->stats().get_requests - before, 1u) << "partition " << p;
+    EXPECT_EQ(stats.bytes_scanned, *reader->RowGroupProjectedBytes(p, {}));
   }
+}
+
+TEST(ExchangeFormatTest, MismatchedProducerTypeIsAnError) {
+  auto key_col = std::make_shared<ColumnVector>(TypeId::kInt64);
+  key_col->AppendInt(1);
+  auto batch = std::make_shared<RowBatch>();
+  batch->AddColumn("t.k", key_col);
+  Table table;
+  table.AddBatch(batch);
+  ExprPtr key = MakeColumnRef("t", "k");
+  // The object's schema comes from the plan; a batch that disagrees with
+  // it would write chunks the footer mislabels.
+  EXPECT_FALSE(
+      HashPartitionTable(table, {{"t.k", TypeId::kInt32}}, {key.get()}, 2).ok());
+  PixelsWriter writer({{"t.k", TypeId::kInt32}});
+  EXPECT_TRUE(writer.AppendRowGroup(*batch).IsTypeError());
 }
 
 TEST(ExchangeFormatTest, SweepRemovesEverythingUnderPrefix) {
   auto storage = std::make_shared<MemoryStore>();
   for (int i = 0; i < 5; ++i) {
     ASSERT_TRUE(storage
-                    ->Write("q1.shuffle/s0/t" + std::to_string(i) + ".a1",
+                    ->Write("intermediate/q1/shuffle/s0/t" +
+                                std::to_string(i) + ".a1",
                             {1, 2, 3})
                     .ok());
   }
-  ASSERT_TRUE(storage->Write("q2.shuffle/s0/t0.a1", {9}).ok());
-  EXPECT_EQ(SweepExchangePrefix(storage.get(), "q1.shuffle/"), 5u);
-  auto left = storage->List("q1.shuffle/");
+  ASSERT_TRUE(storage->Write("intermediate/q1/s0/t0.a1", {4}).ok());
+  ASSERT_TRUE(storage->Write("intermediate/q10/s0/t0.a1", {9}).ok());
+  ASSERT_TRUE(storage->Write("intermediate/q10/shuffle/s0/t0.a1", {9}).ok());
+  EXPECT_EQ(SweepExchangePrefix(storage.get(), "intermediate/q1/"), 6u);
+  auto left = storage->List("intermediate/q1/");
   ASSERT_TRUE(left.ok());
   EXPECT_TRUE(left->empty());
-  // Other queries' intermediates are untouched.
-  EXPECT_TRUE(storage->Exists("q2.shuffle/s0/t0.a1"));
+  // Other queries' intermediates are untouched, q10 included.
+  EXPECT_TRUE(storage->Exists("intermediate/q10/s0/t0.a1"));
+  EXPECT_TRUE(storage->Exists("intermediate/q10/shuffle/s0/t0.a1"));
 }
 
 // First-writer-wins commit: the winner is the claim with the earliest

@@ -171,8 +171,8 @@ TEST_F(ShuffleStageTest, ShuffleMatchesDirectAndSingleStage) {
   ASSERT_EQ(shuffled->shuffle_stage_wall_ms.size(), 3u);
   EXPECT_GT(shuffled->shuffle_critical_path_ms, 0.0);
 
-  // GC: nothing under the exchange prefix survives the query.
-  auto leftovers = catalog_->storage()->List("intermediate/view.shuffle");
+  // GC: nothing under the query's prefix survives it.
+  auto leftovers = catalog_->storage()->List("intermediate/view/");
   ASSERT_TRUE(leftovers.ok());
   EXPECT_TRUE(leftovers->empty());
   EXPECT_GT(shuffled->shuffle_objects_swept, 0u);
@@ -235,7 +235,7 @@ TEST_F(ShuffleStageTest, TpchJoinShuffleMatchesDirect) {
   EXPECT_GT(exec->workers_used, 1);
   EXPECT_GT(exec->bytes_scanned, 0u);
 
-  auto leftovers = storage->List("intermediate/view.shuffle");
+  auto leftovers = storage->List("intermediate/view/");
   ASSERT_TRUE(leftovers.ok());
   EXPECT_TRUE(leftovers->empty());
 }
