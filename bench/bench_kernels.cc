@@ -1,28 +1,23 @@
-// E13/E14 — Vectorized kernels, fused decode+filter, runtime filters,
-// and typed hash join/aggregation.
+// E13/E14 — Vectorized kernels, runtime filters, typed hash
+// join/aggregation and chunk decode.
 //
 // Five measurements over real engine paths:
 //   1. Predicate kernels: FilterOperator's selection (EvaluateExpr, then
 //      TruthSelect) vs the row-at-a-time reference evaluator on an
 //      in-memory batch, swept over selectivity.
-//   2. Fused decode+filter: PixelsReader::ReadRowGroupFiltered vs
-//      ReadRowGroup plus the same EvaluateExpr filter over every row
-//      group of a fact file (same rows, same ScanStats bytes, fewer rows
-//      materialized).
-//   3. Runtime filters: a clustered fact ⋈ small dim join with filters
+//   2. Runtime filters: a clustered fact ⋈ small dim join with filters
 //      on vs off — identical results, measurably fewer billed bytes,
 //      and the exact audit bytes_off == bytes_on + rf_skipped_bytes.
-//   4. Typed hash tables (E14): hash aggregation and equi-join vs the
+//   3. Typed hash tables (E14): hash aggregation and equi-join vs the
 //      row-at-a-time reference (testing/reference_exec.h: boxed grouped
 //      aggregation, nested-loop join), swept over key cardinality and
 //      probe selectivity — identical rows and bills, typed path faster.
-//   5. Expression evaluation: EvaluateExpr's column kernels vs the
+//   4. Expression evaluation: EvaluateExpr's column kernels vs the
 //      row-at-a-time reference on TPC-H aggregate arguments (q5 revenue,
 //      q12 priority CASE, q14 promo CASE with LIKE) — identical columns.
-//   6. Chunk decode (E20): DecodeColumn / DecodeColumnSelected vs the
-//      value-at-a-time reference (testing/reference_decode.h) per (type,
-//      encoding, null fraction), whole chunk and 10/50/90 % selected —
-//      identical vectors, ns per chunk row.
+//   5. Chunk decode (E20): whole-chunk DecodeColumn vs the value-at-a-time
+//      reference (testing/reference_decode.h) per (type, encoding, null
+//      fraction) — identical vectors, ns per chunk row.
 //
 // The full run prints the tables and writes BENCH_kernels.json
 // (machine-readable, checked in). `--kernels-smoke` runs the CI gate:
@@ -45,7 +40,6 @@
 #include "exec/expression.h"
 #include "exec/kernels.h"
 #include "format/encoding.h"
-#include "format/reader.h"
 #include "format/writer.h"
 #include "storage/memory_store.h"
 #include "testing/reference_decode.h"
@@ -144,7 +138,7 @@ std::vector<SweepPoint> RunKernelSweep(size_t rows, int reps) {
   return points;
 }
 
-// ---- 5. expression evaluation on aggregate arguments ----
+// ---- 4. expression evaluation on aggregate arguments ----
 
 // The columns TPC-H q5/q12/q14 aggregate over after their joins.
 RowBatchPtr MakeAggArgBatch(size_t rows) {
@@ -231,7 +225,7 @@ void PrintExprSweep(const std::vector<ExprPoint>& points) {
   }
 }
 
-// ---- 2 & 3. engine-level scans and joins ----
+// ---- 2. runtime filters on an engine-level join ----
 
 /// Benches run over data they just wrote; any failure here is a bug.
 void Check(const Status& s) {
@@ -307,7 +301,7 @@ EngineRun RunQuery(Catalog* catalog, const std::string& sql,
   return run;
 }
 
-// ---- 4. typed hash join & aggregation (E14) ----
+// ---- 3. typed hash join & aggregation (E14) ----
 
 // h: `rows` rows with group keys at three cardinalities (10 / 10k /
 // all-distinct) and a uniform value column for probe selectivity.
@@ -460,70 +454,6 @@ std::vector<HashPoint> RunHashSweep(Catalog* catalog, int rows, int reps) {
   return points;
 }
 
-struct FusedPoint {
-  double selectivity;
-  double unfused_ms;
-  double fused_ms;
-  double speedup;
-  bool identical;
-  bool bytes_equal;
-};
-
-std::vector<FusedPoint> RunFusedSweep(Catalog* catalog, int reps) {
-  std::vector<FusedPoint> points;
-  auto reader = PixelsReader::Open(catalog->storage(), "db/fact/part0.pxl");
-  Check(reader.status());
-  const std::vector<std::string> columns = {"k", "v", "tag"};
-  // Predicate on `v` (uniform across row groups, so zone maps cannot
-  // prune): ReadRowGroupFiltered filters the encoded chunks and
-  // materializes only survivors; the baseline decodes every row, then
-  // runs the same predicate through FilterOperator's EvaluateExpr path.
-  for (double target : {0.001, 0.01, 0.1}) {
-    const int64_t threshold = static_cast<int64_t>(1000 * target);
-    const std::vector<ScanPredicate> preds = {
-        {"v", "<", Value::Int(threshold)}, {"tag", "<>", Value::String("red")}};
-    ScanStats schema_stats;  // the first row group only names the columns
-    auto first = (*reader)->ReadRowGroup(0, columns, &schema_stats);
-    Check(first.status());
-    auto expr = BindExpr(
-        "v < " + std::to_string(threshold) + " AND tag <> 'red'", **first);
-    Check(expr.status());
-    auto scan = [&](bool fused, std::vector<std::string>* rows) {
-      ScanStats stats;
-      rows->clear();
-      for (size_t rg = 0; rg < (*reader)->NumRowGroups(); ++rg) {
-        RowBatchPtr batch;
-        if (fused) {
-          auto r = (*reader)->ReadRowGroupFiltered(rg, columns, preds, &stats);
-          Check(r.status());
-          batch = *r;
-        } else {
-          auto r = (*reader)->ReadRowGroup(rg, columns, &stats);
-          Check(r.status());
-          auto sel = FilterSelect(**expr, **r);
-          Check(sel.status());
-          batch = (*r)->Gather(*sel);
-        }
-        for (size_t i = 0; i < batch->num_rows(); ++i) {
-          rows->push_back(batch->RowToString(i));
-        }
-      }
-      return stats.bytes_scanned;
-    };
-    std::vector<std::string> fused_rows, unfused_rows;
-    uint64_t fused_bytes = 0, unfused_bytes = 0;
-    const double unfused_ms = TimeMs(
-        reps, [&] { unfused_bytes = scan(false, &unfused_rows); });
-    const double fused_ms =
-        TimeMs(reps, [&] { fused_bytes = scan(true, &fused_rows); });
-    points.push_back({target, unfused_ms, fused_ms,
-                      fused_ms > 0 ? unfused_ms / fused_ms : 0,
-                      !fused_rows.empty() && fused_rows == unfused_rows,
-                      fused_bytes == unfused_bytes});
-  }
-  return points;
-}
-
 struct RfResult {
   uint64_t bytes_off = 0;
   uint64_t bytes_on = 0;
@@ -552,15 +482,14 @@ RfResult RunRfComparison(Catalog* catalog, int reps) {
   return rf;
 }
 
-// ---- 6. chunk decode: bulk decoders vs the value-at-a-time reference ----
+// ---- 5. chunk decode: bulk decoders vs the value-at-a-time reference ----
 
 struct DecodePoint {
   TypeId type;
   Encoding encoding;
   double null_fraction;
-  double selected;  // fraction of rows selected; 1 = whole-chunk decode
-  double ns_per_row;            // per chunk row, DecodeColumn(Selected)
-  double reference_ns_per_row;  // ReferenceDecodeColumn (+ Gather)
+  double ns_per_row;            // per chunk row, DecodeColumn
+  double reference_ns_per_row;  // ReferenceDecodeColumn
   bool identical;
 };
 
@@ -635,9 +564,8 @@ ColumnVector MakeDecodeColumn(TypeId type, Encoding encoding,
   return col;
 }
 
-/// Decode time per chunk row for whole-chunk decode and for 10/50/90 %
-/// of rows selected, over `chunks` chunks of `chunk_rows` rows, against
-/// the reference (whose selected decode is a full decode plus Gather).
+/// Whole-chunk decode time per chunk row over `chunks` chunks of
+/// `chunk_rows` rows, against the reference.
 std::vector<DecodePoint> RunDecodeSweep(size_t chunk_rows, size_t chunks,
                                         int reps) {
   const std::pair<TypeId, Encoding> shapes[] = {
@@ -650,7 +578,6 @@ std::vector<DecodePoint> RunDecodeSweep(size_t chunk_rows, size_t chunks,
       {TypeId::kString, Encoding::kPlain},
       {TypeId::kBool, Encoding::kBitPacked}};
   const double null_fractions[] = {0.0, 0.1};
-  const double selected[] = {1.0, 0.1, 0.5, 0.9};
   const double total_rows = static_cast<double>(chunk_rows * chunks);
   std::vector<DecodePoint> points;
   Random rng(23);
@@ -664,51 +591,40 @@ std::vector<DecodePoint> RunDecodeSweep(size_t chunk_rows, size_t chunks,
             encoding, &w));
         data.push_back(w.Release());
       }
-      for (double frac : selected) {
-        std::vector<std::vector<uint32_t>> sels(chunks);
-        for (auto& sel : sels) {
-          for (uint32_t i = 0; i < chunk_rows; ++i) {
-            if (frac >= 1.0 || rng.Bernoulli(frac)) sel.push_back(i);
-          }
-        }
-        std::vector<ColumnVectorPtr> got(chunks), ref(chunks);
-        const double ms = TimeMs(reps, [&] {
-          for (size_t c = 0; c < chunks; ++c) {
-            ByteReader in(data[c]);
-            auto r = frac >= 1.0 ? DecodeColumn(type, encoding, &in, chunk_rows)
-                                 : DecodeColumnSelected(type, encoding, &in,
-                                                        chunk_rows, sels[c]);
-            got[c] = r.ok() ? *r : nullptr;
-          }
-        });
-        const double ref_ms = TimeMs(reps, [&] {
-          for (size_t c = 0; c < chunks; ++c) {
-            ByteReader in(data[c]);
-            auto r = ReferenceDecodeColumn(type, encoding, &in, chunk_rows);
-            ref[c] = !r.ok() ? nullptr : frac >= 1.0 ? *r : (*r)->Gather(sels[c]);
-          }
-        });
-        bool identical = true;
+      std::vector<ColumnVectorPtr> got(chunks), ref(chunks);
+      const double ms = TimeMs(reps, [&] {
         for (size_t c = 0; c < chunks; ++c) {
-          identical = identical && got[c] != nullptr && ref[c] != nullptr &&
-                      SamePayload(*got[c], *ref[c]);
+          ByteReader in(data[c]);
+          auto r = DecodeColumn(type, encoding, &in, chunk_rows);
+          got[c] = r.ok() ? *r : nullptr;
         }
-        points.push_back({type, encoding, nulls, frac,
-                          ms * 1e6 / total_rows, ref_ms * 1e6 / total_rows,
-                          identical});
+      });
+      const double ref_ms = TimeMs(reps, [&] {
+        for (size_t c = 0; c < chunks; ++c) {
+          ByteReader in(data[c]);
+          auto r = ReferenceDecodeColumn(type, encoding, &in, chunk_rows);
+          ref[c] = r.ok() ? *r : nullptr;
+        }
+      });
+      bool identical = true;
+      for (size_t c = 0; c < chunks; ++c) {
+        identical = identical && got[c] != nullptr && ref[c] != nullptr &&
+                    SamePayload(*got[c], *ref[c]);
       }
+      points.push_back({type, encoding, nulls, ms * 1e6 / total_rows,
+                        ref_ms * 1e6 / total_rows, identical});
     }
   }
   return points;
 }
 
 void PrintDecodeSweep(const std::vector<DecodePoint>& points) {
-  std::printf("%8s %-10s %6s %9s %10s %10s %8s %5s\n", "type", "encoding",
-              "nulls", "selected", "ns/row", "ref_ns/row", "speedup", "same");
+  std::printf("%8s %-10s %6s %10s %10s %8s %5s\n", "type", "encoding",
+              "nulls", "ns/row", "ref_ns/row", "speedup", "same");
   for (const auto& p : points) {
-    std::printf("%8s %-10s %6.2f %9.2f %10.2f %10.2f %7.1fx %5s\n",
+    std::printf("%8s %-10s %6.2f %10.2f %10.2f %7.1fx %5s\n",
                 TypeName(p.type), EncodingName(p.encoding), p.null_fraction,
-                p.selected, p.ns_per_row, p.reference_ns_per_row,
+                p.ns_per_row, p.reference_ns_per_row,
                 p.ns_per_row > 0 ? p.reference_ns_per_row / p.ns_per_row : 0,
                 p.identical ? "yes" : "NO");
   }
@@ -716,7 +632,7 @@ void PrintDecodeSweep(const std::vector<DecodePoint>& points) {
 
 void WriteJson(const char* path, size_t kernel_rows,
                const std::vector<SweepPoint>& sweep, int fact_rows,
-               const std::vector<FusedPoint>& fused, const RfResult& rf,
+               const RfResult& rf,
                int hash_rows, const std::vector<HashPoint>& hash,
                const std::vector<ExprPoint>& exprs, size_t decode_chunk_rows,
                const std::vector<DecodePoint>& decode) {
@@ -740,19 +656,6 @@ void WriteJson(const char* path, size_t kernel_rows,
   }
   std::fprintf(f, "  ],\n");
   std::fprintf(f, "  \"fact_rows\": %d,\n", fact_rows);
-  std::fprintf(f, "  \"fused_scan_sweep\": [\n");
-  for (size_t i = 0; i < fused.size(); ++i) {
-    const auto& p = fused[i];
-    std::fprintf(f,
-                 "    {\"selectivity\": %.3f, \"unfused_ms\": %.3f, "
-                 "\"fused_ms\": %.3f, \"speedup\": %.2f, "
-                 "\"identical\": %s, \"bytes_equal\": %s}%s\n",
-                 p.selectivity, p.unfused_ms, p.fused_ms, p.speedup,
-                 p.identical ? "true" : "false",
-                 p.bytes_equal ? "true" : "false",
-                 i + 1 < fused.size() ? "," : "");
-  }
-  std::fprintf(f, "  ],\n");
   std::fprintf(f, "  \"runtime_filters\": {\n");
   std::fprintf(f, "    \"bytes_off\": %llu,\n",
                static_cast<unsigned long long>(rf.bytes_off));
@@ -804,11 +707,11 @@ void WriteJson(const char* path, size_t kernel_rows,
     const auto& p = decode[i];
     std::fprintf(f,
                  "    {\"type\": \"%s\", \"encoding\": \"%s\", "
-                 "\"null_fraction\": %.2f, \"selected\": %.2f, "
+                 "\"null_fraction\": %.2f, "
                  "\"ns_per_row\": %.3f, \"reference_ns_per_row\": %.3f, "
                  "\"speedup\": %.2f, \"identical\": %s}%s\n",
                  TypeName(p.type), EncodingName(p.encoding), p.null_fraction,
-                 p.selected, p.ns_per_row, p.reference_ns_per_row,
+                 p.ns_per_row, p.reference_ns_per_row,
                  p.ns_per_row > 0 ? p.reference_ns_per_row / p.ns_per_row : 0,
                  p.identical ? "true" : "false",
                  i + 1 < decode.size() ? "," : "");
@@ -854,14 +757,6 @@ int RunSmoke() {
 
   const int kFactRows = 1 << 17;
   auto catalog = BuildBenchCatalog(kFactRows, 100);
-  auto fused = RunFusedSweep(catalog.get(), 2);
-  for (const auto& p : fused) {
-    if (!p.identical) return Fail("fused decode changed query results");
-    if (!p.bytes_equal) return Fail("fused decode changed the bill");
-  }
-  std::printf("  fused==unfused results and bills across %zu selectivities\n",
-              fused.size());
-
   auto rf = RunRfComparison(catalog.get(), 2);
   if (!rf.identical) return Fail("runtime filters changed join results");
   if (!rf.audit_exact) {
@@ -881,7 +776,7 @@ int RunSmoke() {
   PrintDecodeSweep(decode);
   for (const auto& p : decode) {
     if (!p.identical) return Fail("bulk decode differs from the reference");
-    if (p.selected >= 1.0 && p.encoding == Encoding::kPlain &&
+    if (p.encoding == Encoding::kPlain &&
         p.type != TypeId::kString && p.ns_per_row >= p.reference_ns_per_row) {
       return Fail("plain numeric decode not faster than the reference");
     }
@@ -957,18 +852,6 @@ int RunFull(const char* out_path) {
 
   const int kFactRows = 1 << 19;
   auto catalog = BuildBenchCatalog(kFactRows, 200);
-  std::printf("\n-- fused decode+filter (%d-row fact file, reader API, best of "
-              "3) --\n",
-              kFactRows);
-  std::printf("%12s %12s %12s %9s %6s %6s\n", "selectivity", "unfused_ms",
-              "fused_ms", "speedup", "same", "bill=");
-  auto fused = RunFusedSweep(catalog.get(), 3);
-  for (const auto& p : fused) {
-    std::printf("%12.3f %12.3f %12.3f %8.1fx %6s %6s\n", p.selectivity,
-                p.unfused_ms, p.fused_ms, p.speedup,
-                p.identical ? "yes" : "NO", p.bytes_equal ? "yes" : "NO");
-  }
-
   std::printf("\n-- runtime filters (fact join selective dim) --\n");
   auto rf = RunRfComparison(catalog.get(), 3);
   std::printf("  off: %llu bytes in %.2f ms\n",
@@ -1006,12 +889,11 @@ int RunFull(const char* out_path) {
   auto decode = RunDecodeSweep(kDecodeChunkRows, 64, 5);
   PrintDecodeSweep(decode);
 
-  WriteJson(out_path, kKernelRows, sweep, kFactRows, fused, rf, kHashRows,
+  WriteJson(out_path, kKernelRows, sweep, kFactRows, rf, kHashRows,
             hash, exprs, kDecodeChunkRows, decode);
 
   bool ok = rf.identical && rf.audit_exact && rf.bytes_on < rf.bytes_off;
   for (const auto& p : sweep) ok = ok && p.identical;
-  for (const auto& p : fused) ok = ok && p.identical && p.bytes_equal;
   for (const auto& p : hash) ok = ok && p.identical && p.bytes_equal;
   for (const auto& p : exprs) ok = ok && p.identical;
   for (const auto& p : decode) ok = ok && p.identical;

@@ -66,13 +66,10 @@ Status ScanOperator::Open() {
 Result<RowBatchPtr> ScanOperator::DecodeMorsel(const Morsel& morsel,
                                                ScanStats* stats) const {
   const PixelsReader& reader = *readers_[morsel.reader_index];
-  // Fused decode+filter: pushed predicates are evaluated on the encoded
-  // chunks and only surviving rows materialize. Billing and rows_scanned
-  // are those of the whole row group (every projected chunk byte is
-  // charged, every row counted).
-  PIXELS_ASSIGN_OR_RETURN(
-      RowBatchPtr batch, reader.ReadRowGroupFiltered(
-                             morsel.row_group, columns_, plan_.pushed, stats));
+  // Pushed predicates only pruned row groups at Open: the morsel decodes
+  // whole, and the Filter retained above the scan selects its rows.
+  PIXELS_ASSIGN_OR_RETURN(RowBatchPtr batch,
+                          reader.ReadRowGroup(morsel.row_group, columns_, stats));
   stats->rows_read += reader.RowGroupRows(morsel.row_group);
   // Qualify column names with the scan alias.
   auto qualified = std::make_shared<RowBatch>();

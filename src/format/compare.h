@@ -1,19 +1,12 @@
-// Typed single-column comparison predicates, pre-lowered so inner loops
-// run over raw payloads with no per-row Value boxing. Mirrors
-// Value::Compare exactly (int/int exact, any-double widening, string vs
-// numeric ordered by kind, NaN compares equal to everything it is not
-// less/greater than), so a kernel or fused-decode evaluation of
-// `col op literal` selects exactly the rows the scalar evaluator would.
-// Lives in the format layer because both exec kernels and the fused
-// encoded-chunk filter depend on it.
+// SQL comparison operators: the CmpOp enum, its parser, and the mapping
+// of a three-way comparison result (Value::Compare's -1/0/+1) onto an
+// operator's truth value. The expression evaluator's comparison kernels
+// use all three; the binder uses the parser to recognise a comparison.
 #pragma once
 
 #include <cstdint>
 #include <optional>
 #include <string>
-#include <string_view>
-
-#include "format/type.h"
 
 namespace pixels {
 
@@ -30,17 +23,6 @@ inline std::optional<CmpOp> ParseCmpOp(const std::string& op) {
   return std::nullopt;
 }
 
-/// Mirror image for `literal op col` rewritten as `col op' literal`.
-inline CmpOp FlipCmpOp(CmpOp op) {
-  switch (op) {
-    case CmpOp::kLt: return CmpOp::kGt;
-    case CmpOp::kLe: return CmpOp::kGe;
-    case CmpOp::kGt: return CmpOp::kLt;
-    case CmpOp::kGe: return CmpOp::kLe;
-    default: return op;  // = and <> are symmetric
-  }
-}
-
 /// Applies `op` to a three-way comparison result (-1/0/+1).
 inline bool ApplyCmp(CmpOp op, int c) {
   switch (op) {
@@ -53,86 +35,5 @@ inline bool ApplyCmp(CmpOp op, int c) {
   }
   return false;
 }
-
-/// `col op literal`, lowered once for a column type so the per-value test
-/// is a flat typed comparison. Null column values never match (SQL
-/// three-valued logic: the comparison is Null, and Null is not true) —
-/// callers combine Match* with the validity mask.
-struct TypedPredicate {
-  enum class Mode : uint8_t {
-    kConstFalse,  // no non-null value matches (e.g. null literal)
-    kConstTrue,   // every non-null value matches (kind-ordered compare)
-    kInt,         // exact int64 compare against int_lit
-    kDouble,      // widen value to double, compare against dbl_lit
-    kString,      // lexical compare against str_lit
-  };
-
-  Mode mode = Mode::kConstFalse;
-  CmpOp op = CmpOp::kEq;
-  int64_t int_lit = 0;
-  double dbl_lit = 0;
-  std::string str_lit;
-
-  /// Lowers `col_type op literal`. Kind mismatches (string column vs
-  /// numeric literal and vice versa) fold to a constant per
-  /// Value::Compare's kind ordering (numerics sort before strings).
-  static TypedPredicate Make(TypeId col_type, CmpOp op, const Value& literal) {
-    TypedPredicate p;
-    p.op = op;
-    if (literal.is_null()) {
-      p.mode = Mode::kConstFalse;  // comparison with null is Null
-      return p;
-    }
-    const bool col_string = col_type == TypeId::kString;
-    const bool lit_string = literal.kind == Value::Kind::kString;
-    if (col_string != lit_string) {
-      // Value::Compare: numerics order before strings, so the three-way
-      // result is the same for every non-null value.
-      const int c = col_string ? 1 : -1;
-      p.mode = ApplyCmp(op, c) ? Mode::kConstTrue : Mode::kConstFalse;
-      return p;
-    }
-    if (col_string) {
-      p.mode = Mode::kString;
-      p.str_lit = literal.s;
-    } else if (col_type == TypeId::kDouble ||
-               literal.kind == Value::Kind::kDouble) {
-      p.mode = Mode::kDouble;
-      p.dbl_lit = literal.AsDouble();
-    } else {
-      p.mode = Mode::kInt;
-      p.int_lit = literal.AsInt();
-    }
-    return p;
-  }
-
-  bool MatchInt(int64_t v) const {
-    if (mode == Mode::kDouble) return MatchDouble(static_cast<double>(v));
-    if (mode != Mode::kInt) return mode == Mode::kConstTrue;
-    return ApplyCmp(op, v < int_lit ? -1 : (v > int_lit ? 1 : 0));
-  }
-
-  bool MatchDouble(double v) const {
-    if (mode != Mode::kDouble) return mode == Mode::kConstTrue;
-    // Same NaN behavior as Value::Compare: not-less and not-greater → 0.
-    return ApplyCmp(op, v < dbl_lit ? -1 : (v > dbl_lit ? 1 : 0));
-  }
-
-  bool MatchString(std::string_view v) const {
-    if (mode != Mode::kString) return mode == Mode::kConstTrue;
-    const int c = v.compare(str_lit);
-    return ApplyCmp(op, c < 0 ? -1 : (c > 0 ? 1 : 0));
-  }
-
-  /// Dispatch on a scalar (dictionary entries, RLE run values).
-  bool MatchValue(const Value& v) const {
-    if (v.is_null()) return false;
-    switch (v.kind) {
-      case Value::Kind::kDouble: return MatchDouble(v.d);
-      case Value::Kind::kString: return MatchString(v.s);
-      default: return MatchInt(v.i);  // int and bool share the int payload
-    }
-  }
-};
 
 }  // namespace pixels

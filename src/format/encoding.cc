@@ -241,9 +241,8 @@ Encoding ChooseEncoding(const ColumnVector& col) {
 // inline varints. Each read is bounds-checked, but none builds a Result.
 // The decoder unpacks the validity mask, decodes the chunk's non-null
 // values in row order into the front of a row array ("dense values"),
-// spreads them onto their rows in place, and, for a selection, gathers
-// the selected rows. The output is sized once and written through the
-// mutable_* pointers; a whole-chunk decode writes into it directly.
+// and spreads them onto their rows in place. The output is sized once and
+// written directly through the mutable_* pointers.
 
 namespace {
 
@@ -495,169 +494,43 @@ Status RowStrings(Encoding encoding, Cursor* in, const Rows& rows,
   return Status::OK();
 }
 
-/// Decodes rows `sel` (every row when null) of a numeric chunk into `out`.
-template <typename T>
-Status DecodeNumbers(TypeId type, Encoding encoding, Cursor* in,
-                     const Rows& rows, const std::vector<uint32_t>* sel,
-                     T* out) {
-  if (sel == nullptr) return RowNumbers(type, encoding, in, rows, out);
-  std::vector<T> row_values(rows.num_rows);
-  PIXELS_RETURN_NOT_OK(RowNumbers(type, encoding, in, rows, row_values.data()));
-  for (size_t k = 0; k < sel->size(); ++k) out[k] = row_values[(*sel)[k]];
-  return Status::OK();
-}
+}  // namespace
 
-/// The one decoder: every row when `sel` is null, else the rows `sel`.
-Result<ColumnVectorPtr> Decode(TypeId type, Encoding encoding,
-                               ByteReader* reader, size_t num_rows,
-                               const std::vector<uint32_t>* sel) {
+Result<ColumnVectorPtr> DecodeColumn(TypeId type, Encoding encoding,
+                                     ByteReader* reader, size_t num_rows) {
   PIXELS_RETURN_NOT_OK(CheckSupported(encoding, type));
   Cursor in(reader);
   // The bitmap is checked before anything is sized by num_rows.
   const uint8_t* bits;
   if (!in.Take(BitmapBytes(num_rows), &bits)) return Truncated();
   auto col = MakeVector(type);
-  const size_t out_rows = sel == nullptr ? num_rows : sel->size();
-  if (out_rows == 0) return col;  // e.g. a filter that kept no rows
-  col->Resize(out_rows);
-  // A whole-chunk decode unpacks validity straight into the output.
-  std::vector<uint8_t> chunk_valid(sel == nullptr ? 0 : num_rows);
-  uint8_t* valid =
-      sel == nullptr ? col->mutable_valid_data() : chunk_valid.data();
+  if (num_rows == 0) return col;
+  col->Resize(num_rows);
+  // Validity unpacks straight into the output.
+  uint8_t* valid = col->mutable_valid_data();
   const Rows rows{valid, num_rows, UnpackValidity(bits, num_rows, valid)};
-  if (sel != nullptr) {
-    uint8_t* out_valid = col->mutable_valid_data();
-    for (size_t k = 0; k < out_rows; ++k) out_valid[k] = valid[(*sel)[k]];
-  }
   switch (PayloadClassOf(type)) {
     case PayloadClass::kInt:
-      PIXELS_RETURN_NOT_OK(DecodeNumbers(type, encoding, &in, rows, sel,
-                                         col->mutable_ints_data()));
+      PIXELS_RETURN_NOT_OK(
+          RowNumbers(type, encoding, &in, rows, col->mutable_ints_data()));
       break;
     case PayloadClass::kDouble:
-      PIXELS_RETURN_NOT_OK(DecodeNumbers(type, encoding, &in, rows, sel,
-                                         col->mutable_doubles_data()));
+      PIXELS_RETURN_NOT_OK(
+          RowNumbers(type, encoding, &in, rows, col->mutable_doubles_data()));
       break;
     case PayloadClass::kString: {
       std::vector<std::string_view> entries;
       std::vector<uint32_t> codes;
       PIXELS_RETURN_NOT_OK(RowStrings(encoding, &in, rows, &entries, &codes));
       std::string* out = col->mutable_strings_data();
-      for (size_t k = 0; k < out_rows; ++k) {
-        const size_t row = sel == nullptr ? k : (*sel)[k];
-        if (valid[row]) out[k] = entries[codes[row]];
+      for (size_t i = 0; i < num_rows; ++i) {
+        if (valid[i]) out[i] = entries[codes[i]];
       }
       break;
     }
   }
   col->RecountNulls();
   return col;
-}
-
-/// The non-null rows for which `match(row)` holds, ascending. `match`
-/// also runs on null rows (their values are zeroed) but is ignored there.
-template <typename Match>
-std::vector<uint32_t> SelectRows(const Rows& rows, Match match) {
-  std::vector<uint32_t> sel(rows.num_rows);
-  size_t n = 0;
-  for (size_t i = 0; i < rows.num_rows; ++i) {
-    sel[n] = static_cast<uint32_t>(i);
-    n += rows.valid[i] & static_cast<uint8_t>(match(i));
-  }
-  sel.resize(n);
-  return sel;
-}
-
-bool MatchAllInt(const std::vector<TypedPredicate>& preds, int64_t v) {
-  for (const auto& p : preds) {
-    if (!p.MatchInt(v)) return false;
-  }
-  return true;
-}
-
-bool MatchAllDouble(const std::vector<TypedPredicate>& preds, double v) {
-  for (const auto& p : preds) {
-    if (!p.MatchDouble(v)) return false;
-  }
-  return true;
-}
-
-bool MatchAllString(const std::vector<TypedPredicate>& preds,
-                    std::string_view v) {
-  for (const auto& p : preds) {
-    if (!p.MatchString(v)) return false;
-  }
-  return true;
-}
-
-}  // namespace
-
-Result<ColumnVectorPtr> DecodeColumn(TypeId type, Encoding encoding,
-                                     ByteReader* in, size_t num_rows) {
-  return Decode(type, encoding, in, num_rows, nullptr);
-}
-
-Result<ColumnVectorPtr> DecodeColumnSelected(TypeId type, Encoding encoding,
-                                             ByteReader* in, size_t num_rows,
-                                             const std::vector<uint32_t>& sel) {
-  for (size_t k = 0; k < sel.size(); ++k) {
-    if (sel[k] >= num_rows || (k > 0 && sel[k] <= sel[k - 1])) {
-      return Status::Corruption(
-          "selected decode: selection must be ascending, unique and in range");
-    }
-  }
-  return Decode(type, encoding, in, num_rows, &sel);
-}
-
-Result<std::vector<uint32_t>> FilterEncodedChunk(
-    TypeId type, Encoding encoding, ByteReader* reader, size_t num_rows,
-    const std::vector<TypedPredicate>& preds) {
-  PIXELS_RETURN_NOT_OK(CheckSupported(encoding, type));
-  Cursor in(reader);
-  const uint8_t* bits;
-  if (!in.Take(BitmapBytes(num_rows), &bits)) return Truncated();
-  std::vector<uint8_t> valid(num_rows);
-  const Rows rows{valid.data(), num_rows,
-                  UnpackValidity(bits, num_rows, valid.data())};
-  switch (PayloadClassOf(type)) {
-    case PayloadClass::kInt: {
-      std::vector<int64_t> values(rows.num_rows);
-      PIXELS_RETURN_NOT_OK(
-          RowNumbers(type, encoding, &in, rows, values.data()));
-      // One predicate evaluation per stretch of equal values, so an RLE
-      // run costs one test however long it is.
-      int64_t last = 0;
-      bool last_match = MatchAllInt(preds, 0);
-      return SelectRows(rows, [&](size_t i) {
-        if (values[i] != last) {
-          last = values[i];
-          last_match = MatchAllInt(preds, last);
-        }
-        return last_match;
-      });
-    }
-    case PayloadClass::kDouble: {
-      std::vector<double> values(rows.num_rows);
-      PIXELS_RETURN_NOT_OK(
-          RowNumbers(type, encoding, &in, rows, values.data()));
-      return SelectRows(
-          rows, [&](size_t i) { return MatchAllDouble(preds, values[i]); });
-    }
-    case PayloadClass::kString: {
-      std::vector<std::string_view> entries;
-      std::vector<uint32_t> codes;
-      PIXELS_RETURN_NOT_OK(RowStrings(encoding, &in, rows, &entries, &codes));
-      // One predicate evaluation per entry; rows test a byte. Null rows
-      // carry code 0, so there is always an entry 0 to read.
-      std::vector<uint8_t> entry_match(std::max<size_t>(entries.size(), 1));
-      for (size_t e = 0; e < entries.size(); ++e) {
-        entry_match[e] = MatchAllString(preds, entries[e]) ? 1 : 0;
-      }
-      return SelectRows(rows,
-                        [&](size_t i) { return entry_match[codes[i]] != 0; });
-    }
-  }
-  return Status::Corruption("unknown payload class");
 }
 
 }  // namespace pixels

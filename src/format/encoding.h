@@ -7,7 +7,6 @@
 #pragma once
 
 #include "common/bytes.h"
-#include "format/compare.h"
 #include "format/vector.h"
 
 namespace pixels {
@@ -43,23 +42,5 @@ Result<ColumnVectorPtr> DecodeColumn(TypeId type, Encoding encoding,
 /// dictionary-encode when repetitive, integers run-length-encode when
 /// runs dominate, sorted-ish integers delta-encode, else plain.
 Encoding ChooseEncoding(const ColumnVector& col);
-
-/// Fused decode+filter: evaluates the conjunction of `preds` directly on
-/// an encoded chunk and returns the selected row indices (ascending)
-/// without materializing a ColumnVector. Exploits the encoding: a
-/// dictionary entry is tested once and rows test its result, and a stretch
-/// of equal integer values is tested once, so an RLE run costs one test.
-/// Selects exactly the rows DecodeColumn + per-row predicate evaluation
-/// would (nulls never match).
-Result<std::vector<uint32_t>> FilterEncodedChunk(
-    TypeId type, Encoding encoding, ByteReader* in, size_t num_rows,
-    const std::vector<TypedPredicate>& preds);
-
-/// Decodes only the rows listed in `sel`. Every encoding takes the same
-/// contract: ascending, unique indexes below `num_rows`, else Corruption.
-/// Output row i corresponds to chunk row sel[i].
-Result<ColumnVectorPtr> DecodeColumnSelected(TypeId type, Encoding encoding,
-                                             ByteReader* in, size_t num_rows,
-                                             const std::vector<uint32_t>& sel);
 
 }  // namespace pixels

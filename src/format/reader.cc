@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <cstring>
 
-#include "format/compare.h"
 #include "format/encoding.h"
 #include "format/footer_cache.h"
 
@@ -171,12 +170,6 @@ Result<RowBatchPtr> PixelsReader::ReadRowGroup(
 Result<RowBatchPtr> PixelsReader::ReadRowGroup(
     size_t index, const std::vector<std::string>& columns,
     ScanStats* stats) const {
-  return ReadRowGroupFiltered(index, columns, {}, stats);
-}
-
-Result<RowBatchPtr> PixelsReader::ReadRowGroupFiltered(
-    size_t index, const std::vector<std::string>& columns,
-    const std::vector<ScanPredicate>& predicates, ScanStats* stats) const {
   if (index >= footer_->row_groups.size()) {
     return Status::InvalidArgument("row group index out of range");
   }
@@ -185,66 +178,17 @@ Result<RowBatchPtr> PixelsReader::ReadRowGroupFiltered(
                           ResolveColumns(columns));
   PIXELS_ASSIGN_OR_RETURN(std::vector<BufferCache::Buffer> buffers,
                           FetchChunks(rg, col_indexes, stats));
-  // Every projected chunk is charged up front, selected rows or not, and
-  // a cache hit bills like a fetch: the query consumed the chunk either
-  // way.
+  // Every projected chunk is charged before any decode, and a cache hit
+  // bills like a fetch: the query consumed the chunk either way.
+  for (const auto& buffer : buffers) stats->bytes_scanned += buffer->size();
+  auto batch = std::make_shared<RowBatch>();
   for (size_t i = 0; i < col_indexes.size(); ++i) {
-    stats->bytes_scanned += buffers[i]->size();
-  }
-
-  // Lower fusable predicates onto their projected column slot.
-  std::vector<std::vector<TypedPredicate>> typed(col_indexes.size());
-  for (const auto& pred : predicates) {
-    auto op = ParseCmpOp(pred.op);
-    if (!op.has_value()) continue;  // executor's Filter handles it exactly
-    for (size_t i = 0; i < col_indexes.size(); ++i) {
-      const size_t idx = static_cast<size_t>(col_indexes[i]);
-      if (footer_->schema[idx].name == pred.column) {
-        typed[i].push_back(
-            TypedPredicate::Make(footer_->schema[idx].type, *op, pred.literal));
-        break;
-      }
-    }
-  }
-
-  // Intersect per-column selections evaluated on the encoded chunks.
-  std::optional<std::vector<uint32_t>> sel;
-  for (size_t i = 0; i < col_indexes.size(); ++i) {
-    if (typed[i].empty()) continue;
-    if (sel.has_value() && sel->empty()) break;  // already nothing left
     const size_t idx = static_cast<size_t>(col_indexes[i]);
     ByteReader reader(*buffers[i]);
     PIXELS_ASSIGN_OR_RETURN(
-        std::vector<uint32_t> s,
-        FilterEncodedChunk(footer_->schema[idx].type, rg.chunks[idx].encoding,
-                           &reader, rg.num_rows, typed[i]));
-    if (!sel.has_value()) {
-      sel = std::move(s);
-    } else {
-      std::vector<uint32_t> merged;
-      merged.reserve(std::min(sel->size(), s.size()));
-      std::set_intersection(sel->begin(), sel->end(), s.begin(), s.end(),
-                            std::back_inserter(merged));
-      *sel = std::move(merged);
-    }
-  }
-
-  auto batch = std::make_shared<RowBatch>();
-  const bool all_rows = !sel.has_value() || sel->size() == rg.num_rows;
-  for (size_t i = 0; i < col_indexes.size(); ++i) {
-    const size_t idx = static_cast<size_t>(col_indexes[i]);
-    const ChunkMeta& chunk = rg.chunks[idx];
-    ByteReader reader(*buffers[i]);
-    ColumnVectorPtr col;
-    if (all_rows) {
-      PIXELS_ASSIGN_OR_RETURN(
-          col, DecodeColumn(footer_->schema[idx].type, chunk.encoding, &reader,
-                            rg.num_rows));
-    } else {
-      PIXELS_ASSIGN_OR_RETURN(
-          col, DecodeColumnSelected(footer_->schema[idx].type, chunk.encoding,
-                                    &reader, rg.num_rows, *sel));
-    }
+        ColumnVectorPtr col,
+        DecodeColumn(footer_->schema[idx].type, rg.chunks[idx].encoding,
+                     &reader, rg.num_rows));
     batch->AddColumn(footer_->schema[idx].name, std::move(col));
   }
   return batch;

@@ -3,7 +3,6 @@
 #pragma once
 
 #include <memory>
-#include <optional>
 #include <unordered_map>
 
 #include "common/thread_pool.h"
@@ -81,27 +80,15 @@ class PixelsReader {
   Result<RowBatchPtr> ReadRowGroup(size_t index,
                                    const std::vector<std::string>& columns);
 
-  /// Thread-safe variant: accumulates into the caller-supplied `stats`
-  /// instead of the reader's internal counters. Concurrent calls with
-  /// distinct `stats` objects are safe. Projected chunks missing from the
-  /// chunk cache are fetched in one gap-coalesced `ReadRanges` call.
-  /// Same as ReadRowGroupFiltered with no predicates.
+  /// Thread-safe variant and the morsel entry point of the scan (serial
+  /// and parallel): accumulates into the caller-supplied `stats` instead
+  /// of the reader's internal counters. Concurrent calls with distinct
+  /// `stats` objects are safe. Projected chunks missing from the chunk
+  /// cache are fetched in one gap-coalesced `ReadRanges` call; every
+  /// projected chunk is billed and decoded whole.
   Result<RowBatchPtr> ReadRowGroup(size_t index,
                                    const std::vector<std::string>& columns,
                                    ScanStats* stats) const;
-
-  /// Fused decode+filter variant of the thread-safe ReadRowGroup, and the
-  /// morsel entry point of the scan (serial and parallel): lowers
-  /// the comparison `predicates` that name projected columns into typed
-  /// predicates, evaluates them on the encoded chunks (once per
-  /// dictionary entry / RLE run), and materializes only the selected
-  /// rows. Predicates with unsupported operators or non-projected columns
-  /// are ignored (the executor's retained Filter keeps results exact).
-  /// Billing is identical to ReadRowGroup: every projected chunk's bytes
-  /// are charged whether or not any of its rows survive.
-  Result<RowBatchPtr> ReadRowGroupFiltered(
-      size_t index, const std::vector<std::string>& columns,
-      const std::vector<ScanPredicate>& predicates, ScanStats* stats) const;
 
   /// Fetches the projected chunks of one row group into the chunk cache
   /// (one coalesced read for the misses) without decoding and without

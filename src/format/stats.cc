@@ -1,5 +1,8 @@
 #include "format/stats.h"
 
+#include <cmath>
+#include <limits>
+
 namespace pixels {
 
 namespace stats_internal {
@@ -55,6 +58,15 @@ void ColumnStats::Update(const Value& v) {
   ++num_values;
   if (v.is_null()) {
     ++null_count;
+    return;
+  }
+  if (v.kind == Value::Kind::kDouble && std::isnan(v.d)) {
+    // NaN compares equal to every value (Value::Compare), so no narrower
+    // range can hold it: the chunk takes the whole line and is never
+    // pruned. No double sorts outside it, so it stays put.
+    min = Value::Double(-std::numeric_limits<double>::infinity());
+    max = Value::Double(std::numeric_limits<double>::infinity());
+    has_min_max = true;
     return;
   }
   if (!has_min_max) {

@@ -10,6 +10,11 @@ bool IsHeavy(const LogicalPlan& node) {
     case LogicalPlan::Kind::kJoin:
     case LogicalPlan::Kind::kAggregate:
       return true;
+    case LogicalPlan::Kind::kFilter:
+      // A scan returns every row of the row groups its zone maps keep, so
+      // its Filter goes to the workers with it: views carry only the rows
+      // the Filter keeps.
+      return node.children[0]->kind == LogicalPlan::Kind::kScan;
     default:
       return false;
   }

@@ -101,6 +101,7 @@ Result<FragmentRun> RunFragment(const PlanPtr& plan, Catalog* catalog,
   FragmentRun out;
   PIXELS_ASSIGN_OR_RETURN(out.table, ExecutePlan(plan, &ctx));
   out.bytes_scanned = ctx.bytes_scanned;
+  out.rows_scanned = ctx.rows_scanned;
   out.cache_hits = ctx.cache_hits;
   out.cache_misses = ctx.cache_misses;
   out.rf = RfStats::From(ctx);
@@ -140,6 +141,7 @@ Result<CfExecution> RunWithCfPushdown(const PlanPtr& plan, Catalog* catalog,
                                         trace_parent, options.profile));
     out.result = std::move(top.table);
     out.bytes_scanned += top.bytes_scanned;
+    out.rows_scanned += top.rows_scanned;
     out.rf += top.rf;
     return Status::OK();
   };

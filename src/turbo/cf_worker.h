@@ -29,6 +29,9 @@ struct CfExecution {
   TablePtr view;            // the materialized view produced by workers
   int workers_used = 0;     // actual fleet size
   uint64_t bytes_scanned = 0;
+  /// Rows of the row groups every scan of the query read (after zone-map
+  /// pruning, before filtering), as ExecContext::rows_scanned.
+  uint64_t rows_scanned = 0;
   bool pushdown_used = false;
   /// The whole query was answered from the MV store (no scan, no fleet).
   bool mv_full_hit = false;
@@ -198,6 +201,7 @@ inline Tracer* LiveTracer(const CfWorkerOptions& options) {
 struct FragmentRun {
   TablePtr table;
   uint64_t bytes_scanned = 0;
+  uint64_t rows_scanned = 0;
   uint64_t cache_hits = 0;
   uint64_t cache_misses = 0;
   RfStats rf;

@@ -344,6 +344,7 @@ Result<StageOutcome> RunStage(const CfWorkerOptions& options,
     if (recovered[t]) ++exec->workers_recovered;
     exec->retry_backoff_simulated_ms += backoff_ms[t];
     exec->bytes_scanned += w.fragment.bytes_scanned;
+    exec->rows_scanned += w.fragment.rows_scanned;
     exec->shuffle_bytes_written += w.exchange_bytes_written;
     exec->shuffle_bytes_read += w.exchange_bytes_read;
     exec->rf += w.fragment.rf;

@@ -15,7 +15,7 @@
 #include "plan/binder.h"
 #include "plan/optimizer.h"
 #include "storage/memory_store.h"
-#include "testing/reference_eval.h"
+#include "testing/reference_exec.h"
 #include "turbo/cf_worker.h"
 
 namespace pixels {
@@ -219,35 +219,129 @@ TEST_F(RuntimeFilterJoinTest, SerialAndParallelRunsAreIdentical) {
   EXPECT_EQ(serial.rf_skipped_bytes, parallel.rf_skipped_bytes);
 }
 
-TEST_F(RuntimeFilterJoinTest, FusedDecodeMatchesUnfusedWithSameBill) {
-  // Reader level: the fused scan returns exactly the rows of a full
-  // ReadRowGroup filtered row by row. It changes how chunks are
-  // materialized, never what is fetched, so the bill is byte-identical.
-  auto reader = PixelsReader::Open(catalog_->storage(), "db/fact/part0.pxl");
-  ASSERT_TRUE(reader.ok()) << reader.status().ToString();
-  const std::vector<std::string> columns = {"k", "tag"};
-  const std::vector<ScanPredicate> preds = {
-      {"k", ">=", Value::Int(30)},
-      {"k", "<", Value::Int(50)},
-      {"tag", "<>", Value::String("red")}};
-  size_t selected = 0;
-  for (size_t rg = 0; rg < (*reader)->NumRowGroups(); ++rg) {
-    ScanStats fused_stats, full_stats;
-    auto fused =
-        (*reader)->ReadRowGroupFiltered(rg, columns, preds, &fused_stats);
-    auto full = ReferenceReadRowGroupFiltered(**reader, rg, columns, preds,
-                                              &full_stats);
-    ASSERT_TRUE(fused.ok()) << fused.status().ToString();
-    ASSERT_TRUE(full.ok()) << full.status().ToString();
-    ASSERT_EQ((*fused)->num_rows(), (*full)->num_rows()) << "rg " << rg;
-    for (size_t r = 0; r < (*full)->num_rows(); ++r) {
-      EXPECT_EQ((*fused)->RowToString(r), (*full)->RowToString(r));
+// What the zone-map rule bills for `sql`: every projected chunk of every
+// row group that survives PruneRowGroups of its scan's pushed predicates,
+// and every row of those row groups.
+struct ScanBill {
+  uint64_t bytes = 0;
+  uint64_t rows = 0;
+  uint64_t row_groups = 0;
+  uint64_t row_groups_total = 0;
+};
+
+ScanBill ZoneMapBill(const std::string& sql, Catalog* catalog) {
+  ScanBill bill;
+  auto plan = PlanQuery(sql, *catalog, "db");
+  EXPECT_TRUE(plan.ok()) << plan.status().ToString();
+  if (!plan.ok()) return bill;
+  auto optimized = Optimize(std::move(plan).ValueOrDie(), *catalog);
+  EXPECT_TRUE(optimized.ok()) << optimized.status().ToString();
+  if (!optimized.ok()) return bill;
+  std::vector<const LogicalPlan*> stack = {optimized->get()};
+  while (!stack.empty()) {
+    const LogicalPlan* node = stack.back();
+    stack.pop_back();
+    for (const auto& child : node->children) stack.push_back(child.get());
+    if (node->kind != LogicalPlan::Kind::kScan) continue;
+    EXPECT_FALSE(node->pushed.empty()) << sql;
+    auto table = catalog->GetTable(node->db, node->table);
+    EXPECT_TRUE(table.ok());
+    if (!table.ok()) continue;
+    for (const auto& path : (*table)->files) {
+      auto reader = PixelsReader::Open(catalog->storage(), path);
+      EXPECT_TRUE(reader.ok()) << reader.status().ToString();
+      if (!reader.ok()) continue;
+      bill.row_groups_total += (*reader)->NumRowGroups();
+      for (size_t g : (*reader)->PruneRowGroups(node->pushed)) {
+        auto bytes = (*reader)->RowGroupProjectedBytes(g, node->columns);
+        EXPECT_TRUE(bytes.ok());
+        bill.bytes += bytes.ok() ? *bytes : 0;
+        bill.rows += (*reader)->RowGroupRows(g);
+        ++bill.row_groups;
+      }
     }
-    EXPECT_EQ(fused_stats.bytes_scanned, full_stats.bytes_scanned);
-    EXPECT_GT(fused_stats.bytes_scanned, 0u);
-    selected += (*fused)->num_rows();
   }
-  EXPECT_GT(selected, 0u);
+  return bill;
+}
+
+TEST_F(RuntimeFilterJoinTest, FusedDecodeMatchesUnfusedWithSameBill) {
+  // Pushed predicates only prune row groups: a surviving row group is
+  // decoded whole, billed for every projected chunk and counted in
+  // rows_scanned, and the Filter kept above the scan picks the rows.
+  // pf(k, v, d, tag) spans three files of four 100-row row groups, with k
+  // clustered (each row group holds four k values) so zone maps prune.
+  FileSchema schema = {{"k", TypeId::kInt64},
+                       {"v", TypeId::kInt64},
+                       {"d", TypeId::kDouble},
+                       {"tag", TypeId::kString}};
+  ASSERT_TRUE(catalog_->CreateTable("db", "pf", schema).ok());
+  const char* tags[] = {"red", "green", "blue"};
+  for (int f = 0; f < 3; ++f) {
+    WriterOptions options;
+    options.row_group_size = 100;
+    PixelsWriter writer(schema, options);
+    for (int i = f * 400; i < (f + 1) * 400; ++i) {
+      ASSERT_TRUE(writer
+                      .AppendRow({Value::Int(i / 25), Value::Int(i % 97),
+                                  Value::Double((i % 13) * 0.5),
+                                  Value::String(tags[i % 3])})
+                      .ok());
+    }
+    const std::string path = "db/pf/part" + std::to_string(f) + ".pxl";
+    ASSERT_TRUE(writer.Finish(catalog_->storage(), path).ok());
+    ASSERT_TRUE(catalog_->AddTableFile("db", "pf", path).ok());
+  }
+
+  const std::string queries[] = {
+      // Prunes half the row groups; the Filter drops rows of the rest.
+      "SELECT k, v, tag FROM pf WHERE k >= 10 AND k < 30 AND tag <> 'red' "
+      "ORDER BY k, v, tag",
+      "SELECT tag, count(*) AS c, sum(v) AS s FROM pf "
+      "WHERE k > 20 AND d <= 3.0 GROUP BY tag ORDER BY tag",
+      // Prunes nothing, keeps few rows.
+      "SELECT count(*) AS c FROM pf WHERE v = 5",
+      // Prunes everything.
+      "SELECT count(*) AS c FROM pf WHERE k > 1000",
+  };
+  uint64_t pruned = 0;
+  for (const std::string& sql : queries) {
+    SCOPED_TRACE(sql);
+    const ScanBill bill = ZoneMapBill(sql, catalog_.get());
+    EXPECT_EQ(bill.row_groups_total, 12u);
+    pruned += bill.row_groups_total - bill.row_groups;
+
+    ExecContext ref_ctx;
+    ref_ctx.catalog = catalog_.get();
+    auto expected = ReferenceQuery(sql, "db", &ref_ctx);
+    ASSERT_TRUE(expected.ok()) << expected.status().ToString();
+    EXPECT_EQ(ref_ctx.bytes_scanned.load(), bill.bytes);
+
+    for (int par : {1, 4}) {
+      ExecContext ctx;
+      ctx.catalog = catalog_.get();
+      ctx.parallelism = par;
+      auto result = ExecuteQuery(sql, "db", &ctx);
+      ASSERT_TRUE(result.ok()) << result.status().ToString();
+      EXPECT_EQ(Rows(**result), Rows(**expected)) << "parallelism " << par;
+      EXPECT_EQ(ctx.bytes_scanned.load(), bill.bytes) << "parallelism " << par;
+      EXPECT_EQ(ctx.rows_scanned.load(), bill.rows) << "parallelism " << par;
+    }
+
+    auto plan = PlanQuery(sql, *catalog_, "db");
+    ASSERT_TRUE(plan.ok()) << plan.status().ToString();
+    auto optimized = Optimize(std::move(plan).ValueOrDie(), *catalog_);
+    ASSERT_TRUE(optimized.ok()) << optimized.status().ToString();
+    CfWorkerOptions options;
+    options.num_workers = 3;
+    auto cf = ExecuteWithCfPushdown(*optimized, catalog_.get(), options);
+    ASSERT_TRUE(cf.ok()) << cf.status().ToString();
+    EXPECT_TRUE(cf->pushdown_used);
+    EXPECT_EQ(cf->workers_used, 3);
+    EXPECT_EQ(Rows(*cf->result), Rows(**expected));
+    EXPECT_EQ(cf->bytes_scanned, bill.bytes);
+    EXPECT_EQ(cf->rows_scanned, bill.rows);
+  }
+  EXPECT_GT(pruned, 0u);
 }
 
 TEST_F(RuntimeFilterJoinTest, AllKnobCombinationsAgree) {

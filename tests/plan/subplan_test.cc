@@ -60,6 +60,21 @@ TEST_F(SubplanTest, ScanOnlyPlanSplitsAtScan) {
   EXPECT_EQ(split->final_plan->kind, LogicalPlan::Kind::kLimit);
 }
 
+// Pushed predicates only prune row groups, so a scan's Filter runs in the
+// workers with it and the view holds only the rows it keeps.
+TEST_F(SubplanTest, FilterOverScanIsPushedWithItsScan) {
+  auto plan =
+      Plan("SELECT name FROM emp WHERE salary > 100 ORDER BY name LIMIT 2");
+  auto split = SplitForCf(plan);
+  ASSERT_TRUE(split.ok());
+  ASSERT_NE(split->subplan, nullptr);
+  ASSERT_EQ(split->subplan->kind, LogicalPlan::Kind::kFilter);
+  EXPECT_EQ(split->subplan->children[0]->kind, LogicalPlan::Kind::kScan);
+  EXPECT_FALSE(split->subplan->children[0]->pushed.empty());
+  EXPECT_FALSE(split->final_plan->Contains(LogicalPlan::Kind::kFilter));
+  EXPECT_TRUE(split->final_plan->Contains(LogicalPlan::Kind::kLimit));
+}
+
 TEST_F(SubplanTest, JoinSubtreeIsPushedWhole) {
   auto plan = Plan(
       "SELECT emp.name, dept.location FROM emp JOIN dept ON emp.dept = "

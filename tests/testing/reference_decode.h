@@ -2,7 +2,6 @@
 // bounds-checked ByteReader getter and appended to the output one row at a
 // time. The bulk decoders in format/encoding.cc must produce the same
 // vectors (values, nulls, zeroed null payloads) on every valid chunk.
-// The reference for DecodeColumnSelected is this decode plus a Gather.
 #pragma once
 
 #include <string>

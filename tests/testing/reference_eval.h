@@ -1,15 +1,13 @@
 // Row-at-a-time reference for EvaluateExpr: every row through
 // EvaluateExprRow, built into the expression's bound type, and a bare
 // column reference returned as the column itself. The column-kernel
-// evaluator must match it in values, nulls, output type and status. Also
-// the decode-then-filter reference of the reader's fused scan.
+// evaluator must match it in values, nulls, output type and status.
 #pragma once
 
 #include <string>
 #include <vector>
 
 #include "exec/expression.h"
-#include "format/reader.h"
 #include "plan/binder.h"
 #include "sql/parser.h"
 
@@ -50,37 +48,6 @@ inline Result<ColumnVectorPtr> ReferenceEvaluate(const Expr& expr,
     values.push_back(std::move(v));
   }
   return BuildVectorFromValues(values, *expr.type);
-}
-
-/// Reference for PixelsReader::ReadRowGroupFiltered: the full
-/// ReadRowGroup, then every predicate on a projected column tested row by
-/// row with Value::Compare (nulls never match).
-inline Result<RowBatchPtr> ReferenceReadRowGroupFiltered(
-    const PixelsReader& reader, size_t index,
-    const std::vector<std::string>& columns,
-    const std::vector<ScanPredicate>& preds, ScanStats* stats) {
-  PIXELS_ASSIGN_OR_RETURN(RowBatchPtr batch,
-                          reader.ReadRowGroup(index, columns, stats));
-  auto holds = [](const std::string& op, int cmp) {
-    if (op == "=") return cmp == 0;
-    if (op == "<>") return cmp != 0;
-    if (op == "<") return cmp < 0;
-    if (op == "<=") return cmp <= 0;
-    if (op == ">") return cmp > 0;
-    return cmp >= 0;  // ">="
-  };
-  std::vector<uint32_t> keep;
-  for (size_t r = 0; r < batch->num_rows(); ++r) {
-    bool ok = true;
-    for (const auto& p : preds) {
-      const int c = batch->FindColumn(p.column);
-      if (c < 0) continue;
-      const Value v = batch->column(static_cast<size_t>(c))->GetValue(r);
-      ok = ok && !v.is_null() && holds(p.op, v.Compare(p.literal));
-    }
-    if (ok) keep.push_back(static_cast<uint32_t>(r));
-  }
-  return batch->Gather(keep);
 }
 
 }  // namespace pixels
