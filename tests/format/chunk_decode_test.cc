@@ -1,116 +1,25 @@
 // Property tests for the chunk decoder: for every supported (encoding,
 // type) pair and null pattern, DecodeColumn equals the value-at-a-time
-// reference decoder and every truncated chunk fails with Corruption. The
-// suite keeps its FusedDecode* names from when the reader also filtered
-// encoded chunks; DecodeColumn is now the only chunk reader.
+// reference decoder and every truncated chunk fails with Corruption.
+// DecodeColumn is the only chunk reader; exec/decoded_filter_test.cc runs
+// the Filter over its output for the same cases.
 #include <gtest/gtest.h>
 
-#include "common/random.h"
 #include "format/encoding.h"
+#include "testing/chunk_cases.h"
 #include "testing/reference_decode.h"
 
 namespace pixels {
 namespace {
 
-enum class NullPattern { kNone, kSparse, kAlternating, kAll };
-
-const char* NullPatternName(NullPattern p) {
-  switch (p) {
-    case NullPattern::kNone: return "none";
-    case NullPattern::kSparse: return "sparse";
-    case NullPattern::kAlternating: return "alternating";
-    case NullPattern::kAll: return "all";
-  }
-  return "?";
-}
-
-bool IsNullAt(NullPattern p, Random* rng, int i) {
-  switch (p) {
-    case NullPattern::kNone: return false;
-    case NullPattern::kSparse: return rng->Bernoulli(0.25);
-    case NullPattern::kAlternating: return i % 2 == 0;
-    case NullPattern::kAll: return true;
-  }
-  return false;
-}
-
-// Values drawn from a small domain so RLE has runs and dictionary has
-// repeats.
-ColumnVector MakeColumn(TypeId type, NullPattern nulls, uint64_t seed,
-                        int rows) {
-  Random rng(seed);
-  ColumnVector col(type);
-  for (int i = 0; i < rows; ++i) {
-    if (IsNullAt(nulls, &rng, i)) {
-      col.AppendNull();
-      continue;
-    }
-    switch (type) {
-      case TypeId::kBool:
-        col.AppendBool(rng.Bernoulli(0.5));
-        break;
-      case TypeId::kInt32:
-      case TypeId::kDate:
-        // Sorted-ish with runs: friendly to RLE and delta alike.
-        col.AppendInt(i / 7 + rng.Uniform(0, 3));
-        break;
-      case TypeId::kInt64:
-      case TypeId::kTimestamp:
-        col.AppendInt(1000 + i / 5 + rng.Uniform(0, 2));
-        break;
-      case TypeId::kDouble:
-        col.AppendDouble(rng.UniformDouble(-10.0, 10.0));
-        break;
-      case TypeId::kString: {
-        const char* words[] = {"ant", "bee", "cat", "dog", "eel"};
-        col.AppendString(words[rng.Uniform(0, 4)]);
-        break;
-      }
-    }
-  }
-  return col;
-}
-
-struct DecodeCase {
-  DecodeCase(TypeId t, Encoding e, NullPattern n)
-      : type(t), encoding(e), nulls(n) {}
-  TypeId type;
-  Encoding encoding;
-  // Explicit zeros where the compiler would pad: ctest names each case
-  // after the struct's raw bytes, and padding would leak stack garbage.
-  uint8_t zero[2] = {};
-  NullPattern nulls;
-};
-static_assert(sizeof(DecodeCase) == 8, "no implicit padding");
-
-std::vector<DecodeCase> AllSupportedCases() {
-  std::vector<DecodeCase> cases;
-  const TypeId types[] = {TypeId::kBool,      TypeId::kInt32,
-                          TypeId::kInt64,     TypeId::kDouble,
-                          TypeId::kString,    TypeId::kDate,
-                          TypeId::kTimestamp};
-  const Encoding encodings[] = {Encoding::kPlain, Encoding::kRunLength,
-                                Encoding::kDelta, Encoding::kDictionary,
-                                Encoding::kBitPacked};
-  const NullPattern patterns[] = {NullPattern::kNone, NullPattern::kSparse,
-                                  NullPattern::kAlternating, NullPattern::kAll};
-  for (TypeId t : types) {
-    for (Encoding e : encodings) {
-      if (!EncodingSupports(e, t)) continue;
-      for (NullPattern p : patterns) cases.push_back({t, e, p});
-    }
-  }
-  return cases;
-}
-
-class FusedDecodeTest : public ::testing::TestWithParam<DecodeCase> {};
+class FusedDecodeTest : public ::testing::TestWithParam<ChunkCase> {};
 
 // The bulk decoder writes exactly what the value-at-a-time reference
 // appends: same validity, null count, and payload (null rows zeroed).
 TEST_P(FusedDecodeTest, DecodeMatchesReferenceDecoder) {
-  const DecodeCase& c = GetParam();
+  const ChunkCase& c = GetParam();
   constexpr int kRows = 321;
-  const ColumnVector col = MakeColumn(
+  const ColumnVector col = MakeChunkColumn(
       c.type, c.nulls,
       static_cast<uint64_t>(c.type) * 59 + static_cast<uint64_t>(c.encoding),
       kRows);
@@ -147,9 +56,9 @@ TEST_P(FusedDecodeTest, DecodeMatchesReferenceDecoder) {
 // copied into its own allocation so that a sanitizer build catches any
 // read past it.
 TEST_P(FusedDecodeTest, TruncatedChunkFailsOrMatchesWholeChunk) {
-  const DecodeCase& c = GetParam();
+  const ChunkCase& c = GetParam();
   constexpr int kRows = 321;
-  const ColumnVector col = MakeColumn(
+  const ColumnVector col = MakeChunkColumn(
       c.type, c.nulls,
       static_cast<uint64_t>(c.type) * 71 + static_cast<uint64_t>(c.encoding),
       kRows);
@@ -165,16 +74,9 @@ TEST_P(FusedDecodeTest, TruncatedChunkFailsOrMatchesWholeChunk) {
   }
 }
 
-INSTANTIATE_TEST_SUITE_P(
-    AllSupported, FusedDecodeTest, ::testing::ValuesIn(AllSupportedCases()),
-    [](const ::testing::TestParamInfo<DecodeCase>& info) {
-      std::string name = TypeName(info.param.type);
-      name += "_";
-      name += EncodingName(info.param.encoding);
-      name += "_";
-      name += NullPatternName(info.param.nulls);
-      return name;
-    });
+INSTANTIATE_TEST_SUITE_P(AllSupported, FusedDecodeTest,
+                         ::testing::ValuesIn(AllSupportedChunkCases()),
+                         ChunkCaseName);
 
 TEST(FusedDecodeEdgeTest, UnsupportedEncodingRejected) {
   const std::vector<uint8_t> empty;
