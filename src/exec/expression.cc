@@ -1,6 +1,9 @@
 #include "exec/expression.h"
 
 #include <algorithm>
+#include <cctype>
+#include <cmath>
+#include <cstdlib>
 #include <optional>
 #include <string_view>
 #include <type_traits>
@@ -10,30 +13,27 @@
 
 namespace pixels {
 
-Result<ColumnVectorPtr> BuildVectorFromValues(const std::vector<Value>& values,
-                                              TypeId type) {
-  auto col = MakeVector(type);
-  col->Reserve(values.size());
-  for (const auto& v : values) {
-    PIXELS_RETURN_NOT_OK(col->AppendValue(v));
+bool LikeMatch(const std::string& text, const std::string& pattern) {
+  size_t t = 0, p = 0, star_p = std::string::npos, star_t = 0;
+  while (t < text.size()) {
+    if (p < pattern.size() && (pattern[p] == '_' || pattern[p] == text[t])) {
+      ++t;
+      ++p;
+    } else if (p < pattern.size() && pattern[p] == '%') {
+      star_p = p++;
+      star_t = t;
+    } else if (star_p != std::string::npos) {
+      p = star_p + 1;
+      t = ++star_t;
+    } else {
+      return false;
+    }
   }
-  return col;
+  while (p < pattern.size() && pattern[p] == '%') ++p;
+  return p == pattern.size();
 }
 
 namespace {
-
-/// Whole-batch row-at-a-time evaluation: the fallback for shapes outside
-/// the column kernels, and the source of every error status.
-Result<ColumnVectorPtr> EvaluateRows(const Expr& expr, const RowBatch& batch) {
-  const size_t n = batch.num_rows();
-  std::vector<Value> values;
-  values.reserve(n);
-  for (size_t row = 0; row < n; ++row) {
-    PIXELS_ASSIGN_OR_RETURN(Value v, EvaluateExprRow(expr, batch, row));
-    values.push_back(std::move(v));
-  }
-  return BuildVectorFromValues(values, *expr.type);
-}
 
 // ---- column kernels ----
 
@@ -45,14 +45,17 @@ PayloadClass ValueClass(const Value& v) {
 }
 
 /// A kernel operand: a column vector, or, when `vec` is null, one scalar
-/// (a literal or a folded constant) standing for every row. Every
-/// non-null row of a vector holds a value of the vector's class, which is
-/// the Value kind the row evaluator produces for that row.
+/// (a literal or a folded constant) standing for every row.
 struct Col {
   ColumnVectorPtr vec;
   Value scalar;
 
-  bool null_scalar() const { return vec == nullptr && scalar.is_null(); }
+  /// NULL on every row. Only such an operand may have a class other than
+  /// the one its kernel reads (the binder lets an all-NULL argument fit
+  /// any signature).
+  bool all_null() const {
+    return vec != nullptr ? vec->NullCount() == vec->size() : scalar.is_null();
+  }
   PayloadClass cls() const {
     return vec != nullptr ? PayloadClassOf(vec->type()) : ValueClass(scalar);
   }
@@ -71,14 +74,13 @@ Col VectorCol(ColumnVectorPtr v) {
   return c;
 }
 
-/// A shape outside the kernel set. EvaluateExpr then reruns the whole
-/// expression row at a time, which also reproduces any error exactly.
-Status Unsupported() {
-  return Status::NotImplemented("expression shape has no column kernel");
+/// A shape the binder does not accept, or operands that disagree with
+/// their bound types: there is no other evaluator to hand it to.
+Status NoKernel(const Expr& e) {
+  return Status::Internal("no column kernel for " + e.ToString());
 }
 
 /// A computed node without a bound type: a rewrite built it untyped.
-/// Not a fallback; EvaluateExpr returns it.
 Status Untyped(const Expr& e) {
   return Status::Internal("expression has no bound type: " + e.ToString());
 }
@@ -109,6 +111,17 @@ const T* Data(const Value& v) {
     return &v.s;
   } else {
     return &v.i;
+  }
+}
+
+template <typename T>
+T* MutableData(ColumnVector& v) {
+  if constexpr (std::is_same_v<T, double>) {
+    return v.mutable_doubles_data();
+  } else if constexpr (std::is_same_v<T, std::string>) {
+    return v.mutable_strings_data();
+  } else {
+    return v.mutable_ints_data();
   }
 }
 
@@ -318,11 +331,7 @@ void DoubleArith(char op, RA a, RB b, uint8_t* ok, double* v, size_t n) {
   }
 }
 
-Result<Col> Arith(char op, const Col& a, const Col& b, TypeId type, size_t n) {
-  // String operands take the row evaluator's zero-payload arithmetic.
-  if (a.cls() == PayloadClass::kString || b.cls() == PayloadClass::kString) {
-    return Unsupported();
-  }
+Col Arith(char op, const Col& a, const Col& b, TypeId type, size_t n) {
   const bool dbl = type == TypeId::kDouble;
   auto out = NewVector(type, n);
   uint8_t* ok = out->mutable_valid_data();
@@ -340,23 +349,37 @@ Result<Col> Arith(char op, const Col& a, const Col& b, TypeId type, size_t n) {
   return VectorCol(std::move(out));
 }
 
-Result<Col> Negate(const Col& a, TypeId type, size_t n) {
-  if (a.cls() == PayloadClass::kString) return Unsupported();
+/// out row i = f(row i of `a`) in `type` (unary `-` and abs): f maps a
+/// double to a double when `type` is kDouble, else an int64 to an int64.
+template <typename F>
+Col MapNumber(const Col& a, TypeId type, size_t n, F&& f) {
   auto out = NewVector(type, n);
   uint8_t* ok = out->mutable_valid_data();
   ValidInto(a, ok, n);
   ReadNum(a, [&](auto x) {
     if (type == TypeId::kDouble) {
       double* v = out->mutable_doubles_data();
-      for (size_t i = 0; i < n; ++i) v[i] = ok[i] ? -static_cast<double>(x(i)) : 0.0;
+      for (size_t i = 0; i < n; ++i) {
+        v[i] = ok[i] ? f(static_cast<double>(x(i))) : 0.0;
+      }
     } else {
       int64_t* v = out->mutable_ints_data();
       for (size_t i = 0; i < n; ++i) {
-        v[i] = ok[i] ? WrapSub(0, static_cast<int64_t>(x(i))) : 0;
+        v[i] = ok[i] ? f(static_cast<int64_t>(x(i))) : 0;
       }
     }
   });
   return VectorCol(std::move(out));
+}
+
+Col Negate(const Col& a, TypeId type, size_t n) {
+  return MapNumber(a, type, n, [](auto x) -> decltype(x) {
+    if constexpr (std::is_same_v<decltype(x), double>) {
+      return -x;
+    } else {
+      return WrapSub(0, x);
+    }
+  });
 }
 
 Col Not(const Col& a, size_t n) {
@@ -368,9 +391,8 @@ Col Not(const Col& a, size_t n) {
   return out.Done();
 }
 
-/// Kleene AND/OR. Both sides are evaluated for every row; the row
-/// evaluator's short-circuit only skips work, and any error the right
-/// side would raise on a skipped row sends the expression to the row path.
+/// Kleene AND/OR. Both sides are evaluated for every row: no kernel
+/// fails on a row, so a row-at-a-time short-circuit would only skip work.
 Col AndOr(bool is_and, const Col& a, const Col& b, size_t n) {
   std::vector<uint8_t> aok(n), at(n), bok(n), bt(n);
   ValidInto(a, aok.data(), n);
@@ -455,19 +477,50 @@ LikeShape ClassifyLike(std::string_view p) {
   return {LikeShape::Kind::kExact, p};
 }
 
-/// `string column LIKE 'literal'`. Other operands (a non-string value is
-/// a per-row TypeError, checked only after nulls) take the row path.
-Result<Col> Like(const Col& a, const Col& pattern, size_t n) {
-  if (a.vec == nullptr || pattern.vec != nullptr ||
-      a.cls() != PayloadClass::kString ||
-      pattern.cls() != PayloadClass::kString) {
-    return Unsupported();
+/// Row-indexed reads of an operand in Value's views (AsInt, AsDouble,
+/// the string), a scalar standing for every row (step 0): the one-row
+/// reader of the kernels whose per-row work (a string, a parse, a
+/// pattern) outweighs the branch.
+struct Rows {
+  explicit Rows(const Col& c)
+      : step(c.vec != nullptr ? 1 : 0),
+        dbl(c.cls() == PayloadClass::kDouble),
+        ints(c.vec != nullptr ? c.vec->ints_data() : &c.scalar.i),
+        doubles(c.vec != nullptr ? c.vec->doubles_data() : &c.scalar.d),
+        strings(c.vec != nullptr ? c.vec->strings_data() : &c.scalar.s) {}
+
+  int64_t AsInt(size_t i) const {
+    return dbl ? static_cast<int64_t>(doubles[i * step]) : ints[i * step];
+  }
+  double AsDouble(size_t i) const {
+    return dbl ? doubles[i * step] : static_cast<double>(ints[i * step]);
+  }
+  const std::string& Str(size_t i) const { return strings[i * step]; }
+
+  size_t step;
+  bool dbl;
+  const int64_t* ints;
+  const double* doubles;
+  const std::string* strings;
+};
+
+/// `text LIKE pattern` over strings. A column against one pattern with
+/// no `_` and `%` only at its ends is a plain string test; any other
+/// shape runs LikeMatch per row.
+Col Like(const Col& a, const Col& pattern, size_t n) {
+  BoolOut out(n);
+  ValidInto(a, out.ok, n);
+  AndValid(pattern, out.ok, n);
+  if (a.vec == nullptr || pattern.vec != nullptr) {
+    const Rows text(a), pat(pattern);
+    for (size_t i = 0; i < n; ++i) {
+      out.v[i] = out.ok[i] && LikeMatch(text.Str(i), pat.Str(i));
+    }
+    return out.Done();
   }
   const std::string& pat = pattern.scalar.s;
   const LikeShape shape = ClassifyLike(pat);
   const std::string* s = a.vec->strings_data();
-  BoolOut out(n);
-  ValidInto(a, out.ok, n);
   auto drive = [&](auto&& match) {
     for (size_t i = 0; i < n; ++i) out.v[i] = out.ok[i] && match(s[i]);
   };
@@ -494,11 +547,11 @@ Result<Col> Like(const Col& a, const Col& pattern, size_t n) {
 }
 
 /// out row i = row i of branches[br[i]], in one branch-free pass: each
-/// branch is a (values, validity, step) triple, step 0 for a scalar. Int
-/// branches widen when T is double; Case checks every other branch holds
-/// T or is a NULL scalar.
+/// branch is a (values, validity, step) triple, step 0 for a scalar or a
+/// branch that is NULL on every row. Int branches widen when T is double;
+/// Pick checks every other branch holds T or is all NULL.
 template <typename T>
-void TakeBranches(const std::vector<const Col*>& branches, const uint8_t* br,
+void TakeBranches(const std::vector<const Col*>& branches, const uint32_t* br,
                   ColumnVector* out) {
   static constexpr uint8_t kValid = 1, kNull = 0;
   const size_t nb = branches.size();
@@ -515,7 +568,7 @@ void TakeBranches(const std::vector<const Col*>& branches, const uint8_t* br,
     oks[b] = &kNull;
     const bool widen =
         cls == PayloadClass::kDouble && c.cls() == PayloadClass::kInt;
-    if (c.null_scalar()) continue;
+    if (c.all_null()) continue;
     if (c.vec == nullptr) {
       if constexpr (std::is_same_v<T, double>) {
         consts[b] = c.scalar.AsDouble();
@@ -537,15 +590,7 @@ void TakeBranches(const std::vector<const Col*>& branches, const uint8_t* br,
     }
   }
   uint8_t* ok = out->mutable_valid_data();
-  T* v = [&] {
-    if constexpr (std::is_same_v<T, double>) {
-      return out->mutable_doubles_data();
-    } else if constexpr (std::is_same_v<T, std::string>) {
-      return out->mutable_strings_data();
-    } else {
-      return out->mutable_ints_data();
-    }
-  }();
+  T* v = MutableData<T>(*out);
   for (size_t i = 0; i < n; ++i) {
     const size_t b = br[i];
     const size_t j = i * steps[b];
@@ -559,34 +604,16 @@ void TakeBranches(const std::vector<const Col*>& branches, const uint8_t* br,
   }
 }
 
-/// Searched CASE. Every condition and branch is evaluated for every row
-/// (an error on a row the row evaluator would skip sends the expression
-/// to the row path); each row then takes its first true branch, as a
-/// value of the bound type.
-Result<Col> Case(const Expr& e, const std::vector<Col>& args, size_t n) {
-  const size_t pairs = (args.size() - (e.has_else ? 1 : 0)) / 2;
-  if (pairs >= 255) return Unsupported();  // branch ids are bytes
-  // Branch k < pairs is THEN k; branch `pairs` is ELSE (NULL without one).
-  const Col null_else;
-  std::vector<const Col*> branches;
-  for (size_t k = 0; k < pairs; ++k) branches.push_back(&args[2 * k + 1]);
-  branches.push_back(e.has_else ? &args.back() : &null_else);
+/// Row i takes row i of branches[br[i]], as a value of `e`'s bound type
+/// (CASE and coalesce).
+Result<Col> Pick(const Expr& e, const std::vector<const Col*>& branches,
+                 const std::vector<uint32_t>& br, size_t n) {
   const PayloadClass out_cls = PayloadClassOf(*e.type);
   for (const Col* c : branches) {
     const bool widen =
         out_cls == PayloadClass::kDouble && c->cls() == PayloadClass::kInt;
-    if (!c->null_scalar() && c->cls() != out_cls && !widen) return Unsupported();
+    if (c->cls() != out_cls && !widen && !c->all_null()) return NoKernel(e);
   }
-
-  // br[i]: the branch row i takes, its first true condition.
-  std::vector<uint8_t> br(n, static_cast<uint8_t>(pairs)), ok(n), t(n);
-  for (size_t k = pairs; k-- > 0;) {
-    ValidInto(args[2 * k], ok.data(), n);
-    TruthInto(args[2 * k], t.data(), n);
-    const uint8_t id = static_cast<uint8_t>(k);
-    for (size_t i = 0; i < n; ++i) br[i] = (ok[i] & t[i]) ? id : br[i];
-  }
-
   auto out = NewVector(*e.type, n);
   switch (out_cls) {
     case PayloadClass::kInt:
@@ -602,13 +629,236 @@ Result<Col> Case(const Expr& e, const std::vector<Col>& args, size_t n) {
   return VectorCol(std::move(out));
 }
 
-Result<Col> ColumnCol(const Expr& e, const RowBatch& batch) {
+/// Searched CASE. Every condition and branch is evaluated for every row;
+/// each row then takes its first true branch.
+Result<Col> Case(const Expr& e, const std::vector<Col>& args, size_t n) {
+  const size_t pairs = (args.size() - (e.has_else ? 1 : 0)) / 2;
+  // Branch k < pairs is THEN k; branch `pairs` is ELSE (NULL without one).
+  const Col null_else;
+  std::vector<const Col*> branches;
+  for (size_t k = 0; k < pairs; ++k) branches.push_back(&args[2 * k + 1]);
+  branches.push_back(e.has_else ? &args.back() : &null_else);
+  std::vector<uint32_t> br(n, static_cast<uint32_t>(pairs));
+  std::vector<uint8_t> ok(n), t(n);
+  for (size_t k = pairs; k-- > 0;) {
+    ValidInto(args[2 * k], ok.data(), n);
+    TruthInto(args[2 * k], t.data(), n);
+    const uint32_t id = static_cast<uint32_t>(k);
+    for (size_t i = 0; i < n; ++i) br[i] = (ok[i] & t[i]) ? id : br[i];
+  }
+  return Pick(e, branches, br, n);
+}
+
+/// coalesce: each row takes its first non-NULL argument.
+Result<Col> Coalesce(const Expr& e, const std::vector<Col>& args, size_t n) {
+  const Col null_tail;
+  std::vector<const Col*> branches;
+  for (const Col& a : args) branches.push_back(&a);
+  branches.push_back(&null_tail);
+  std::vector<uint32_t> br(n, static_cast<uint32_t>(args.size()));
+  std::vector<uint8_t> ok(n);
+  for (size_t k = args.size(); k-- > 0;) {
+    ValidInto(args[k], ok.data(), n);
+    const uint32_t id = static_cast<uint32_t>(k);
+    for (size_t i = 0; i < n; ++i) br[i] = ok[i] ? id : br[i];
+  }
+  return Pick(e, branches, br, n);
+}
+
+// ---- scalar functions ----
+
+/// A null-propagating function's output of `type`: row i is NULL when any
+/// of `args` is; otherwise set(i, v) writes the value into v, or returns
+/// false for a NULL result.
+template <typename T, typename Set>
+Col MapRows(TypeId type, const std::vector<Col>& args, size_t n, Set&& set) {
+  auto out = NewVector(type, n);
+  uint8_t* ok = out->mutable_valid_data();
+  std::fill_n(ok, n, uint8_t{1});
+  for (const Col& a : args) AndValid(a, ok, n);
+  T* v = MutableData<T>(*out);
+  for (size_t i = 0; i < n; ++i) {
+    if (ok[i] && !set(i, v[i])) {
+      ok[i] = 0;
+      v[i] = T{};
+    }
+  }
+  return VectorCol(std::move(out));
+}
+
+/// Row i of an operand as text, by its bound type: a string as it is, a
+/// kBool as true/false, a double as %.6g, any other number in decimal.
+/// (A comparison is bound kInt64, so it prints 1/0.)
+std::string TextAt(const Rows& r, TypeId type, size_t i) {
+  switch (type) {
+    case TypeId::kString:
+      return r.Str(i);
+    case TypeId::kDouble:
+      return Value::Double(r.AsDouble(i)).ToString();
+    case TypeId::kBool:
+      return r.AsInt(i) != 0 ? "true" : "false";
+    default:
+      return std::to_string(r.AsInt(i));
+  }
+}
+
+/// concat, `||` and CAST(… AS varchar): the arguments' text, joined.
+Col Concat(const Expr& e, const std::vector<Col>& args, size_t n) {
+  std::vector<Rows> rows(args.begin(), args.end());
+  return MapRows<std::string>(
+      TypeId::kString, args, n, [&](size_t i, std::string& v) {
+        for (size_t k = 0; k < rows.size(); ++k) {
+          v += TextAt(rows[k], *e.args[k]->type, i);
+        }
+        return true;
+      });
+}
+
+/// substr(s, start[, len]): `start` is 1-based and clamps to 1; past the
+/// end, or with a negative length, the result is ''.
+Col Substr(const std::vector<Col>& args, size_t n) {
+  const Rows s(args[0]), start(args[1]), len(args.back());
+  const bool has_len = args.size() == 3;
+  return MapRows<std::string>(
+      TypeId::kString, args, n, [&](size_t i, std::string& v) {
+        const std::string& text = s.Str(i);
+        const int64_t from = std::max<int64_t>(start.AsInt(i), 1);
+        if (static_cast<uint64_t>(from) > text.size()) return true;
+        const size_t count =
+            has_len ? static_cast<size_t>(std::max<int64_t>(len.AsInt(i), 0))
+                    : std::string::npos;
+        v = text.substr(static_cast<size_t>(from - 1), count);
+        return true;
+      });
+}
+
+/// lower/upper, byte by byte in the C locale.
+Col MapCase(bool upper, const std::vector<Col>& args, size_t n) {
+  const Rows s(args[0]);
+  return MapRows<std::string>(
+      TypeId::kString, args, n, [&](size_t i, std::string& v) {
+        v = s.Str(i);
+        for (char& c : v) {
+          const auto u = static_cast<unsigned char>(c);
+          c = static_cast<char>(upper ? std::toupper(u) : std::tolower(u));
+        }
+        return true;
+      });
+}
+
+/// A double-valued function of one number (floor, ceil, sqrt, round);
+/// `f` may return nullopt for NULL.
+template <typename F>
+Col MapDouble(const std::vector<Col>& args, size_t n, F&& f) {
+  const Rows x(args[0]);
+  return MapRows<double>(TypeId::kDouble, args, n, [&](size_t i, double& v) {
+    const std::optional<double> r = f(x.AsDouble(i), i);
+    v = r.value_or(0.0);
+    return r.has_value();
+  });
+}
+
+/// year/month/day of a day count (the int payload; a double truncates).
+template <int32_t CivilDate::*Field>
+Col DatePart(const std::vector<Col>& args, size_t n) {
+  const Rows x(args[0]);
+  return MapRows<int64_t>(TypeId::kInt64, args, n, [&](size_t i, int64_t& v) {
+    v = CivilFromDays(static_cast<int32_t>(x.AsInt(i))).*Field;
+    return true;
+  });
+}
+
+/// CAST(… AS int/bigint/double): a number converts as AsInt/AsDouble; a
+/// string parses a leading number (strtoll/strtod), NULL when none.
+template <typename T>
+Col CastNumber(const std::vector<Col>& args, size_t n) {
+  constexpr bool kDouble = std::is_same_v<T, double>;
+  const Rows x(args[0]);
+  const bool parse = args[0].cls() == PayloadClass::kString;
+  return MapRows<T>(kDouble ? TypeId::kDouble : TypeId::kInt64, args, n,
+                    [&](size_t i, T& v) {
+                      const char* text = parse ? x.Str(i).c_str() : nullptr;
+                      char* end = nullptr;
+                      if constexpr (kDouble) {
+                        v = parse ? std::strtod(text, &end) : x.AsDouble(i);
+                      } else {
+                        v = parse ? std::strtoll(text, &end, 10) : x.AsInt(i);
+                      }
+                      return !parse || end != text;
+                    });
+}
+
+Result<Col> Function(const Expr& e, const std::vector<Col>& args, size_t n) {
+  const std::string& f = e.name;
+  if (f == "coalesce") return Coalesce(e, args, n);
+  if (f == "concat" || f == "cast_varchar" || f == "cast_string") {
+    return Concat(e, args, n);
+  }
+  if (args.empty()) return NoKernel(e);
+  if (f == "cast_int" || f == "cast_integer" || f == "cast_bigint") {
+    return CastNumber<int64_t>(args, n);
+  }
+  if (f == "cast_double") return CastNumber<double>(args, n);
+  if (f == "length") {
+    const Rows s(args[0]);
+    return MapRows<int64_t>(TypeId::kInt64, args, n,
+                            [&](size_t i, int64_t& v) {
+                              v = static_cast<int64_t>(s.Str(i).size());
+                              return true;
+                            });
+  }
+  if (f == "lower" || f == "upper") return MapCase(f == "upper", args, n);
+  if (f == "substr" || f == "substring") {
+    if (args.size() < 2) return NoKernel(e);
+    return Substr(args, n);
+  }
+  if (f == "abs") {
+    return MapNumber(args[0], *e.type, n, [](auto x) -> decltype(x) {
+      if constexpr (std::is_same_v<decltype(x), double>) {
+        return std::fabs(x);
+      } else {
+        return x < 0 ? WrapSub(0, x) : x;
+      }
+    });
+  }
+  if (f == "floor") {
+    return MapDouble(args, n, [](double x, size_t) { return std::floor(x); });
+  }
+  if (f == "ceil" || f == "ceiling") {
+    return MapDouble(args, n, [](double x, size_t) { return std::ceil(x); });
+  }
+  if (f == "sqrt") {
+    return MapDouble(args, n, [](double x, size_t) -> std::optional<double> {
+      if (x < 0) return std::nullopt;
+      return std::sqrt(x);
+    });
+  }
+  if (f == "round") {
+    const Rows digits(args.back());
+    const bool has_digits = args.size() == 2;
+    return MapDouble(args, n, [&](double x, size_t i) {
+      const double scale = has_digits ? std::pow(10.0, digits.AsDouble(i)) : 1.0;
+      return std::round(x * scale) / scale;
+    });
+  }
+  if (f == "year") return DatePart<&CivilDate::year>(args, n);
+  if (f == "month") return DatePart<&CivilDate::month>(args, n);
+  if (f == "day") return DatePart<&CivilDate::day>(args, n);
+  return NoKernel(e);  // aggregates, unknown names
+}
+
+/// The batch's column `e` names.
+Result<ColumnVectorPtr> FindColumn(const Expr& e, const RowBatch& batch) {
   const int idx = batch.FindColumn(e.QualifiedName());
   if (idx < 0) {
     return Status::InvalidArgument("column not found at execution: " +
                                    e.QualifiedName());
   }
-  const ColumnVectorPtr& col = batch.column(static_cast<size_t>(idx));
+  return batch.column(static_cast<size_t>(idx));
+}
+
+Result<Col> ColumnCol(const Expr& e, const RowBatch& batch) {
+  PIXELS_ASSIGN_OR_RETURN(ColumnVectorPtr col, FindColumn(e, batch));
   if (col->type() != TypeId::kBool) return Col{col, Value()};
   // Bool rows read back as Value::Bool: 0/1 whatever the stored payload.
   const size_t n = col->size();
@@ -621,51 +871,32 @@ Result<Col> ColumnCol(const Expr& e, const RowBatch& batch) {
   return VectorCol(std::move(out));
 }
 
-Result<Col> Binary(const Expr& e, const Col& a, const Col& b, size_t n) {
+Result<Col> Binary(const Expr& e, const std::vector<Col>& args, size_t n) {
   const std::string& op = e.op;
+  const Col& a = args[0];
+  const Col& b = args[1];
   if (op == "AND" || op == "OR") return AndOr(op == "AND", a, b, n);
+  if (op == "||") return Concat(e, args, n);
   if (op == "LIKE") return Like(a, b, n);
   if (op == "+" || op == "-" || op == "*" || op == "/" || op == "%") {
     return Arith(op[0], a, b, *e.type, n);
   }
   const std::optional<CmpOp> cmp = ParseCmpOp(op);
-  if (!cmp) return Unsupported();  // ||
+  if (!cmp) return NoKernel(e);
   return Compare(*cmp, a, b, n);
 }
 
-Result<Col> EvalCol(const Expr& e, const RowBatch& batch) {
-  switch (e.kind) {
-    case Expr::Kind::kLiteral:
-      return ScalarCol(e.literal);
-    case Expr::Kind::kColumnRef:
-      return ColumnCol(e, batch);
-    case Expr::Kind::kStar:
-      return Unsupported();
-    default:
-      break;
-  }
-  if (!e.type) return Untyped(e);
-  std::vector<Col> args;
-  args.reserve(e.args.size());
-  bool constant = true;
-  for (const auto& a : e.args) {
-    PIXELS_ASSIGN_OR_RETURN(Col c, EvalCol(*a, batch));
-    constant = constant && c.vec == nullptr;
-    args.push_back(std::move(c));
-  }
-  // No column below: one row-evaluator call stands for every row.
-  if (constant) {
-    PIXELS_ASSIGN_OR_RETURN(Value v, EvaluateExprRow(e, batch, 0));
-    return ScalarCol(std::move(v));
-  }
-  const size_t n = batch.num_rows();
+/// The kernel of computed node `e` over its evaluated arguments.
+Result<Col> Node(const Expr& e, const std::vector<Col>& args, size_t n) {
   switch (e.kind) {
     case Expr::Kind::kUnary:
-      if (e.op == "-") return Negate(args[0], *e.type, n);
       if (e.op == "NOT") return Not(args[0], n);
-      return Unsupported();
+      if (e.op == "-") return Negate(args[0], *e.type, n);
+      return NoKernel(e);
     case Expr::Kind::kBinary:
-      return Binary(e, args[0], args[1], n);
+      return Binary(e, args, n);
+    case Expr::Kind::kFunction:
+      return Function(e, args, n);
     case Expr::Kind::kBetween:
       return Between(args[0], args[1], args[2], e.negated, n);
     case Expr::Kind::kInList:
@@ -675,12 +906,45 @@ Result<Col> EvalCol(const Expr& e, const RowBatch& batch) {
     case Expr::Kind::kCase:
       return Case(e, args, n);
     default:
-      return Unsupported();  // scalar functions over columns
+      return NoKernel(e);
   }
 }
 
-/// `n` copies of `v` as a vector of `type` (AppendValue's conversions
-/// and TypeError, as the row path builds it).
+Result<Col> EvalCol(const Expr& e, const RowBatch& batch) {
+  switch (e.kind) {
+    case Expr::Kind::kLiteral:
+      return ScalarCol(e.literal);
+    case Expr::Kind::kColumnRef:
+      return ColumnCol(e, batch);
+    case Expr::Kind::kStar:
+      return Status::Internal("bare * reached evaluation");
+    default:
+      break;
+  }
+  if (!e.type) return Untyped(e);
+  std::vector<Col> args;
+  args.reserve(e.args.size());
+  bool constant = true;
+  for (const auto& a : e.args) {
+    PIXELS_ASSIGN_OR_RETURN(Col c, EvalCol(*a, batch));
+    // The binder checked each operand's bound type against what the
+    // kernel reads: the data must be a string exactly when that type is
+    // (kernels read ints and doubles alike; all-NULL data is never read).
+    if (a->type && !c.all_null() &&
+        (c.cls() == PayloadClass::kString) != (*a->type == TypeId::kString)) {
+      return NoKernel(e);
+    }
+    constant = constant && c.vec == nullptr;
+    args.push_back(std::move(c));
+  }
+  // No column below: one kernel pass over one row stands for every row.
+  PIXELS_ASSIGN_OR_RETURN(Col out,
+                          Node(e, args, constant ? 1 : batch.num_rows()));
+  if (constant) return ScalarCol(out.vec->GetValue(0));
+  return out;
+}
+
+/// `n` copies of `v` as a vector of `type`.
 Result<ColumnVectorPtr> Broadcast(const Value& v, TypeId type, size_t n) {
   auto out = MakeVector(type);
   out->Reserve(n);
@@ -688,34 +952,23 @@ Result<ColumnVectorPtr> Broadcast(const Value& v, TypeId type, size_t n) {
   return out;
 }
 
-/// The kernel result, exactly of the bound type (anything else takes the
-/// row path, which builds the bound type).
-Result<ColumnVectorPtr> EvaluateKernels(const Expr& expr,
-                                        const RowBatch& batch) {
-  PIXELS_ASSIGN_OR_RETURN(Col c, EvalCol(expr, batch));
-  if (c.vec == nullptr) return Broadcast(c.scalar, *expr.type, batch.num_rows());
-  if (c.vec->type() != *expr.type) return Unsupported();
-  return c.vec;
-}
-
 }  // namespace
 
 Result<ColumnVectorPtr> EvaluateExpr(const Expr& expr, const RowBatch& batch) {
   // A bare column reference is the column itself, with its exact type.
-  if (expr.kind == Expr::Kind::kColumnRef) {
-    int idx = batch.FindColumn(expr.QualifiedName());
-    if (idx < 0) {
-      return Status::InvalidArgument("column not found at execution: " +
-                                     expr.QualifiedName());
-    }
-    return batch.column(static_cast<size_t>(idx));
-  }
+  if (expr.kind == Expr::Kind::kColumnRef) return FindColumn(expr, batch);
   if (!expr.type) return Untyped(expr);
   // No rows: nothing is evaluated, so nothing can fail.
   if (batch.num_rows() == 0) return MakeVector(*expr.type);
-  Result<ColumnVectorPtr> out = EvaluateKernels(expr, batch);
-  if (out.ok() || out.status().code() == StatusCode::kInternal) return out;
-  return EvaluateRows(expr, batch);
+  PIXELS_ASSIGN_OR_RETURN(Col c, EvalCol(expr, batch));
+  if (c.vec == nullptr) return Broadcast(c.scalar, *expr.type, batch.num_rows());
+  if (c.vec->type() != *expr.type) return NoKernel(expr);
+  return c.vec;
+}
+
+Result<Value> EvaluateConstant(const Expr& expr) {
+  PIXELS_ASSIGN_OR_RETURN(Col c, EvalCol(expr, RowBatch()));
+  return c.scalar;
 }
 
 }  // namespace pixels

@@ -1,12 +1,14 @@
-// Expression evaluation over row batches. Supports the full AST: scalar
-// arithmetic/comparison/logic, LIKE, BETWEEN, IN, IS NULL, CASE, string
-// and date scalar functions, and CAST.
+// Expression evaluation over row batches: one evaluator of typed column
+// kernels for every shape the binder accepts (arithmetic, comparison,
+// logic, LIKE, BETWEEN, IN, IS NULL, CASE, the string, math and date
+// scalar functions, `||` and CAST).
 #pragma once
+
+#include <string>
 
 #include "common/result.h"
 #include "format/batch.h"
 #include "sql/ast.h"
-#include "sql/row_eval.h"
 
 namespace pixels {
 
@@ -18,20 +20,21 @@ namespace pixels {
 /// an Internal error) and the result has exactly its bound type, for
 /// empty, all-null and sparse batches alike.
 ///
-/// Column refs, literals (as scalar operands), arithmetic, comparisons,
-/// Kleene AND/OR/NOT, BETWEEN, IN, IS [NOT] NULL, searched CASE and
-/// `string LIKE 'literal'` run as typed loops over whole columns;
-/// subtrees with no column fold to one scalar. Any other shape (scalar
-/// functions over columns, `||`, LIKE on a non-string) and any kernel
-/// error reruns the whole expression through EvaluateExprRow, so values,
-/// nulls and error statuses are always exactly those of the row
-/// evaluator, built into the bound type.
+/// Every node runs as a typed loop over whole columns, literals as scalar
+/// operands; a subtree with no column below is one kernel pass over one
+/// row, kept as a scalar. No kernel fails on a row: the binder rejects
+/// the operand types a function or operator cannot take, `/` and `%` by
+/// zero, `sqrt` of a negative and an unparsable CAST are NULL. So every
+/// row may be evaluated, selected or not, and the only errors are a
+/// column missing from `batch` and (Internal) a shape the binder would
+/// not have accepted.
 Result<ColumnVectorPtr> EvaluateExpr(const Expr& expr, const RowBatch& batch);
 
-/// Builds a vector of `type` from scalar values, converting numerics as
-/// ColumnVector::AppendValue does (a string next to a number is a
-/// TypeError).
-Result<ColumnVectorPtr> BuildVectorFromValues(const std::vector<Value>& values,
-                                              TypeId type);
+/// Evaluates a bound expression that references no column, as one kernel
+/// pass over one row: the optimizer's constant fold.
+Result<Value> EvaluateConstant(const Expr& expr);
+
+/// SQL LIKE with % and _ wildcards.
+bool LikeMatch(const std::string& text, const std::string& pattern);
 
 }  // namespace pixels

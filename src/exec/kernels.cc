@@ -76,28 +76,6 @@ std::vector<uint64_t> HashKeyColumns(const std::vector<ColumnVectorPtr>& cols,
   return out;
 }
 
-bool ExprSafeToEvalUnselected(const Expr& expr) {
-  switch (expr.kind) {
-    case Expr::Kind::kStar:
-    case Expr::Kind::kFunction:  // length()/substr() type-check per row
-      return false;
-    case Expr::Kind::kBinary:
-      // LIKE rejects a non-string value per row; every other operator the
-      // binder accepts is total (/ and % by zero yield NULL).
-      if (expr.op == "LIKE" && (expr.args[0]->type != TypeId::kString ||
-                                expr.args[1]->type != TypeId::kString)) {
-        return false;
-      }
-      break;
-    default:
-      break;
-  }
-  for (const auto& arg : expr.args) {
-    if (!ExprSafeToEvalUnselected(*arg)) return false;
-  }
-  return true;
-}
-
 namespace {
 
 /// The rows of `sel` (all `n` rows when null) for which `keep` holds, in

@@ -10,7 +10,6 @@
 
 #include "exec/bloom_filter.h"
 #include "format/batch.h"
-#include "sql/ast.h"
 
 namespace pixels {
 
@@ -30,14 +29,6 @@ std::vector<uint64_t> RfHashColumn(const ColumnVector& col);
 std::vector<uint64_t> HashKeyColumns(const std::vector<ColumnVectorPtr>& cols,
                                      size_t num_rows,
                                      std::vector<uint8_t>* any_null);
-
-/// True when evaluating bound `expr` over a batch's deselected rows
-/// changes neither the status nor the selected rows' values: every node
-/// is total (division by zero yields NULL) except functions, which
-/// type-check per row, and LIKE over an operand not typed kString. The
-/// output type is the bound type either way. SelBatch::Evaluate gathers
-/// before evaluating anything else.
-bool ExprSafeToEvalUnselected(const Expr& expr);
 
 /// Keeps the rows of `sel` (or all rows when `sel` is null) whose key is
 /// non-null and may be in the bloom filter. Nulls never pass: runtime

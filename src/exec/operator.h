@@ -138,10 +138,11 @@ struct SelBatch {
 
   /// The seam rule: evaluates `exprs` (a null entry yields a null column)
   /// for the selected rows, into `cols`, and returns the SelBatch the
-  /// columns line up with. That is `*this` when every expression is
-  /// ExprSafeToEvalUnselected and at least a quarter of the rows are
-  /// selected; otherwise the selected rows are gathered into a dense
-  /// batch first. Every column has its expression's bound type.
+  /// columns line up with. That is `*this` when at least a quarter of the
+  /// rows are selected (no expression fails on a row, so the deselected
+  /// ones may be evaluated too); otherwise the selected rows are gathered
+  /// into a dense batch first. Every column has its expression's bound
+  /// type.
   Result<SelBatch> Evaluate(const std::vector<const Expr*>& exprs,
                             std::vector<ColumnVectorPtr>* cols) const;
 };

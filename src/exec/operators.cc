@@ -247,15 +247,10 @@ void ScanOperator::Close() {
 Result<SelBatch> SelBatch::Evaluate(const std::vector<const Expr*>& exprs,
                                     std::vector<ColumnVectorPtr>* cols) const {
   SelBatch in = *this;
-  if (sel != nullptr) {
-    // In place only when no deselected row can change a status, and
-    // when evaluating the deselected rows costs less than one gather (a
-    // quarter of the rows or more selected).
-    bool in_place = sel->size() * 4 >= batch->num_rows();
-    for (const Expr* e : exprs) {
-      in_place = in_place && (e == nullptr || ExprSafeToEvalUnselected(*e));
-    }
-    if (!in_place) in = SelBatch{Materialize()};
+  // In place when evaluating the deselected rows costs less than one
+  // gather: a quarter of the rows or more selected.
+  if (sel != nullptr && sel->size() * 4 < batch->num_rows()) {
+    in = SelBatch{Materialize()};
   }
   cols->clear();
   for (const Expr* e : exprs) {

@@ -126,24 +126,27 @@ int DaysInMonth(int y, int m) {
 }
 }  // namespace
 
+CivilDate CivilFromDays(int32_t days) {
+  // Count from 0000-03-01, so each 400-year era (146097 days) ends with
+  // its leap day; int64 keeps every int32 input in range.
+  const int64_t z = static_cast<int64_t>(days) + 719468;
+  const int64_t era = (z >= 0 ? z : z - 146096) / 146097;
+  const int64_t doe = z - era * 146097;  // day of era, [0, 146096]
+  const int64_t yoe =
+      (doe - doe / 1460 + doe / 36524 - doe / 146096) / 365;  // [0, 399]
+  const int64_t doy = doe - (365 * yoe + yoe / 4 - yoe / 100);  // [0, 365]
+  const int64_t mp = (5 * doy + 2) / 153;  // month from March, [0, 11]
+  CivilDate out;
+  out.day = static_cast<int32_t>(doy - (153 * mp + 2) / 5 + 1);
+  out.month = static_cast<int32_t>(mp < 10 ? mp + 3 : mp - 9);
+  out.year = static_cast<int32_t>(yoe + era * 400 + (out.month <= 2 ? 1 : 0));
+  return out;
+}
+
 std::string FormatDate(int32_t days) {
-  int y = 1970;
-  int32_t rem = days;
-  while (rem < 0) {
-    --y;
-    rem += DaysInYear(y);
-  }
-  while (rem >= DaysInYear(y)) {
-    rem -= DaysInYear(y);
-    ++y;
-  }
-  int m = 1;
-  while (rem >= DaysInMonth(y, m)) {
-    rem -= DaysInMonth(y, m);
-    ++m;
-  }
-  char buf[16];
-  std::snprintf(buf, sizeof(buf), "%04d-%02d-%02d", y, m, rem + 1);
+  const CivilDate c = CivilFromDays(days);
+  char buf[40];  // room for three full int32s
+  std::snprintf(buf, sizeof(buf), "%04d-%02d-%02d", c.year, c.month, c.day);
   return buf;
 }
 

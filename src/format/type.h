@@ -95,6 +95,17 @@ struct Value {
   bool operator<(const Value& other) const { return Compare(other) < 0; }
 };
 
+/// A proleptic Gregorian calendar date; year 0 is 1 BC.
+struct CivilDate {
+  int32_t year;
+  int32_t month;  // 1..12
+  int32_t day;    // 1..31
+};
+
+/// The calendar date `days` after 1970-01-01 (before it when negative), in
+/// constant time for every int32 (Hinnant's civil_from_days).
+CivilDate CivilFromDays(int32_t days);
+
 /// Formats a date (days since epoch) as YYYY-MM-DD.
 std::string FormatDate(int32_t days);
 

@@ -1,5 +1,6 @@
 #include "plan/binder.h"
 
+#include <cstdint>
 #include <map>
 #include <optional>
 #include <set>
@@ -131,28 +132,86 @@ Result<TypeId> AggregateType(const Expr& e) {
   return arg;  // min, max
 }
 
+/// What an operand must be. An operand that is NULL on every row
+/// (OnlyNull) fits either.
+enum class Need : uint8_t { kAny, kNumber, kString };
+
+bool Fits(const Expr& arg, Need need) {
+  if (need == Need::kAny || OnlyNull(arg)) return true;
+  return (PayloadType(*arg.type) == TypeId::kString) == (need == Need::kString);
+}
+
+/// A scalar function's argument count, operand classes (the first
+/// argument, then every later one) and result type.
+struct Signature {
+  size_t min_args, max_args;
+  Need first, rest;
+  TypeId result;
+};
+
+std::optional<Signature> ScalarSignature(const std::string& f) {
+  using enum Need;
+  constexpr size_t kMany = SIZE_MAX;
+  if (f == "abs") return Signature{1, 1, kNumber, kNumber, TypeId::kInt64};
+  if (f == "floor" || f == "ceil" || f == "ceiling" || f == "sqrt") {
+    return Signature{1, 1, kNumber, kNumber, TypeId::kDouble};
+  }
+  if (f == "round") return Signature{1, 2, kNumber, kNumber, TypeId::kDouble};
+  if (f == "year" || f == "month" || f == "day") {
+    return Signature{1, 1, kNumber, kNumber, TypeId::kInt64};
+  }
+  if (f == "length") return Signature{1, 1, kString, kString, TypeId::kInt64};
+  if (f == "lower" || f == "upper") {
+    return Signature{1, 1, kString, kString, TypeId::kString};
+  }
+  if (f == "substr" || f == "substring") {
+    return Signature{2, 3, kString, kNumber, TypeId::kString};
+  }
+  if (f == "cast_int" || f == "cast_integer" || f == "cast_bigint") {
+    return Signature{1, 1, kAny, kAny, TypeId::kInt64};
+  }
+  if (f == "cast_double") return Signature{1, 1, kAny, kAny, TypeId::kDouble};
+  if (f == "cast_varchar" || f == "cast_string") {
+    return Signature{1, 1, kAny, kAny, TypeId::kString};
+  }
+  if (f == "concat") return Signature{0, kMany, kAny, kAny, TypeId::kString};
+  if (f == "coalesce") return Signature{0, kMany, kAny, kAny, TypeId::kInt64};
+  return std::nullopt;
+}
+
+const char* NeedName(Need need) {
+  return need == Need::kString ? "a string" : "a numeric";
+}
+
 Result<TypeId> FunctionType(const Expr& e) {
   const std::string& f = e.name;
   if (IsAggregateFunction(f)) return AggregateType(e);
+  const std::optional<Signature> sig = ScalarSignature(f);
+  if (!sig) return Status::NotImplemented("unknown function: " + f);
+  if (e.args.size() < sig->min_args || e.args.size() > sig->max_args) {
+    return Status::InvalidArgument("function " + f + ": wrong argument count");
+  }
+  for (size_t i = 0; i < e.args.size(); ++i) {
+    const Need need = i == 0 ? sig->first : sig->rest;
+    if (!Fits(*e.args[i], need)) {
+      return Status::TypeError(f + " needs " + NeedName(need) +
+                               " argument: " + e.ToString());
+    }
+  }
   if (f == "coalesce") return UnifyBranches(e);
-  if (f == "abs") {
-    return !e.args.empty() && *e.args[0]->type == TypeId::kDouble
-               ? TypeId::kDouble
-               : TypeId::kInt64;
+  if (f == "abs" && *e.args[0]->type == TypeId::kDouble) return TypeId::kDouble;
+  return sig->result;
+}
+
+/// A TypeError unless every operand of operator `e` fits `need`.
+Status CheckOperands(const Expr& e, Need need) {
+  for (const auto& a : e.args) {
+    if (!Fits(*a, need)) {
+      return Status::TypeError(e.op + " needs " + NeedName(need) +
+                               " operand: " + e.ToString());
+    }
   }
-  if (f == "round" || f == "floor" || f == "ceil" || f == "ceiling" ||
-      f == "sqrt" || f == "cast_double") {
-    return TypeId::kDouble;
-  }
-  if (f == "length" || f == "year" || f == "month" || f == "day" ||
-      f == "cast_int" || f == "cast_integer" || f == "cast_bigint") {
-    return TypeId::kInt64;
-  }
-  if (f == "lower" || f == "upper" || f == "substr" || f == "substring" ||
-      f == "concat" || f == "cast_varchar" || f == "cast_string") {
-    return TypeId::kString;
-  }
-  return Status::NotImplemented("unknown function: " + f);
+  return Status::OK();
 }
 
 /// The type of `e` from its children's types (TypeTree types column
@@ -170,18 +229,26 @@ Result<TypeId> NodeType(const Expr& e) {
       return TypeId::kInt64;
     case Expr::Kind::kUnary:
       if (e.op == "NOT") return TypeId::kInt64;
-      if (e.op == "-") return arg(0) == TypeId::kDouble ? arg(0) : TypeId::kInt64;
+      if (e.op == "-") {
+        PIXELS_RETURN_NOT_OK(CheckOperands(e, Need::kNumber));
+        return arg(0) == TypeId::kDouble ? arg(0) : TypeId::kInt64;
+      }
       return Status::NotImplemented("unary op " + e.op);
     case Expr::Kind::kBinary: {
       const std::string& op = e.op;
       if (op == "||") return TypeId::kString;
-      if (op == "+" || op == "-" || op == "*" || op == "/") {
-        return arg(0) == TypeId::kDouble || arg(1) == TypeId::kDouble
+      if (op == "+" || op == "-" || op == "*" || op == "/" || op == "%") {
+        PIXELS_RETURN_NOT_OK(CheckOperands(e, Need::kNumber));
+        return op != "%" &&
+                       (arg(0) == TypeId::kDouble || arg(1) == TypeId::kDouble)
                    ? TypeId::kDouble
                    : TypeId::kInt64;
       }
-      if (op == "%" || op == "AND" || op == "OR" || op == "LIKE" ||
-          ParseCmpOp(op).has_value()) {
+      if (op == "LIKE") {
+        PIXELS_RETURN_NOT_OK(CheckOperands(e, Need::kString));
+        return TypeId::kInt64;
+      }
+      if (op == "AND" || op == "OR" || ParseCmpOp(op).has_value()) {
         return TypeId::kInt64;
       }
       return Status::NotImplemented("binary op " + op);

@@ -4,7 +4,8 @@
 #include <set>
 #include <string_view>
 
-#include "sql/row_eval.h"
+#include "exec/expression.h"
+#include "plan/binder.h"
 
 namespace pixels {
 
@@ -26,9 +27,14 @@ ExprPtr FoldConstants(ExprPtr expr) {
   bool all_literal = true;
   for (const auto& a : expr->args) all_literal &= IsLiteral(*a);
   if (!all_literal) return expr;
-  // The row evaluator over no columns; an error leaves the expression
-  // for execution to report.
-  auto value = EvaluateExprRow(*expr, RowBatch(), 0);
+  // One kernel pass over one row. The kernels need bound types, and a
+  // column-free subtree binds against no columns; an error leaves the
+  // expression for binding or execution to report.
+  ExprPtr typed = expr->type ? nullptr : expr->Clone();
+  if (typed != nullptr && !BindTypes(typed.get(), PlanSchema{}).ok()) {
+    return expr;
+  }
+  auto value = EvaluateConstant(typed != nullptr ? *typed : *expr);
   if (!value.ok()) return expr;
   ExprPtr out = MakeLiteral(std::move(value).ValueOrDie());
   out->type = expr->type;  // the folded expression's

@@ -246,6 +246,7 @@ Result<CfExecution> RunWithCfPushdown(const PlanPtr& plan, Catalog* catalog,
     PIXELS_ASSIGN_OR_RETURN(StageOutcome stage,
                             RunStage(options, fleet, run_worker, &out));
     out.worker_elapsed_seconds = std::move(stage.task_elapsed_seconds);
+    out.worker_intervals = std::move(stage.task_intervals);
     out.fleet_elapsed_seconds = stage.elapsed_seconds;
     view = stage.ConcatTables();
   }

@@ -23,6 +23,12 @@
 
 namespace pixels {
 
+/// A worker's run on the steady clock, in seconds from its fleet's start.
+struct WorkerInterval {
+  double start_seconds = 0;
+  double end_seconds = 0;
+};
+
 /// Outcome of executing a plan with CF pushdown.
 struct CfExecution {
   TablePtr result;          // final query result
@@ -59,8 +65,13 @@ struct CfExecution {
   /// Measured wall-clock seconds of each worker's sub-plan (index =
   /// partition index; single-stage fleet only).
   std::vector<double> worker_elapsed_seconds;
+  /// When each of those workers started and finished, on the steady
+  /// clock, in seconds from the start of the fleet (zeros for a worker
+  /// that degraded to the VM path). Two overlapping intervals show that
+  /// workers really ran at once.
+  std::vector<WorkerInterval> worker_intervals;
   /// Measured wall-clock seconds from first worker start to last worker
-  /// finish. With a concurrent fleet this is less than the sum of
+  /// finish. With a concurrent fleet this can be less than the sum of
   /// worker_elapsed_seconds — the overlap the paper's sub-second CF
   /// absorption story depends on.
   double fleet_elapsed_seconds = 0;

@@ -142,6 +142,7 @@ Result<StageOutcome> RunStage(const CfWorkerOptions& options,
   std::vector<char> hedge_ok(n, 0);
   StageOutcome out;
   out.task_elapsed_seconds.assign(n, 0.0);
+  out.task_intervals.assign(n, WorkerInterval{});
 
   // Simulated duration of one successful attempt, excluding backoff.
   auto sim_ms = [&](const TaskOutcome& o, const std::string& path) {
@@ -175,6 +176,7 @@ Result<StageOutcome> RunStage(const CfWorkerOptions& options,
   // Primary wave. A retryable failure is re-invoked from a fresh context
   // after a backoff; a task that exhausts its budget waits for the VM
   // fallback below.
+  const auto wave_start = std::chrono::steady_clock::now();
   auto run_primary = [&](size_t t) -> Status {
     const auto start = std::chrono::steady_clock::now();
     uint64_t& worker_span = workers.ids[t];
@@ -200,6 +202,9 @@ Result<StageOutcome> RunStage(const CfWorkerOptions& options,
         if (a > 1) recovered[t] = 1;
         offer_primary(t, std::move(*r), path);
         out.task_elapsed_seconds[t] = SecondsSince(start);
+        out.task_intervals[t] = {
+            std::chrono::duration<double>(start - wave_start).count(),
+            SecondsSince(wave_start)};
         last = Status::OK();
         break;
       }
@@ -225,7 +230,6 @@ Result<StageOutcome> RunStage(const CfWorkerOptions& options,
     }
     return Status::OK();
   };
-  const auto wave_start = std::chrono::steady_clock::now();
   Status st = ThreadPool::Shared()->ParallelFor(
       0, n, /*grain=*/1, [&](size_t t) { return run_primary(t); }, fleet_par);
   if (tracer != nullptr) tracer->SetActiveParent(prior_parent);

@@ -99,6 +99,8 @@ struct StageOutcome {
   /// the primary wave as a whole.
   std::vector<double> task_elapsed_seconds;
   double elapsed_seconds = 0;
+  /// Each task's primary run, from the start of the primary wave.
+  std::vector<WorkerInterval> task_intervals;
 
   /// The committed tables concatenated in task order — deterministic
   /// regardless of fleet interleaving or hedge outcomes. For stages whose

@@ -241,9 +241,18 @@ TEST(ExpressionTest, UnknownFunctionFails) {
 }
 
 TEST(ExpressionTest, WrongArgCountFails) {
+  // A bind error, before any row is read.
   auto batch = MakeBatch();
-  EXPECT_FALSE(Eval("abs(a, b)", *batch).ok());
-  EXPECT_FALSE(Eval("length()", *batch).ok());
+  for (const auto& [text, fn] :
+       {std::pair<const char*, const char*>{"abs(a, b)", "abs"},
+        {"length()", "length"},
+        {"substr(s)", "substr"},
+        {"round(b, 1, 2)", "round"}}) {
+    auto bound = BindExpr(text, *batch);
+    EXPECT_EQ(bound.status().code(), StatusCode::kInvalidArgument) << text;
+    EXPECT_EQ(bound.status().message(),
+              std::string("function ") + fn + ": wrong argument count");
+  }
 }
 
 TEST(ExpressionTest, MixedStringNumericOutputFails) {

@@ -1,8 +1,8 @@
 // Kernel-vs-reference equivalence: FilterOperator's selection and the
-// column-kernel EvaluateExpr must agree with the row-at-a-time reference
+// column-kernel EvaluateExpr must agree with the row-at-a-time oracle
 // (testing/reference_eval.h) on randomized, empty and all-null batches
-// for every shape, falling back (not failing) outside the kernel set and
-// returning the reference's status where it fails.
+// for every shape the binder accepts; the shapes it rejects are bind
+// errors, never evaluated.
 #include "exec/kernels.h"
 
 #include <gtest/gtest.h>
@@ -180,12 +180,13 @@ TEST(FilterPredicateTest, IncomingSelectionMatchesGatheredReference) {
 }
 
 TEST(FilterPredicateTest, AndShortCircuitsPerRowError) {
-  // No row has a > 100, so the row reference never evaluates length(a),
-  // which fails on an integer.
-  auto pred = Parse("a > 100 AND length(a) > 0");
-  auto got = FilterRows(*pred, RandomBatch(3, 97), nullptr);
-  ASSERT_TRUE(got.ok()) << got.status().ToString();
-  EXPECT_TRUE(got->empty());
+  // length() over an integer used to fail per row, and only on rows the
+  // row evaluator's AND short-circuit reached. The binder rejects it, so
+  // no predicate fails on a row, selected or not.
+  auto bound = Bind("a > 100 AND length(a) > 0");
+  EXPECT_EQ(bound.status().code(), StatusCode::kTypeError);
+  EXPECT_EQ(bound.status().message(),
+            "length needs a string argument: length(a)");
 }
 
 TEST(FilterPredicateTest, UnknownColumnFailsLikeScalar) {
@@ -199,12 +200,17 @@ TEST(FilterPredicateTest, UnknownColumnFailsLikeScalar) {
 class VectorizedExprTest : public ::testing::TestWithParam<const char*> {};
 
 // Shapes the binder rejects, with the code evaluation returned for them
-// when the rows decided the output type.
+// when the rows decided the output type or raised a per-row error.
 const std::map<std::string, StatusCode> kBindErrors = {
     {"CASE WHEN flag THEN s ELSE 1 END", StatusCode::kTypeError},
     {"CASE WHEN a > 100 THEN 'x' ELSE 1 END", StatusCode::kTypeError},
     {"CASE WHEN a > 100 THEN zz ELSE 1 END", StatusCode::kInvalidArgument},
-    {"zz + 1", StatusCode::kInvalidArgument}};
+    {"zz + 1", StatusCode::kInvalidArgument},
+    {"a LIKE 'x%'", StatusCode::kTypeError},
+    {"CASE WHEN a > 0 THEN length(a) ELSE 0 END", StatusCode::kTypeError},
+    {"CASE WHEN a > 100 THEN length(a) ELSE 0 END", StatusCode::kTypeError},
+    {"a > 100 AND a LIKE 'x%'", StatusCode::kTypeError},
+    {"-s", StatusCode::kTypeError}};
 
 TEST_P(VectorizedExprTest, MatchesScalarEvaluator) {
   const std::string text = GetParam();
@@ -287,13 +293,70 @@ INSTANTIATE_TEST_SUITE_P(
         "s LIKE 'a%'", "s LIKE '%e'", "s LIKE '%an%'", "s LIKE 'apple'",
         "s LIKE '_a%'", "s LIKE '%'", "s LIKE '%%'", "s NOT LIKE 'b%'",
         "s LIKE NULL", "CASE WHEN s LIKE 'b%' THEN b ELSE 0 END",
-        // Errors and fallbacks: the reference's status, row for row.
+        // Bind errors (kBindErrors), and functions over columns.
         "a LIKE 'x%'", "CASE WHEN a > 0 THEN length(a) ELSE 0 END",
         "CASE WHEN a > 100 THEN length(a) ELSE 0 END",
         "a > 100 AND a LIKE 'x%'", "CASE WHEN a > 100 THEN zz ELSE 1 END",
         "zz + 1", "abs(a) + 1", "length(s) * 2", "s || 'x'", "-s",
         // Constants.
-        "1 + 2", "NULL", "'x' || 'y'", "TRUE"));
+        "1 + 2", "NULL", "'x' || 'y'", "TRUE",
+        // Every scalar function and ||, over columns and literals.
+        "abs(a)", "abs(b)", "abs(-7)", "abs(flag)", "round(b)", "round(a)",
+        "round(b, 1)", "round(a, -1)", "round(2.345, a)", "floor(b)",
+        "floor(a)", "ceil(b)", "ceiling(a)", "floor(-2.5)", "sqrt(b)",
+        "sqrt(a)", "sqrt(2)", "length(s)", "length('abc')", "length(NULL)",
+        "lower(s)", "upper(s)", "upper('MiXed')", "lower(NULL)",
+        "substr(s, 2)", "substr(s, a)", "substr(s, 2, 3)",
+        "substring(s, b, a)", "substr('hello', a, 2)", "substr(s, -1, 2)",
+        "substr(s, 10)", "concat(s, a)", "concat(s, '-', b, flag)",
+        "concat()", "concat(a > 0, flag)", "concat('x', NULL)",
+        "concat(TRUE)", "s || a", "a || b", "flag || s", "'x' || (a = 3)",
+        "s || NULL", "year(a)", "month(a * 1000)", "day(b * 100000)",
+        "year(a * 100000000)", "month(20000)", "CAST(a AS double)",
+        "CAST(b AS bigint)", "CAST(s AS int)", "CAST(s AS double)",
+        "CAST(flag AS varchar)", "CAST(b AS varchar)", "CAST(a AS varchar)",
+        "CAST('12abc' AS integer)", "CAST(' 3.5' AS double)",
+        "CAST(NULL AS varchar)", "coalesce(a, b)", "coalesce(s, 'none')",
+        "coalesce(NULL, a, 7)", "coalesce(NULL)", "coalesce(flag, a)",
+        "coalesce(CASE WHEN a > 0 THEN NULL END, s)",
+        // LIKE with a column pattern or a constant left side.
+        "s LIKE s", "'apple' LIKE s",
+        "s LIKE CASE WHEN flag THEN 'a%' ELSE '%e' END",
+        "s LIKE concat(substr(s, 1, 1), '%')", "'abc' LIKE 'a_c'",
+        "lower(NULL) LIKE s"));
+
+// CASE with 300 branches and coalesce with 300 arguments: more branch ids
+// than a byte holds.
+TEST(WideBranchTest, ManyBranchesMatchReference) {
+  std::string case_text = "CASE", coalesce_text = "coalesce(";
+  for (int k = 0; k < 300; ++k) {
+    case_text += " WHEN a = " + std::to_string(k % 41 - 20) + " AND b > " +
+                 std::to_string(k % 7 - 3) + " THEN " + std::to_string(k);
+    coalesce_text += std::string(k == 0 ? "" : ", ") +
+                     (k % 3 == 0 ? "NULL" : "CASE WHEN a > " +
+                                                std::to_string(k % 41 - 20) +
+                                                " THEN b END");
+  }
+  case_text += " ELSE -1 END";
+  coalesce_text += ")";
+  for (const std::string& text : {case_text, coalesce_text}) {
+    auto expr = Parse(text);
+    ASSERT_NE(expr, nullptr);
+    for (uint64_t seed : {4u, 9u}) {
+      auto batch = RandomBatch(seed, 389);
+      auto ref = ReferenceEvaluate(*expr, *batch);
+      auto got = EvaluateExpr(*expr, *batch);
+      ASSERT_TRUE(ref.ok()) << ref.status().ToString();
+      ASSERT_TRUE(got.ok()) << got.status().ToString();
+      ASSERT_EQ((*got)->type(), *expr->type);
+      for (size_t i = 0; i < (*ref)->size(); ++i) {
+        ASSERT_EQ((*ref)->IsNull(i), (*got)->IsNull(i)) << "row " << i;
+        EXPECT_EQ((*ref)->GetValue(i).Compare((*got)->GetValue(i)), 0)
+            << "row " << i;
+      }
+    }
+  }
+}
 
 // ---- bloom selection kernels ----
 

@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include <limits>
+
 namespace pixels {
 namespace {
 
@@ -120,6 +122,31 @@ TEST(DateTest, RejectsInvalid) {
 TEST(DateTest, PreEpochDates) {
   EXPECT_EQ(FormatDate(-1), "1969-12-31");
   EXPECT_EQ(*ParseDate("1969-12-31"), -1);
+}
+
+// Outside years 0-9999 too, and at both ends of int32 (values from an
+// independent 400-year-cycle count of the proleptic Gregorian calendar).
+TEST(DateTest, CivilFromDaysOverTheWholeInt32Range) {
+  struct Case {
+    int32_t days;
+    int32_t year, month, day;
+  };
+  const Case cases[] = {
+      {-1000000, -768, 2, 4},
+      {-1, 1969, 12, 31},
+      {0, 1970, 1, 1},
+      {3000000, 10183, 9, 21},
+      {std::numeric_limits<int32_t>::min(), -5877641, 6, 23},
+      {std::numeric_limits<int32_t>::max(), 5881580, 7, 11},
+  };
+  for (const Case& c : cases) {
+    const CivilDate d = CivilFromDays(c.days);
+    EXPECT_EQ(d.year, c.year) << c.days;
+    EXPECT_EQ(d.month, c.month) << c.days;
+    EXPECT_EQ(d.day, c.day) << c.days;
+  }
+  EXPECT_EQ(FormatDate(3000000), "10183-09-21");
+  EXPECT_EQ(FormatDate(-1000000), "-768-02-04");
 }
 
 }  // namespace

@@ -329,6 +329,51 @@ TEST_F(BinderTest, UntypableShapesAreBindErrors) {
             StatusCode::kTypeError);
   EXPECT_TRUE(
       Bind("SELECT min(name), max(name), count(name) FROM emp").ok());
+
+  // Scalar functions: the argument count, then each operand's class.
+  for (const char* sql :
+       {"SELECT abs(id, salary) FROM emp", "SELECT length() FROM emp",
+        "SELECT substr(name) FROM emp", "SELECT round(salary, 1, 2) FROM emp",
+        "SELECT CAST(id AS varchar) || year(hired, 1) FROM emp"}) {
+    EXPECT_EQ(Bind(sql).status().code(), StatusCode::kInvalidArgument) << sql;
+  }
+  EXPECT_EQ(Bind("SELECT abs(id, salary) FROM emp").status().message(),
+            "function abs: wrong argument count");
+  // Strings where numbers are needed, and numbers where strings are.
+  for (const char* sql :
+       {"SELECT length(id) FROM emp", "SELECT lower(salary) FROM emp",
+        "SELECT upper(hired) FROM emp", "SELECT substr(id, 1) FROM emp",
+        "SELECT substr(name, dept) FROM emp",
+        "SELECT substr(name, 1, 'x') FROM emp", "SELECT abs(name) FROM emp",
+        "SELECT round(name) FROM emp", "SELECT round(salary, name) FROM emp",
+        "SELECT floor(name) FROM emp", "SELECT ceil(dept) FROM emp",
+        "SELECT sqrt(name) FROM emp", "SELECT year(name) FROM emp",
+        "SELECT month(name) FROM emp", "SELECT day(name) FROM emp",
+        "SELECT id + 'a' FROM emp", "SELECT name - 1 FROM emp",
+        "SELECT salary * name FROM emp", "SELECT name / 2 FROM emp",
+        "SELECT id % dept FROM emp", "SELECT -name FROM emp",
+        "SELECT * FROM emp WHERE id LIKE '1%'",
+        "SELECT * FROM emp WHERE name LIKE salary"}) {
+    EXPECT_EQ(Bind(sql).status().code(), StatusCode::kTypeError) << sql;
+  }
+  EXPECT_EQ(Bind("SELECT length(id) FROM emp").status().message(),
+            "length needs a string argument: length(emp.id)");
+  EXPECT_EQ(Bind("SELECT id + 'a' FROM emp").status().message(),
+            "+ needs a numeric operand: (emp.id + 'a')");
+  // An all-NULL operand fits any signature; concat, ||, the casts,
+  // coalesce, NOT, comparisons, IN, BETWEEN and IS NULL take any type.
+  for (const char* sql :
+       {"SELECT length(NULL), abs(NULL), NULL + 1, -NULL FROM emp",
+        "SELECT substr(CASE WHEN id > 1 THEN NULL END, 1) FROM emp",
+        "SELECT * FROM emp WHERE NULL LIKE name",
+        "SELECT concat(id, name, salary, id > 1), id || name, "
+        "CAST(name AS int), CAST(id AS varchar), coalesce(name, 'x') FROM emp",
+        "SELECT * FROM emp WHERE NOT name AND name > 1 AND name IN (1, 'a') "
+        "AND name BETWEEN 1 AND 'z' AND salary IS NULL",
+        "SELECT year(hired), abs(salary), round(salary, id), "
+        "substr(name, salary, id), name LIKE dept FROM emp"}) {
+    EXPECT_TRUE(Bind(sql).ok()) << sql << ": " << Bind(sql).status().ToString();
+  }
 }
 
 }  // namespace

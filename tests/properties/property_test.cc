@@ -319,7 +319,7 @@ class ExprGen {
     if (depth <= 0 || rng_.Bernoulli(0.15)) return kLeaves[rng_.Uniform(0, 9)];
     // Products only near the leaves, so no value leaves int64.
     static const char* kOps[] = {"+", "-", "/", "/", "%", "*"};
-    switch (rng_.Uniform(0, functions ? 7 : 4)) {
+    switch (rng_.Uniform(0, functions ? 10 : 4)) {
       case 0:
       case 1:
         return "(" + Num(depth - 1) + " " + kOps[rng_.Uniform(0, depth > 2 ? 4 : 5)] +
@@ -334,9 +334,22 @@ class ExprGen {
                " WHEN " + Bool(depth - 1) + " THEN " + Num(depth - 1) + " END";
       case 5:
         return "coalesce(" + Num(depth - 1) + ", " + Num(depth - 1) + ")";
-      case 6:
-        return rng_.Bernoulli(0.5) ? "CAST(" + Num(depth - 1) + " AS double)"
-                                   : "CAST(" + Num(depth - 1) + " AS bigint)";
+      case 6: {
+        // From a number or a string (parsed, NULL when it is no number).
+        const std::string arg =
+            rng_.Bernoulli(0.7) ? Num(depth - 1) : Str(depth - 1);
+        return rng_.Bernoulli(0.5) ? "CAST(" + arg + " AS double)"
+                                   : "CAST(" + arg + " AS bigint)";
+      }
+      case 7:
+        return "length(" + Str(depth - 1) + ")";
+      case 8:
+        return rng_.Bernoulli(0.5)
+                   ? "round(" + Num(depth - 1) + ")"
+                   : "round(" + Num(depth - 1) + ", " +
+                         std::to_string(rng_.Uniform(-2, 2)) + ")";
+      case 9:
+        return "year(" + Num(depth - 1) + ")";
       default:
         return "abs(" + Num(depth - 1) + ")";
     }
@@ -345,14 +358,25 @@ class ExprGen {
   std::string Str(int depth) {
     static const char* kLeaves[] = {"s", "t.s", "'pear'", "''", "NULL"};
     if (depth <= 0 || rng_.Bernoulli(0.3)) return kLeaves[rng_.Uniform(0, 4)];
-    switch (functions ? rng_.Uniform(0, 3) : 0) {
+    switch (functions ? rng_.Uniform(0, 6) : 0) {
       case 0:
         return "CASE WHEN " + Bool(depth - 1) + " THEN " + Str(depth - 1) +
                " ELSE " + Str(depth - 1) + " END";
       case 1:
         return "coalesce(" + Str(depth - 1) + ", 'none')";
       case 2:
-        return "CAST(" + Num(depth - 1) + " AS varchar)";
+        // Text by the operand's bound type: bool columns print true/false,
+        // comparisons 1/0.
+        return "CAST(" + Any(depth - 1) + " AS varchar)";
+      case 3:
+        return rng_.Bernoulli(0.5)
+                   ? "substr(" + Str(depth - 1) + ", " + Num(depth - 1) + ")"
+                   : "substr(" + Str(depth - 1) + ", " + Num(depth - 1) +
+                         ", " + Num(depth - 1) + ")";
+      case 4:
+        return "concat(" + Any(depth - 1) + ", " + Any(depth - 1) + ")";
+      case 5:
+        return "(" + Any(depth - 1) + " || " + Any(depth - 1) + ")";
       default:
         return "lower(" + Str(depth - 1) + ")";
     }

@@ -1,15 +1,16 @@
 // Row-at-a-time reference for EvaluateExpr: every row through
-// EvaluateExprRow, built into the expression's bound type, and a bare
-// column reference returned as the column itself. The column-kernel
-// evaluator must match it in values, nulls, output type and status.
+// EvaluateExprRow (testing/row_eval.h), built into the expression's bound
+// type, and a bare column reference returned as the column itself. The
+// column-kernel evaluator must match it in values, nulls, output type and
+// status.
 #pragma once
 
 #include <string>
 #include <vector>
 
-#include "exec/expression.h"
 #include "plan/binder.h"
 #include "sql/parser.h"
+#include "testing/row_eval.h"
 
 namespace pixels {
 

@@ -1,49 +1,57 @@
-#include "sql/row_eval.h"
+// Row-at-a-time evaluation of a bound expression: the semantics oracle
+// of the column kernels (exec/expression.h). It evaluates one row at a
+// time on boxed Values, skips AND/OR right sides and untaken CASE
+// branches per row, and shares nothing with the kernels but LikeMatch
+// and CivilFromDays. Expressions must have passed the binder, which
+// rejects every argument count and operand type a function cannot take.
+#pragma once
 
 #include <algorithm>
 #include <cctype>
 #include <cmath>
 #include <cstdlib>
+#include <string>
+#include <vector>
 
 #include "common/int_arith.h"
+#include "common/result.h"
+#include "exec/expression.h"
+#include "format/batch.h"
+#include "sql/ast.h"
 
 namespace pixels {
 
-bool LikeMatch(const std::string& text, const std::string& pattern) {
-  size_t t = 0, p = 0, star_p = std::string::npos, star_t = 0;
-  while (t < text.size()) {
-    if (p < pattern.size() && (pattern[p] == '_' || pattern[p] == text[t])) {
-      ++t;
-      ++p;
-    } else if (p < pattern.size() && pattern[p] == '%') {
-      star_p = p++;
-      star_t = t;
-    } else if (star_p != std::string::npos) {
-      p = star_p + 1;
-      t = ++star_t;
-    } else {
-      return false;
-    }
+Result<Value> EvaluateExprRow(const Expr& expr, const RowBatch& batch,
+                              size_t row);
+
+/// Builds a vector of `type` from scalar values, converting numerics as
+/// ColumnVector::AppendValue does (a string next to a number is a
+/// TypeError).
+inline Result<ColumnVectorPtr> BuildVectorFromValues(
+    const std::vector<Value>& values, TypeId type) {
+  auto col = MakeVector(type);
+  col->Reserve(values.size());
+  for (const auto& v : values) {
+    PIXELS_RETURN_NOT_OK(col->AppendValue(v));
   }
-  while (p < pattern.size() && pattern[p] == '%') ++p;
-  return p == pattern.size();
+  return col;
 }
 
-namespace {
+namespace row_eval {
 
-std::string ToLower(std::string s) {
+inline std::string ToLower(std::string s) {
   for (auto& c : s) c = static_cast<char>(std::tolower(static_cast<unsigned char>(c)));
   return s;
 }
 
-std::string ToUpper(std::string s) {
+inline std::string ToUpper(std::string s) {
   for (auto& c : s) c = static_cast<char>(std::toupper(static_cast<unsigned char>(c)));
   return s;
 }
 
 /// `v` as a value of `e`'s bound type: an int taken by a CASE or
 /// coalesce typed kDouble widens, as the column kernels widen it.
-Value AsBoundType(const Expr& e, Value v) {
+inline Value AsBoundType(const Expr& e, Value v) {
   if (e.type == TypeId::kDouble && !v.is_null() &&
       v.kind != Value::Kind::kDouble && v.kind != Value::Kind::kString) {
     return Value::Double(v.AsDouble());
@@ -51,7 +59,19 @@ Value AsBoundType(const Expr& e, Value v) {
   return v;
 }
 
-Result<Value> EvalFunction(const Expr& e, const RowBatch& batch, size_t row) {
+/// The text of `arg`'s value `v` for concat, `||` and CAST(… AS
+/// varchar), by the argument's bound type: a kBool prints true/false, and
+/// any other non-string by its Value kind, where a truth value bound
+/// kInt64 (a comparison) prints 1/0.
+inline std::string Text(const Expr& arg, const Value& v) {
+  if (v.kind == Value::Kind::kString) return v.s;
+  if (arg.type == TypeId::kBool) return v.AsBool() ? "true" : "false";
+  if (v.kind == Value::Kind::kBool) return std::to_string(v.i);
+  return v.ToString();
+}
+
+inline Result<Value> EvalFunction(const Expr& e, const RowBatch& batch,
+                                  size_t row) {
   // Aggregates must have been rewritten away by the binder.
   if (IsAggregateFunction(e.name)) {
     return Status::Internal("aggregate '" + e.name +
@@ -63,13 +83,6 @@ Result<Value> EvalFunction(const Expr& e, const RowBatch& batch, size_t row) {
     PIXELS_ASSIGN_OR_RETURN(Value v, EvaluateExprRow(*a, batch, row));
     args.push_back(std::move(v));
   }
-  auto need_args = [&](size_t lo, size_t hi) -> Status {
-    if (args.size() < lo || args.size() > hi) {
-      return Status::InvalidArgument("function " + e.name +
-                                     ": wrong argument count");
-    }
-    return Status::OK();
-  };
 
   if (e.name == "coalesce") {
     for (auto& v : args) {
@@ -83,78 +96,54 @@ Result<Value> EvalFunction(const Expr& e, const RowBatch& batch, size_t row) {
   }
 
   if (e.name == "abs") {
-    PIXELS_RETURN_NOT_OK(need_args(1, 1));
     if (args[0].kind == Value::Kind::kDouble) {
       return Value::Double(std::fabs(args[0].d));
     }
-    return Value::Int(args[0].i < 0 ? -args[0].i : args[0].i);
+    return Value::Int(args[0].i < 0 ? WrapSub(0, args[0].i) : args[0].i);
   }
   if (e.name == "round") {
-    PIXELS_RETURN_NOT_OK(need_args(1, 2));
     double scale = args.size() == 2 ? std::pow(10.0, args[1].AsDouble()) : 1.0;
     return Value::Double(std::round(args[0].AsDouble() * scale) / scale);
   }
-  if (e.name == "floor") {
-    PIXELS_RETURN_NOT_OK(need_args(1, 1));
-    return Value::Double(std::floor(args[0].AsDouble()));
-  }
+  if (e.name == "floor") return Value::Double(std::floor(args[0].AsDouble()));
   if (e.name == "ceil" || e.name == "ceiling") {
-    PIXELS_RETURN_NOT_OK(need_args(1, 1));
     return Value::Double(std::ceil(args[0].AsDouble()));
   }
   if (e.name == "sqrt") {
-    PIXELS_RETURN_NOT_OK(need_args(1, 1));
     if (args[0].AsDouble() < 0) return Value::Null();
     return Value::Double(std::sqrt(args[0].AsDouble()));
   }
   if (e.name == "length") {
-    PIXELS_RETURN_NOT_OK(need_args(1, 1));
-    if (args[0].kind != Value::Kind::kString) {
-      return Status::TypeError("length() requires a string");
-    }
     return Value::Int(static_cast<int64_t>(args[0].s.size()));
   }
-  if (e.name == "lower") {
-    PIXELS_RETURN_NOT_OK(need_args(1, 1));
-    return Value::String(ToLower(args[0].s));
-  }
-  if (e.name == "upper") {
-    PIXELS_RETURN_NOT_OK(need_args(1, 1));
-    return Value::String(ToUpper(args[0].s));
-  }
+  if (e.name == "lower") return Value::String(ToLower(args[0].s));
+  if (e.name == "upper") return Value::String(ToUpper(args[0].s));
   if (e.name == "substr" || e.name == "substring") {
-    PIXELS_RETURN_NOT_OK(need_args(2, 3));
-    if (args[0].kind != Value::Kind::kString) {
-      return Status::TypeError("substr() requires a string");
-    }
     const std::string& s = args[0].s;
     int64_t start = args[1].AsInt();  // 1-based
     if (start < 1) start = 1;
-    if (static_cast<size_t>(start) > s.size()) return Value::String("");
+    if (static_cast<uint64_t>(start) > s.size()) return Value::String("");
     size_t pos = static_cast<size_t>(start - 1);
     size_t len = args.size() == 3
                      ? static_cast<size_t>(std::max<int64_t>(args[2].AsInt(), 0))
                      : std::string::npos;
     return Value::String(s.substr(pos, len));
   }
-  if (e.name == "concat") {
+  if (e.name == "concat" || e.name == "cast_varchar" ||
+      e.name == "cast_string") {
     std::string out;
-    for (const auto& v : args) {
-      out += v.kind == Value::Kind::kString ? v.s : v.ToString();
-    }
+    for (size_t k = 0; k < args.size(); ++k) out += Text(*e.args[k], args[k]);
     return Value::String(std::move(out));
   }
   if (e.name == "year" || e.name == "month" || e.name == "day") {
-    PIXELS_RETURN_NOT_OK(need_args(1, 1));
     // Interprets the int payload as days since epoch.
-    std::string date = FormatDate(static_cast<int32_t>(args[0].AsInt()));
-    if (e.name == "year") return Value::Int(std::stoll(date.substr(0, 4)));
-    if (e.name == "month") return Value::Int(std::stoll(date.substr(5, 2)));
-    return Value::Int(std::stoll(date.substr(8, 2)));
+    const CivilDate date = CivilFromDays(static_cast<int32_t>(args[0].AsInt()));
+    if (e.name == "year") return Value::Int(date.year);
+    if (e.name == "month") return Value::Int(date.month);
+    return Value::Int(date.day);
   }
   if (e.name == "cast_int" || e.name == "cast_integer" ||
       e.name == "cast_bigint") {
-    PIXELS_RETURN_NOT_OK(need_args(1, 1));
     if (args[0].kind == Value::Kind::kString) {
       char* end = nullptr;
       long long v = std::strtoll(args[0].s.c_str(), &end, 10);
@@ -164,7 +153,6 @@ Result<Value> EvalFunction(const Expr& e, const RowBatch& batch, size_t row) {
     return Value::Int(args[0].AsInt());
   }
   if (e.name == "cast_double") {
-    PIXELS_RETURN_NOT_OK(need_args(1, 1));
     if (args[0].kind == Value::Kind::kString) {
       char* end = nullptr;
       double v = std::strtod(args[0].s.c_str(), &end);
@@ -173,17 +161,16 @@ Result<Value> EvalFunction(const Expr& e, const RowBatch& batch, size_t row) {
     }
     return Value::Double(args[0].AsDouble());
   }
-  if (e.name == "cast_varchar" || e.name == "cast_string") {
-    PIXELS_RETURN_NOT_OK(need_args(1, 1));
-    if (args[0].kind == Value::Kind::kString) return args[0];
-    return Value::String(args[0].ToString());
-  }
   return Status::NotImplemented("unknown function: " + e.name);
 }
 
-}  // namespace
+}  // namespace row_eval
 
-Result<Value> EvaluateExprRow(const Expr& e, const RowBatch& batch, size_t row) {
+/// Evaluates `expr` for row `row` of `batch`. AND/OR and CASE skip
+/// subexpressions per row. A CASE or coalesce typed kDouble returns its
+/// int branches as doubles.
+inline Result<Value> EvaluateExprRow(const Expr& e, const RowBatch& batch,
+                                     size_t row) {
   switch (e.kind) {
     case Expr::Kind::kLiteral:
       return e.literal;
@@ -233,16 +220,11 @@ Result<Value> EvaluateExprRow(const Expr& e, const RowBatch& batch, size_t row) 
       if (e.op == "<=") return Value::Bool(a.Compare(b) <= 0);
       if (e.op == ">") return Value::Bool(a.Compare(b) > 0);
       if (e.op == ">=") return Value::Bool(a.Compare(b) >= 0);
-      if (e.op == "LIKE") {
-        if (a.kind != Value::Kind::kString || b.kind != Value::Kind::kString) {
-          return Status::TypeError("LIKE requires strings");
-        }
-        return Value::Bool(LikeMatch(a.s, b.s));
-      }
+      if (e.op == "LIKE") return Value::Bool(LikeMatch(a.s, b.s));
       if (e.op == "||") {
-        std::string lhs = a.kind == Value::Kind::kString ? a.s : a.ToString();
-        std::string rhs = b.kind == Value::Kind::kString ? b.s : b.ToString();
-        return Value::String(lhs + rhs);
+        std::string out = row_eval::Text(*e.args[0], a);
+        out += row_eval::Text(*e.args[1], b);
+        return Value::String(std::move(out));
       }
       const bool dbl =
           a.kind == Value::Kind::kDouble || b.kind == Value::Kind::kDouble;
@@ -273,7 +255,7 @@ Result<Value> EvaluateExprRow(const Expr& e, const RowBatch& batch, size_t row) 
       return Status::NotImplemented("binary op " + e.op);
     }
     case Expr::Kind::kFunction:
-      return EvalFunction(e, batch, row);
+      return row_eval::EvalFunction(e, batch, row);
     case Expr::Kind::kBetween: {
       PIXELS_ASSIGN_OR_RETURN(Value v, EvaluateExprRow(*e.args[0], batch, row));
       PIXELS_ASSIGN_OR_RETURN(Value lo, EvaluateExprRow(*e.args[1], batch, row));
@@ -305,12 +287,12 @@ Result<Value> EvaluateExprRow(const Expr& e, const RowBatch& batch, size_t row) 
         if (!cond.is_null() && cond.AsBool()) {
           PIXELS_ASSIGN_OR_RETURN(Value v,
                                   EvaluateExprRow(*e.args[2 * i + 1], batch, row));
-          return AsBoundType(e, std::move(v));
+          return row_eval::AsBoundType(e, std::move(v));
         }
       }
       if (!e.has_else) return Value::Null();
       PIXELS_ASSIGN_OR_RETURN(Value v, EvaluateExprRow(*e.args.back(), batch, row));
-      return AsBoundType(e, std::move(v));
+      return row_eval::AsBoundType(e, std::move(v));
     }
   }
   return Status::Internal("unreachable expression kind");

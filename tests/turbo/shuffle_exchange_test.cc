@@ -24,10 +24,16 @@ namespace {
 enum class NullPattern { kNone, kAll, kAlternating, kFirstOnly, kLastOnly };
 
 struct ExchangeCase {
+  ExchangeCase(TypeId t, NullPattern n, int e)
+      : type(t), nulls(n), forced_encoding(e) {}
   TypeId type;
+  // Explicit zeros where the compiler would pad: ctest names each case
+  // after the struct's raw bytes, and padding would leak stack garbage.
+  uint8_t zero[3] = {};
   NullPattern nulls;
   int forced_encoding;  // -1 = heuristic
 };
+static_assert(sizeof(ExchangeCase) == 12, "no implicit padding");
 
 void AppendTyped(ColumnVector* col, TypeId type, Random* rng) {
   switch (type) {
